@@ -84,6 +84,8 @@ def build_group(spec: dict) -> G.FiniteGroup:
 def build_mu(group: G.FiniteGroup, spec: dict) -> G.StepDistribution:
     mtype = spec.get("type")
     if mtype == "explicit":
+        if not isinstance(spec["probs"], dict):
+            raise SchemaError(["mu.probs: must be an object of element name -> probability"])
         return G.StepDistribution.from_names(group, spec["probs"])
     if mtype in MU_BUILTINS:
         return MU_BUILTINS[mtype](group)
@@ -153,7 +155,7 @@ def validate_config(doc: dict) -> list[str]:
     else:
         try:
             group = build_group(group_spec)
-        except (KeyError, SchemaError, Exception) as exc:  # noqa: BLE001
+        except (KeyError, TypeError, ValueError) as exc:
             bad("group", str(exc))
     mu_spec = doc.get("mu")
     if not isinstance(mu_spec, dict):
@@ -161,7 +163,7 @@ def validate_config(doc: dict) -> list[str]:
     elif group is not None:
         try:
             build_mu(group, mu_spec)
-        except Exception as exc:  # noqa: BLE001
+        except (KeyError, TypeError, ValueError) as exc:
             bad("mu", str(exc))
     alphas = doc.get("alphas")
     if not isinstance(alphas, list) or not alphas:

@@ -315,12 +315,19 @@ def evolve_size_histograms(
     if grid.size == 0 or grid[0] < 1 or np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be nonempty, strictly increasing, with min >= 1")
     horizon = int(grid[-1])
-    labels = np.zeros((count, horizon + 1), dtype=np.int32)
-    sizes = np.zeros((count, horizon + 1), dtype=np.int32)
+    # Time-major flat state: slot t * count + r is vertex t of replica r.
+    # ``root_slot`` holds the slot of each vertex's cluster root and starts as
+    # the vertex's own slot, so a fresh vertex already points at itself;
+    # ``residue`` holds, at root slots, the cluster size mod `modulus`.
+    slot_type = np.int32 if (horizon + 1) * count < 2**31 else np.int64
+    root_slot = np.arange((horizon + 1) * count, dtype=slot_type)
+    residue = np.zeros((horizon + 1) * count, dtype=np.int32)
+    succ = (np.arange(1, modulus + 1) % modulus).astype(np.int32)
     histo = np.zeros((count, modulus), dtype=np.int64)
-    rows = np.arange(count)
-    labels[:, 1] = 1
-    sizes[:, 1] = 1
+    histo_flat = histo.reshape(-1)
+    rows = np.arange(count, dtype=np.int64)
+    histo_rows = (rows * modulus).astype(np.int32)
+    residue[count : 2 * count] = 1 % modulus
     histo[:, 1 % modulus] += 1
     grid_pos = {int(t): i for i, t in enumerate(grid)}
     if 1 in grid_pos:
@@ -333,20 +340,23 @@ def evolve_size_histograms(
         u_blk = rng.integers(
             1, np.arange(t, t_hi, dtype=np.int64)[:, None], size=(nsteps, count)
         )
+        # a fresh vertex reads its own slot, a retained one its parent's
+        np.copyto(u_blk, np.arange(t, t_hi)[:, None], where=~xi_blk)
+        u_blk *= count
+        u_blk += rows
+        xi_int = xi_blk.view(np.int8)
         for i in range(nsteps):
             tt = t + i
-            xi = xi_blk[i]
-            root = labels[rows, u_blk[i]]
-            r = rows[xi]
-            rt = root[xi]
-            s_old = sizes[r, rt]
-            histo[r, s_old % modulus] -= 1
-            sizes[r, rt] = s_old + 1
-            histo[r, (s_old + 1) % modulus] += 1
-            labels[:, tt] = np.where(xi, root, tt)
-            f = rows[~xi]
-            sizes[f, tt] = 1
-            histo[f, 1 % modulus] += 1
+            root = root_slot.take(u_blk[i])
+            root_slot[tt * count : (tt + 1) * count] = root
+            r_old = residue.take(root)
+            r_new = succ.take(r_old)
+            residue[root] = r_new
+            # a fresh root's slot held residue 0, so -xi leaves its row alone
+            r_old += histo_rows
+            histo_flat[r_old] -= xi_int[i]
+            r_new += histo_rows
+            histo_flat[r_new] += 1
             if tt in grid_pos:
                 collect(grid_pos[tt], tt, histo)
         t = t_hi

@@ -664,26 +664,6 @@ def hypercube_tv_estimate(
     return float(curve.values[0]), float(curve.stderrs[0])
 
 
-def hypercube_weight_marginal(
-    d: int, alpha: float, n: int, replicas: int, master_seed: int, chunk: int = 2048
-) -> np.ndarray:
-    """Estimated Hamming-weight law of S_n (exact given the odd-cluster counts)."""
-    grid = np.array([n], dtype=np.int64)
-
-    def make_collector(count):
-        counts = np.zeros((1, n + 2), dtype=np.int64)
-
-        def collect(gi, t, histo):
-            counts[gi] += np.bincount(histo[:, 1], minlength=n + 2)
-
-        return collect, counts
-
-    holders = _run_chunked(alpha, grid, 2, replicas, master_seed, chunk, 1, make_collector)
-    counts = sum(holders)[0]
-    qtable = hypercube_weight_chain_table(d, n + 1)
-    return (counts.astype(float) @ qtable) / replicas
-
-
 # ---------------------------------------------------------------------------
 # Mixing times with horizon retries
 # ---------------------------------------------------------------------------
@@ -696,11 +676,22 @@ class MixingRun:
     horizons_tried: list = field(default_factory=list)
 
 
-def _scan_with_retries(build_curve, epsilon, horizon0, max_doublings):
+def _scan_with_retries(build_curve, epsilon, horizon0, max_doublings, curves=None):
+    """Scan ``build_curve(horizon)`` at `epsilon`, doubling the horizon while
+    the guard fires.
+
+    ``curves`` memoizes the curves by horizon.  A curve depends only on the
+    seed, the replicas and the horizon's grid, so scans at several epsilons
+    over one (alpha, size, seed) may share a memo and evolve each horizon's
+    forests once; scans over anything else must not.
+    """
+    curves = {} if curves is None else curves
     horizon = int(horizon0)
     tried = []
     while True:
-        curve = build_curve(horizon)
+        if horizon not in curves:
+            curves[horizon] = build_curve(horizon)
+        curve = curves[horizon]
         tried.append(horizon)
         est = mixing_time_scan(curve, epsilon, horizon)
         if not est.guard_triggered or len(tried) > max_doublings:
@@ -719,6 +710,7 @@ def cycle_mixing_time(
     max_doublings: int = 3,
     chunk: int = 512,
     threads: int = 1,
+    curves: dict | None = None,
 ) -> MixingRun:
     def build(horizon):
         grid = geometric_grid(horizon, points_per_decade)
@@ -726,7 +718,7 @@ def cycle_mixing_time(
             L, alpha, grid, replicas, master_seed, chunk=chunk, threads=threads
         )
 
-    return _scan_with_retries(build, epsilon, horizon0, max_doublings)
+    return _scan_with_retries(build, epsilon, horizon0, max_doublings, curves)
 
 
 def hypercube_mixing_time(
@@ -740,6 +732,7 @@ def hypercube_mixing_time(
     max_doublings: int = 3,
     chunk: int = 2048,
     threads: int = 1,
+    curves: dict | None = None,
 ) -> MixingRun:
     def build(horizon):
         grid = geometric_grid(horizon, points_per_decade)
@@ -747,4 +740,4 @@ def hypercube_mixing_time(
             d, alpha, grid, replicas, master_seed, chunk=chunk, threads=threads
         )
 
-    return _scan_with_retries(build, epsilon, horizon0, max_doublings)
+    return _scan_with_retries(build, epsilon, horizon0, max_doublings, curves)

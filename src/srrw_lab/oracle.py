@@ -191,12 +191,6 @@ def exact_endpoint_distribution(
     return DistributionVector(group, total)
 
 
-def exact_probability_at(
-    group: FiniteGroup, mu: StepDistribution, alpha: float, n: int, element: int
-) -> float:
-    return float(exact_endpoint_distribution(group, mu, alpha, n).probs[element])
-
-
 def exact_tv_curve(group: FiniteGroup, mu: StepDistribution, alpha: float, n_max: int):
     """Exact TV distance to uniform for n = 1..n_max (returns a DistanceCurve)."""
     from .metrics import DistanceCurve

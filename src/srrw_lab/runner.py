@@ -160,11 +160,13 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
     elif cfg.kind in ("phase-transition", "cutoff"):
         table = []
+        tried = []
         si = 0
         for alpha in cfg.alphas:
             for size in cfg.sizes:
                 seed = cfg.seed + SECTION_SEED_STRIDE * si
                 si += 1
+                curves: dict = {}  # every epsilon of this section scans the same curves
                 for eps in cfg.epsilons:
                     if cfg.kind == "phase-transition":
                         runout = metrics.cycle_mixing_time(
@@ -176,6 +178,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
                             _cycle_horizon0(size, alpha),
                             points_per_decade=cfg.points_per_decade,
                             threads=cfg.resolved_threads(),
+                            curves=curves,
                         )
                         norm = runout.estimate.t_mix / float(size * size)
                     else:
@@ -188,6 +191,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
                             _hypercube_horizon0(size, alpha),
                             points_per_decade=cfg.points_per_decade,
                             threads=cfg.resolved_threads(),
+                            curves=curves,
                         )
                         norm = runout.estimate.t_mix / (size * math.log(size))
                     guard = guard or runout.estimate.guard_triggered
@@ -204,6 +208,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
                             "guard_triggered": runout.estimate.guard_triggered,
                         }
                     )
+                    tried.append(runout.horizons_tried)
         path = os.path.join(cfg.output_dir, "mixing_times.csv")
         _atomic_write_text(
             path,
@@ -223,7 +228,9 @@ def run(cfg: ExperimentConfig) -> RunResult:
             ),
         )
         outputs.append(path)
-        results["mixing_times"] = table
+        results["mixing_times"] = [
+            dict(row, horizons_tried=h) for row, h in zip(table, tried)
+        ]
         if cfg.kind == "phase-transition":
             slopes = {}
             for alpha in cfg.alphas:

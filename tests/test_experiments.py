@@ -70,6 +70,18 @@ class TestValidation:
         problems = validate_config(doc)
         assert len(problems) >= 3
 
+    def test_explicit_mu_probs_must_be_an_object(self, tmp_path):
+        doc = base_config(tmp_path, mu={"type": "explicit", "probs": [0.5, 0.5]})
+        assert any(p.startswith("mu") for p in validate_config(doc))
+
+    def test_programming_errors_are_not_config_problems(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("bug in group construction")
+
+        monkeypatch.setattr("srrw_lab.groups.make_group", boom)
+        with pytest.raises(RuntimeError, match="bug in group construction"):
+            validate_config(base_config(tmp_path))
+
 
 class TestRunner:
     def test_oracle_check_outputs(self, tmp_path):
@@ -394,4 +406,7 @@ class TestRunnerEstimatorPaths:
         result = run(parse_config(doc))
         row = result.summary["results"]["mixing_times"][0]
         assert row["t_mix"] >= 1
+        assert row["horizons_tried"][-1] == row["horizon"]
         assert "cutoff_constants" in result.summary["results"]
+        header = open(tmp_path / "co" / "mixing_times.csv").readline().strip()
+        assert "horizons_tried" not in header

@@ -184,7 +184,78 @@ class TestThetaDensities:
         assert abs(odd.mean() / n - sp.odd_cluster_density(a)) < 0.005
 
 
+def reference_evolve(alpha, grid, modulus, count, rng, collect):
+    """Column-per-time evolution with boolean-compacted histogram updates.
+
+    The straightforward form of ``evolve_size_histograms``: same draws in the
+    same order, labels and sizes stored replica-major as (count, horizon + 1).
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    horizon = int(grid[-1])
+    labels = np.zeros((count, horizon + 1), dtype=np.int32)
+    sizes = np.zeros((count, horizon + 1), dtype=np.int32)
+    histo = np.zeros((count, modulus), dtype=np.int64)
+    rows = np.arange(count)
+    labels[:, 1] = 1
+    sizes[:, 1] = 1
+    histo[:, 1 % modulus] += 1
+    grid_pos = {int(t): i for i, t in enumerate(grid)}
+    if 1 in grid_pos:
+        collect(grid_pos[1], 1, histo)
+    t = 2
+    while t <= horizon:
+        t_hi = min(t + F.RNG_BLOCK, horizon + 1)
+        nsteps = t_hi - t
+        xi_blk = rng.random((nsteps, count)) < alpha
+        u_blk = rng.integers(
+            1, np.arange(t, t_hi, dtype=np.int64)[:, None], size=(nsteps, count)
+        )
+        for i in range(nsteps):
+            tt = t + i
+            xi = xi_blk[i]
+            root = labels[rows, u_blk[i]]
+            r = rows[xi]
+            rt = root[xi]
+            s_old = sizes[r, rt]
+            histo[r, s_old % modulus] -= 1
+            sizes[r, rt] = s_old + 1
+            histo[r, (s_old + 1) % modulus] += 1
+            labels[:, tt] = np.where(xi, root, tt)
+            f = rows[~xi]
+            sizes[f, tt] = 1
+            histo[f, 1 % modulus] += 1
+            if tt in grid_pos:
+                collect(grid_pos[tt], tt, histo)
+        t = t_hi
+
+
 class TestEvolveHistograms:
+    # grid points on both sides of the first two RNG block boundaries
+    BLOCK_TIMES = (1, 2, F.RNG_BLOCK, F.RNG_BLOCK + 1, F.RNG_BLOCK + 2, 2 * F.RNG_BLOCK + 6)
+
+    @pytest.mark.parametrize("modulus", [2, 66, 300])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_matches_reference_loop_exactly(self, modulus, alpha, count):
+        for horizon in self.BLOCK_TIMES:
+            times = [t for t in self.BLOCK_TIMES if t <= horizon]
+            for grid in (times, times[1:]):
+                if not grid:
+                    continue
+                got, want = [], []
+                seed = 1000 * modulus + count
+                F.evolve_size_histograms(
+                    alpha, np.array(grid), modulus, count, stream(seed, 0),
+                    lambda gi, t, h: got.append((gi, t, h.copy())),
+                )
+                reference_evolve(
+                    alpha, np.array(grid), modulus, count, stream(seed, 0),
+                    lambda gi, t, h: want.append((gi, t, h.copy())),
+                )
+                assert [(gi, t) for gi, t, _ in got] == [(gi, t) for gi, t, _ in want]
+                for (_, t, a), (_, _, b) in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (horizon, grid, t)
+
     def test_histogram_weighted_sizes_sum_to_time(self):
         # with modulus > horizon the histogram is the exact size distribution
         alpha, R = 0.6, 17

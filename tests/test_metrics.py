@@ -343,6 +343,55 @@ class TestHypercubeEstimator:
             assert np.abs(recon - exact).max() < 1e-10
 
 
+SHARED_SCANS = [
+    # (mixing-time function, estimator it builds curves with, size, alpha, horizon0)
+    (M.cycle_mixing_time, "rao_blackwell_cycle_curve", 5, 0.6, 8),
+    (M.hypercube_mixing_time, "hypercube_tv_curve", 8, 0.5, 16),
+]
+
+
+class TestSharedCurveScan:
+    EPSILONS = (0.5, 0.25, 0.05)
+
+    @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
+    def test_shared_memo_matches_independent_scans(
+        self, mixing_time, estimator, size, alpha, horizon0
+    ):
+        args = (size, alpha)
+        solo = [mixing_time(*args, eps, 300, 11, horizon0) for eps in self.EPSILONS]
+        curves = {}
+        shared = [
+            mixing_time(*args, eps, 300, 11, horizon0, curves=curves) for eps in self.EPSILONS
+        ]
+        assert any(len(run.horizons_tried) > 1 for run in solo)  # a guard doubled
+        for a, b in zip(solo, shared):
+            assert a.estimate == b.estimate
+            assert a.horizons_tried == b.horizons_tried
+            assert np.array_equal(a.curve.values, b.curve.values)
+            assert np.array_equal(a.curve.stderrs, b.curve.stderrs)
+
+    @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
+    def test_each_horizon_is_built_once(
+        self, monkeypatch, mixing_time, estimator, size, alpha, horizon0
+    ):
+        built = []
+        original = getattr(M, estimator)
+
+        def counting(*args, **kwargs):
+            built.append(int(np.asarray(args[2])[-1]))  # grid max = horizon
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(M, estimator, counting)
+        curves = {}
+        runs = [
+            mixing_time(size, alpha, eps, 300, 11, horizon0, curves=curves)
+            for eps in self.EPSILONS
+        ]
+        tried = {h for run in runs for h in run.horizons_tried}
+        assert sorted(built) == sorted(tried)  # once per distinct horizon
+        assert len(built) < sum(len(run.horizons_tried) for run in runs)
+
+
 class TestEstimatorOracleBattery:
     def test_rb_within_4se_in_99_of_100(self, z3_oracle_curves):
         exact = z3_oracle_curves[(0.5, 5)].tv_to_uniform()
