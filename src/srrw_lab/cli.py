@@ -40,11 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--config", required=True)
     r.add_argument("--seed", type=int, default=None, help="override the config seed")
     r.add_argument("--threads", type=int, default=None, help="worker thread count")
-    r.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force deterministic reduction (always on; flag kept for compatibility)",
-    )
 
     pr = sub.add_parser("presets", help="list or show built-in desk-scale presets")
     psub = pr.add_subparsers(dest="preset_command", required=True)

@@ -5,6 +5,17 @@ uniform threshold u: sorting the column loads Q(y) = sum_{x in W} K(x, y)
 descending gives at most |G| breakpoints, so single-step laws, expected
 sizes, and the root profile psi are all computed exactly (no sampling).
 Subsets are bitmasks; exhaustive profiles are capped at |G| <= 24.
+
+Exhaustive sweeps visit one subset per left-translation orbit.  The kernel
+P(x, y) = mu(x^-1 y) satisfies P(gx, gy) = P(x, y), so Phi(gA) = Phi(A) and
+psi(gA) = psi(A).  The representative of an orbit is the smallest mask that
+contains the identity among its translates a^-1 A (a in A); it is found by
+translating masks through byte-wise lookup tables of the permutations
+x -> g x.  Translates agree in exact arithmetic but not always in the last
+float bit (the sums run in a different order), so every representative
+within 1e-12 of the smallest is expanded to all its translates and these are
+evaluated again: the minimum and its smallest-mask witness are then the
+ones a sweep of all 2^|G| masks would report, bit for bit.
 """
 
 from __future__ import annotations
@@ -213,6 +224,84 @@ class ProfileTable:
                 w.writerow([f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)])
 
 
+def _translation_luts(group: FiniteGroup) -> np.ndarray:
+    """lut[g, b, v] is the mask of g * {8b + i : bit i of v} (left translation)."""
+    n = group.order
+    values = np.arange(256, dtype=np.int64)
+    lut = np.zeros((n, (n + 7) // 8, 256), dtype=np.int64)
+    for x in range(n):
+        bit = (values >> (x % 8)) & 1
+        lut[:, x // 8, :] |= bit[None, :] << group.table[:, x, None].astype(np.int64)
+    return lut
+
+
+def _translate(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
+    out = lut_g[0][masks & 255]
+    for b in range(1, lut_g.shape[0]):
+        out |= lut_g[b][(masks >> (8 * b)) & 255]
+    return out
+
+
+def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
+    """Chunks of one mask per translation orbit of subsets with lo <= |A| <= hi.
+
+    A mask containing the identity (bit 0) is kept when it is <= every
+    translate gA that also contains the identity, i.e. every a^-1 A, a in A.
+    """
+    n = lut.shape[0]
+    for start, stop in chunk_ranges(1 << (n - 1), chunk):
+        masks = (np.arange(start, stop, dtype=np.int64) << 1) | 1
+        pops = np.bitwise_count(masks)
+        masks = masks[(pops >= lo) & (pops <= hi)]
+        for g in range(1, n):
+            t = _translate(masks, lut[g])
+            masks = masks[((t & 1) == 0) | (masks <= t)]
+        yield masks
+
+
+def _orbit_minima(
+    group: FiniteGroup, P: np.ndarray, lo: int, hi: int, score, by_size: bool, chunk: int = 65536
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minima of score(phi, psi) over every subset A with lo <= |A| <= hi.
+
+    ``score`` returns a tuple of arrays, one per objective.  Minima are taken
+    per size (``by_size``; key |A|) or over all sizes (key 0).  Returns
+    ``(best, witness)`` of shape (objectives, keys): the float minimum and the
+    smallest mask attaining it, exactly as a sweep over every mask in
+    increasing order would give.  Keys without subsets keep (inf, 0).
+    """
+    n = group.order
+    lut = _translation_luts(group)
+    key_of = (lambda sizes: sizes) if by_size else (lambda sizes: np.zeros_like(sizes))
+    nkeys = hi + 1 if by_size else 1
+
+    reps = np.concatenate(list(_orbit_representatives(lut, lo, hi, chunk)))
+    # an empty chunk still yields the (empty) objective arrays
+    parts = [_chunk_phi_psi(reps[a:b], P) for a, b in chunk_ranges(reps.size, chunk) or [(0, 0)]]
+    sizes, phi, psi = (np.concatenate(col) for col in zip(*parts))
+    keys = key_of(sizes)
+    vals = np.stack(score(phi, psi))
+    rep_min = np.full((vals.shape[0], nkeys), np.inf)
+    for j in range(vals.shape[0]):
+        np.minimum.at(rep_min[j], keys, vals[j])
+    near = reps[(vals <= rep_min[:, keys] + 1e-12).any(axis=0)]
+
+    best = np.full_like(rep_min, np.inf)
+    witness = np.zeros(rep_min.shape, dtype=np.int64)
+    for start, stop in chunk_ranges(near.size, max(1, chunk // n)):
+        masks = np.concatenate([_translate(near[start:stop], lut[g]) for g in range(n)])
+        sizes, phi, psi = _chunk_phi_psi(masks, P)
+        keys = key_of(sizes)
+        for j, val in enumerate(score(phi, psi)):
+            for key in np.unique(keys):
+                sel = keys == key
+                v = val[sel].min()
+                w = masks[sel][val[sel] == v].min()
+                if v < best[j, key] or (v == best[j, key] and w < witness[j, key]):
+                    best[j, key], witness[j, key] = v, w
+    return best, witness
+
+
 def iso_profile(
     group: FiniteGroup,
     mu: StepDistribution,
@@ -223,7 +312,8 @@ def iso_profile(
 ) -> ProfileTable:
     """Isoperimetric profile Phi(r) and root profile psi(r).
 
-    Exhaustive mode scans every subset with |A| <= |G|/2 (cap |G| <= 24);
+    Exhaustive mode covers every subset with |A| <= |G|/2 (cap |G| <= 24),
+    evaluating one per translation orbit plus the translates of near-minima;
     sampled mode explores random subsets plus greedy swaps and reports
     non-certified upper bounds.
     """
@@ -255,13 +345,11 @@ def iso_profile(
             raise CapacityError(
                 f"exhaustive profiles need |G| <= {EXHAUSTIVE_CAP}, got {n}"
             )
-        all_masks = np.arange(1, 1 << n, dtype=np.int64)
-        for start, stop in chunk_ranges(all_masks.size, chunk):
-            masks = all_masks[start:stop]
-            pops = np.bitwise_count(masks)
-            masks = masks[(pops >= 1) & (pops <= half)]
-            if masks.size:
-                absorb(masks)
+        best, wit = _orbit_minima(
+            group, P, 1, half, lambda phi, psi: (phi, psi), by_size=True, chunk=chunk
+        )
+        best_phi, best_psi = best
+        wit_phi, wit_psi = wit.tolist()
         certified = True
     elif mode == "sampled":
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sample_seed))
@@ -332,13 +420,10 @@ def psi_phi_inequality_check(group: FiniteGroup, mu: StepDistribution) -> float:
         raise CapacityError(f"exhaustive check needs |G| <= {EXHAUSTIVE_CAP}")
     P = transition_matrix(group, mu)
     factor = mu0**2 / (2.0 * (1.0 - mu0) ** 2)
-    worst = np.inf
-    all_masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    for start, stop in chunk_ranges(all_masks.size, 65536):
-        masks = all_masks[start:stop]
-        _, phi, psi = _chunk_phi_psi(masks, P)
-        worst = min(worst, float((psi - factor * phi**2).min()))
-    return worst
+    best, _ = _orbit_minima(
+        group, P, 1, n - 1, lambda phi, psi: (psi - factor * phi**2,), by_size=False
+    )
+    return float(best[0, 0])
 
 
 @dataclass
@@ -363,21 +448,9 @@ def psi_positivity_vs_generation(group: FiniteGroup, mu: StepDistribution) -> Ge
     closure = gamma_gamma_inv_closure(group, mu.support)
     generates = len(closure) == n
 
-    psi_half = np.inf
-    witness = None
-    half = n // 2
-    all_masks = np.arange(1, 1 << n, dtype=np.int64)
-    for start, stop in chunk_ranges(all_masks.size, 65536):
-        masks = all_masks[start:stop]
-        pops = np.bitwise_count(masks)
-        masks = masks[(pops >= 1) & (pops <= half)]
-        if not masks.size:
-            continue
-        _, _, psi = _chunk_phi_psi(masks, P)
-        i = int(np.argmin(psi))
-        if psi[i] < psi_half:
-            psi_half = float(psi[i])
-            witness = int(masks[i])
+    best, wit = _orbit_minima(group, P, 1, n // 2, lambda phi, psi: (psi,), by_size=False)
+    psi_half = float(best[0, 0])
+    witness = int(wit[0, 0]) if psi_half < np.inf else None
 
     positive = psi_half > 1e-12
     witness_fixed = False

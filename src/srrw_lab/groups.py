@@ -383,16 +383,23 @@ class TableGroup(FiniteGroup):
         return self._table[a, b]
 
 
+def _size_param(kind: str, param) -> int:
+    # bool is an int subclass, and int() would silently truncate 2.5 or parse "3"
+    if isinstance(param, bool) or not isinstance(param, (int, np.integer)):
+        raise ParameterError(f"{kind} group size must be an integer, got {param!r}")
+    return int(param)
+
+
 def make_group(kind: str, param=None, **kwargs) -> FiniteGroup:
     """Factory for the supported group families."""
     if kind == "cyclic":
-        return CyclicGroup(int(param))
+        return CyclicGroup(_size_param(kind, param))
     if kind == "hypercube":
-        return HypercubeGroup(int(param))
+        return HypercubeGroup(_size_param(kind, param))
     if kind == "symmetric":
-        return SymmetricGroup(int(param))
+        return SymmetricGroup(_size_param(kind, param))
     if kind == "lamplighter":
-        return LamplighterGroup(int(param), **kwargs)
+        return LamplighterGroup(_size_param(kind, param), **kwargs)
     if kind == "table":
         return TableGroup(param, **kwargs)
     raise ParameterError(f"unknown group kind {kind!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dist import DistributionVector
 from .errors import CapacityError, ParameterError
-from .forest import ForestPath, batch_root_labels
+from .forest import ForestPath, _check_alpha, batch_root_labels
 from .groups import FiniteGroup, StepDistribution, transition_matrix
 
 ORACLE_N_CAP = 9
@@ -34,13 +34,6 @@ def _check_n(n: int) -> int:
             f"exhaustive enumeration supports n <= {ORACLE_N_CAP}, got {n}"
         )
     return n
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
 
 
 @dataclass

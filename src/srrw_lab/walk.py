@@ -20,18 +20,11 @@ import numpy as np
 
 from .dist import DistributionVector
 from .errors import CapacityError, ContractError, ParameterError
-from .forest import ForestPath, grow_forest
+from .forest import ForestPath, _check_alpha, grow_forest
 from .groups import FiniteGroup, StepDistribution, transition_matrix
 from .streams import chunk_ranges, stream
 
 KERNEL_CAP = 4096
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
 
 
 @dataclass

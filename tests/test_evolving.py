@@ -194,6 +194,108 @@ class TestIsoProfile:
         assert header == "r,phi,psi,phi_witness_mask,psi_witness_mask"
 
 
+def brute_orbit_minima(group, P, lo, hi, score, by_size, chunk=65536):
+    """Reference for E._orbit_minima: every mask in increasing order, chunked."""
+    nkeys = hi + 1 if by_size else 1
+    best, witness = None, None
+    all_masks = np.arange(1, 1 << group.order, dtype=np.int64)
+    for start in range(0, all_masks.size, chunk):
+        masks = all_masks[start : start + chunk]
+        sizes, phi, psi = E._chunk_phi_psi(masks, P)
+        vals = score(phi, psi)
+        if best is None:
+            best = np.full((len(vals), nkeys), np.inf)
+            witness = np.zeros((len(vals), nkeys), dtype=np.int64)
+        keys = sizes if by_size else np.zeros_like(sizes)
+        inside = (sizes >= lo) & (sizes <= hi)
+        for j, val in enumerate(vals):
+            for key in np.unique(keys[inside]):
+                i = int(np.argmin(np.where(inside & (keys == key), val, np.inf)))
+                if val[i] < best[j, key]:  # first minimum = smallest mask
+                    best[j, key], witness[j, key] = val[i], masks[i]
+    return best, witness
+
+
+def orbit_sweep_cases():
+    z16 = G.make_group("cyclic", 16)
+    z17 = G.make_group("cyclic", 17)
+    z19 = G.make_group("cyclic", 19)
+    s3 = G.make_group("symmetric", 3)
+    lam = G.make_group("lamplighter", 2)
+    h4 = G.make_group("hypercube", 4)
+    tab = G.make_group("table", G.make_group("symmetric", 3).table)
+    return [
+        # the smallest mask attaining the least phi of size 6 lies in an orbit
+        # whose representative evaluates a few ulps above another orbit's
+        pytest.param(z16, G.StepDistribution(z16, {0: 0.4, 1: 0.2, 3: 0.4}), id="Z16"),
+        pytest.param(z17, G.StepDistribution(z17, {0: 0.3, 1: 0.2, 3: 0.1, 6: 0.4}), id="Z17"),
+        pytest.param(z19, G.StepDistribution(z19, {0: 0.3, 1: 0.2, 3: 0.1, 6: 0.4}), id="Z19"),
+        pytest.param(s3, G.StepDistribution(s3, {0: 0.3, 1: 0.45, 4: 0.25}), id="S3"),
+        pytest.param(lam, G.lamplighter_example_mu(lam), id="lamplighter2"),
+        pytest.param(h4, G.lazy_hypercube_mu(h4), id="H4"),
+        pytest.param(tab, G.StepDistribution(tab, {0: 0.1, 2: 0.6, 3: 0.3}), id="table"),
+    ]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestOrbitSweep:
+    @pytest.mark.parametrize("group,mu", orbit_sweep_cases())
+    def test_matches_sweep_of_every_mask(self, group, mu, monkeypatch):
+        got_table = E.iso_profile(group, mu)
+        got_check = E.psi_phi_inequality_check(group, mu)
+        got_report = E.psi_positivity_vs_generation(group, mu)
+        small_chunks = E.iso_profile(group, mu, chunk=256)
+        monkeypatch.setattr(E, "_orbit_minima", brute_orbit_minima)
+        ref_table = E.iso_profile(group, mu)
+        ref_check = E.psi_phi_inequality_check(group, mu)
+        ref_report = E.psi_positivity_vs_generation(group, mu)
+        assert _bits(got_table.phi) == _bits(ref_table.phi)
+        assert _bits(got_table.psi) == _bits(ref_table.psi)
+        assert got_table.phi_witness == ref_table.phi_witness
+        assert got_table.psi_witness == ref_table.psi_witness
+        assert _bits(small_chunks.phi) == _bits(ref_table.phi)
+        assert _bits(small_chunks.psi) == _bits(ref_table.psi)
+        assert small_chunks.phi_witness == ref_table.phi_witness
+        assert small_chunks.psi_witness == ref_table.psi_witness
+        assert _bits(got_check) == _bits(ref_check)
+        assert _bits(got_report.psi_half) == _bits(ref_report.psi_half)
+        assert got_report == ref_report
+
+    @pytest.mark.parametrize("group,mu", orbit_sweep_cases())
+    def test_one_representative_per_orbit(self, group, mu):
+        n = group.order
+        lut = E._translation_luts(group)
+        reps = np.concatenate(list(E._orbit_representatives(lut, 1, n, 4096)))
+        assert (reps & 1).all()  # every representative contains the identity
+        # Burnside: a left translation by g fixes 2^(cycles of x -> gx) subsets
+        fixed = 0
+        for g in range(n):
+            seen, cycles = set(), 0
+            for x in range(n):
+                if x not in seen:
+                    cycles += 1
+                    while x not in seen:
+                        seen.add(x)
+                        x = group.mul(g, x)
+            fixed += 2**cycles
+        assert reps.size == fixed // n - 1  # orbits of nonempty subsets
+        # no representative is a translate of another one
+        translates = np.stack([E._translate(reps, lut[g]) for g in range(n)], axis=1)
+        assert ((translates == reps[:, None]) | ~np.isin(translates, reps)).all()
+
+    def test_translation_tables(self):
+        s3 = G.make_group("symmetric", 3)
+        lut = E._translation_luts(s3)
+        for g in range(s3.order):
+            for mask in range(1 << s3.order):
+                expect = E.mask_of(s3.mul(g, x) for x in E.set_of(mask))
+                got = int(E._translate(np.array([mask], dtype=np.int64), lut[g])[0])
+                assert got == expect
+
+
 class TestPsiPhiInequality:
     def test_lazy_z5_all_subsets(self, lazy_z5_kernel):
         z5, mu, _ = lazy_z5_kernel
@@ -323,7 +425,7 @@ class TestKernelReverse:
 @pytest.mark.slow
 class TestLamplighterDemo:
     def test_exhaustive_profile_at_the_cap(self):
-        # |G| = 24 is the documented exhaustive cap: 2^23 subsets scanned
+        # |G| = 24 is the documented exhaustive cap: 2^23 masks hold the identity
         lam = G.make_group("lamplighter", 3)
         mu = G.lamplighter_example_mu(lam)
         table = E.iso_profile(lam, mu)

@@ -74,6 +74,20 @@ class TestValidation:
         doc = base_config(tmp_path, mu={"type": "explicit", "probs": [0.5, 0.5]})
         assert any(p.startswith("mu") for p in validate_config(doc))
 
+    @pytest.mark.parametrize(
+        "group",
+        [
+            {"kind": "cyclic", "L": 2.5},
+            {"kind": "hypercube", "d": True},
+            {"kind": "symmetric", "m": "3"},
+        ],
+    )
+    def test_non_integer_group_size_is_a_config_problem(self, tmp_path, group):
+        problems = validate_config(base_config(tmp_path, group=group))
+        assert any(p.startswith("group") and "integer" in p for p in problems)
+        with pytest.raises(SchemaError):
+            parse_config(base_config(tmp_path, group=group))
+
     def test_programming_errors_are_not_config_problems(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("bug in group construction")

@@ -115,6 +115,18 @@ class TestMakeGroup:
         with pytest.raises(ParameterError):
             G.make_group("nosuch", 3)
 
+    def test_sizes_must_be_integers(self):
+        for kind, size in [
+            ("cyclic", 2.5),
+            ("cyclic", 3.0),
+            ("hypercube", True),
+            ("symmetric", "3"),
+            ("lamplighter", None),
+        ]:
+            with pytest.raises(ParameterError, match="integer"):
+                G.make_group(kind, size)
+        assert G.make_group("cyclic", np.int64(5)).order == 5
+
     def test_table_group_checks(self):
         z3 = G.make_group("cyclic", 3)
         tg = G.make_group("table", z3.table)
