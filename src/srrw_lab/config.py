@@ -31,6 +31,12 @@ KINDS = (
 
 ESTIMATORS = ("rao-blackwell", "endpoint", "hypercube-weight", "exact")
 
+# scaling kind -> (the estimator it runs, size check, the rule in words)
+_SCALING_RULES = {
+    "phase-transition": ("rao-blackwell", lambda L: L >= 3 and L % 2 == 1, "odd integers >= 3"),
+    "cutoff": ("hypercube-weight", lambda d: 2 <= d <= 1024, "integers 2 <= d <= 1024"),
+}
+
 MU_BUILTINS = {
     "simple-cycle": G.simple_cycle_mu,
     "lazy-cycle": G.lazy_cycle_mu,
@@ -158,11 +164,12 @@ def validate_config(doc: dict) -> list[str]:
         except (KeyError, TypeError, ValueError) as exc:
             bad("group", str(exc))
     mu_spec = doc.get("mu")
+    mu = None
     if not isinstance(mu_spec, dict):
         bad("mu", "must be an object")
     elif group is not None:
         try:
-            build_mu(group, mu_spec)
+            mu = build_mu(group, mu_spec)
         except (KeyError, TypeError, ValueError) as exc:
             bad("mu", str(exc))
     alphas = doc.get("alphas")
@@ -215,26 +222,36 @@ def validate_config(doc: dict) -> list[str]:
                 f"exhaustive profiles capped at order {EXHAUSTIVE_CAP} "
                 f"(got {group.order}); use sampled mode via estimator overrides",
             )
+        if kind == "profiles" and group.order < 2:
+            bad("group", f"profiles need a group of order >= 2 (got {group.order})")
         if kind == "oracle-check":
             n_max = doc.get("n_max", 6)
             if not isinstance(n_max, int) or not 1 <= n_max <= 9:
                 bad("n_max", "oracle check needs 1 <= n_max <= 9")
             if group.order > 4096:
                 bad("group", "oracle check needs order <= 4096")
+        # these estimators compute one fixed walk's curve and ignore mu otherwise
         if est == "rao-blackwell":
             if group.kind != "cyclic" or group.order % 2 == 0 or group.order < 3:
                 bad("estimator", "rao-blackwell needs an odd cyclic group of size >= 3")
+            elif mu is not None and mu.items != G.simple_cycle_mu(group).items:
+                bad("mu", "rao-blackwell estimates the simple-cycle walk; mu must be simple-cycle")
         if est == "hypercube-weight":
             if group.kind != "hypercube" or getattr(group, "d", 0) > 1024:
                 bad("estimator", "hypercube-weight needs a hypercube group with d <= 1024")
+            elif mu is not None and mu.items != G.lazy_hypercube_mu(group).items:
+                bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if est == "endpoint" and not group.has_table:
             bad("estimator", "endpoint sampling needs group order <= 4096")
-    if kind in ("phase-transition", "cutoff"):
+    if kind in _SCALING_RULES:
+        estimator, size_ok, rule = _SCALING_RULES[kind]
+        if est != estimator:
+            bad("estimator", f"kind {kind!r} runs the {estimator!r} estimator only")
         sizes = doc.get("sizes")
         if not isinstance(sizes, list) or not sizes or any(
-            not isinstance(s, int) or s < 2 for s in sizes
+            not isinstance(s, int) or not size_ok(s) for s in sizes
         ):
-            bad("sizes", "must be a nonempty list of integers >= 2")
+            bad("sizes", f"must be a nonempty list of {rule}")
     thr = doc.get("threads")
     if thr is not None and (not isinstance(thr, int) or thr < 1):
         bad("threads", "must be an integer >= 1")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import os
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +13,22 @@ from .errors import DomainError
 from .groups import FiniteGroup
 
 PROB_SUM_ATOL = 1e-9
+
+
+def write_csv(path, fieldnames, rows) -> None:
+    """Write a header and rows as CSV with "\\n" line endings, atomically.
+
+    A row is a mapping keyed by field name or a sequence in field order.  The
+    text goes to ``<path>.tmp``, which is then renamed over ``path``, so a
+    reader never sees a partial file.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(fieldnames)
+        for row in rows:
+            w.writerow([row[f] for f in fieldnames] if isinstance(row, Mapping) else row)
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -36,11 +54,11 @@ class DistributionVector:
         return 0.5 * float(np.abs(self.probs - 1.0 / self.group.order).sum())
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["element", "probability"])
-            for i, p in enumerate(self.probs):
-                w.writerow([self.group.element_name(i), f"{p:.17g}"])
+        write_csv(
+            path,
+            ["element", "probability"],
+            ([self.group.element_name(i), f"{p:.17g}"] for i, p in enumerate(self.probs)),
+        )
 
 
 def uniform_vector(group: FiniteGroup) -> DistributionVector:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
 from .forest import ForestPath
 from .groups import (
@@ -213,15 +214,16 @@ class ProfileTable:
         return float(self.psi[i])
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "phi", "psi", "phi_witness_mask", "psi_witness_mask"])
-            for r, f, p, fw, pw in zip(
-                self.rs, self.phi, self.psi, self.phi_witness, self.psi_witness
-            ):
-                w.writerow([f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)])
+        write_csv(
+            path,
+            ["r", "phi", "psi", "phi_witness_mask", "psi_witness_mask"],
+            (
+                [f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)]
+                for r, f, p, fw, pw in zip(
+                    self.rs, self.phi, self.psi, self.phi_witness, self.psi_witness
+                )
+            ),
+        )
 
 
 def _translation_luts(group: FiniteGroup) -> np.ndarray:
@@ -318,6 +320,8 @@ def iso_profile(
     non-certified upper bounds.
     """
     n = group.order
+    if n < 2:
+        raise ParameterError(f"profiles need |G| >= 2, got {n}")
     P = transition_matrix(group, mu)
     half = n // 2
     best_phi = np.full(half + 1, np.inf)
@@ -409,13 +413,15 @@ def iso_profile(
 def psi_phi_inequality_check(group: FiniteGroup, mu: StepDistribution) -> float:
     """Worst slack of psi(W) >= mu_0^2 Phi(W)^2 / (2 (1-mu_0)^2) over proper W.
 
-    Requires a lazy atom mu_0 = mu(e) > 0; returns min over all nonempty
-    proper subsets of the left side minus the right side.
+    Requires |G| >= 2 and a lazy atom 0 < mu_0 = mu(e) < 1; returns min over
+    all nonempty proper subsets of the left side minus the right side.
     """
-    mu0 = mu.prob(group.identity)
-    if mu0 <= 0.0:
-        raise DomainError("the psi-phi inequality needs mu(e) > 0")
     n = group.order
+    if n < 2:
+        raise ParameterError(f"the psi-phi inequality needs |G| >= 2, got {n}")
+    mu0 = mu.prob(group.identity)
+    if not 0.0 < mu0 < 1.0:
+        raise DomainError("the psi-phi inequality needs 0 < mu(e) < 1")
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(f"exhaustive check needs |G| <= {EXHAUSTIVE_CAP}")
     P = transition_matrix(group, mu)
@@ -474,13 +480,7 @@ def psi_positivity_vs_generation(group: FiniteGroup, mu: StepDistribution) -> Ge
 
 def trajectory_to_csv(sizes, path) -> None:
     """Dump an evolving-set size trajectory as CSV: step, |W|."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "size"])
-        for j, s in enumerate(sizes):
-            w.writerow([j, int(s)])
+    write_csv(path, ["step", "size"], ([j, int(s)] for j, s in enumerate(sizes)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ for m steps, whose weight law follows an Ehrenfest recursion.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
 from .forest import evolve_size_histograms
 from .groups import FiniteGroup, StepDistribution, transition_matrix
@@ -42,6 +42,8 @@ class DistanceCurve:
     values: np.ndarray
     stderrs: np.ndarray
 
+    CSV_FIELDS = ("seed", "group", "alpha", "estimator", "n", "value", "stderr", "replicas")
+
     def __post_init__(self):
         self.ns = np.asarray(self.ns, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
@@ -58,36 +60,18 @@ class DistanceCurve:
         return float(self.values[pos])
 
     def csv_rows(self):
+        """One mapping per grid point, keyed by ``CSV_FIELDS``."""
+        seed = "" if self.seed is None else int(self.seed)
+        alpha = f"{self.alpha:.17g}"
         for n, v, se in zip(self.ns, self.values, self.stderrs):
-            yield {
-                "seed": "" if self.seed is None else int(self.seed),
-                "group": self.group_desc,
-                "alpha": f"{self.alpha:.17g}",
-                "estimator": self.estimator,
-                "n": int(n),
-                "value": f"{v:.17g}",
-                "stderr": f"{se:.17g}",
-                "replicas": self.replicas,
-            }
+            cells = (
+                seed, self.group_desc, alpha, self.estimator,
+                int(n), f"{v:.17g}", f"{se:.17g}", self.replicas,
+            )
+            yield dict(zip(self.CSV_FIELDS, cells))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "seed",
-                    "group",
-                    "alpha",
-                    "estimator",
-                    "n",
-                    "value",
-                    "stderr",
-                    "replicas",
-                ],
-            )
-            w.writeheader()
-            for row in self.csv_rows():
-                w.writerow(row)
+        write_csv(path, self.CSV_FIELDS, self.csv_rows())
 
 
 @dataclass

@@ -1,25 +1,31 @@
 """Config-driven experiment execution with machine-readable outputs.
 
-Outputs are written atomically (temp file + rename) only after a section
-completes, so a failed or cancelled run leaves no partial artifacts.  All
-randomness descends from the config seed through fixed per-section offsets,
-and reductions happen in fixed chunk order, so outputs are byte-identical
-for any thread count.
+Each config kind maps to a section in ``SECTIONS``: a function of the
+config, its group and its step distribution that returns the CSV artifacts
+to write, the ``results`` entries of ``summary.json`` and whether a horizon
+guard fired.  Artifacts are written atomically (temp file + rename) only
+after the section completes, so a failed or cancelled run leaves no partial
+artifacts.  All randomness descends from the config seed through fixed
+per-section offsets, and reductions happen in fixed chunk order, so outputs
+are byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import metrics, oracle
 from .config import ExperimentConfig, build_grid, build_group, build_mu
+from .dist import write_csv
 from .errors import SchemaError
 from .evolving import iso_profile
 from .forest import sample_cluster_size_counts
@@ -35,28 +41,6 @@ class RunResult:
     summary: dict
     outputs: list = field(default_factory=list)
     guard_triggered: bool = False
-
-
-def _atomic_write_text(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _csv_text(fieldnames, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
-
-
-def _curve_fieldnames():
-    return ["seed", "group", "alpha", "estimator", "n", "value", "stderr", "replicas"]
 
 
 def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
@@ -91,11 +75,8 @@ def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
     if cfg.estimator == "exact":
         curve = oracle.exact_tv_curve(group, mu, alpha, int(grid[-1]))
         keep = np.isin(curve.ns, grid)
-        return metrics.DistanceCurve(
-            group_desc=curve.group_desc,
-            alpha=alpha,
-            estimator="exact",
-            replicas=0,
+        return replace(
+            curve,
             seed=seed,
             ns=curve.ns[keep],
             values=curve.values[keep],
@@ -119,239 +100,187 @@ def _hypercube_horizon0(d: int, alpha: float) -> int:
     return max(64, int(cutoff_constant(alpha) * d * (math.log(d) + 4.0)))
 
 
+def _curve_section(cfg: ExperimentConfig, group, mu, scan: bool):
+    """``tv-curve`` (scan=False) and ``mixing-scan`` (scan=True)."""
+    grid = build_grid(cfg)
+    rows, smooth_rows, scans = [], [], []
+    guard = False
+    for ai, alpha in enumerate(cfg.alphas):
+        seed = cfg.seed + SECTION_SEED_STRIDE * ai
+        curve = _build_curve(cfg, group, mu, alpha, grid, seed)
+        rows.extend(curve.csv_rows())
+        if cfg.smoothing_bandwidth:
+            smooth_rows.extend(
+                metrics.smooth_curve(curve, cfg.smoothing_bandwidth).csv_rows()
+            )
+        for eps in cfg.epsilons if scan else ():
+            # the scan always consumes the raw curve, never the smoothed one
+            est = metrics.mixing_time_scan(curve, eps)
+            guard = guard or est.guard_triggered
+            scans.append({"alpha": alpha, **est.to_json_dict()})
+    fields = metrics.DistanceCurve.CSV_FIELDS
+    artifacts = [("curves.csv", fields, rows)]
+    if smooth_rows:
+        artifacts.append(("curves_smoothed.csv", fields, smooth_rows))
+    return artifacts, {"scans": scans} if scans else {}, guard
+
+
+def _loglog_slopes(cfg: ExperimentConfig, table: list) -> dict:
+    slopes = {}
+    for alpha in cfg.alphas:
+        pts = [
+            (math.log(row["size"]), math.log(row["t_mix"]))
+            for row in table
+            if row["alpha"] == alpha and row["epsilon"] == cfg.epsilons[0]
+        ]
+        if len(pts) >= 2:
+            xs, ys = zip(*pts)
+            slopes[str(alpha)] = float(np.polyfit(xs, ys, 1)[0])
+    return slopes
+
+
+def _cutoff_constants(cfg: ExperimentConfig, table: list) -> dict:
+    return {str(a): cutoff_constant(a) for a in cfg.alphas if 0.0 < a < 1.0}
+
+
+@dataclass(frozen=True)
+class _ScalingStudy:
+    """What differs between the ``phase-transition`` and ``cutoff`` sections."""
+
+    mixing_time: str  # name in ``metrics``, looked up at run time
+    horizon0: Callable[[int, float], int]
+    scale: Callable[[int], float]  # the ``normalized`` column is t_mix / scale(size)
+    results_key: str
+    summarize: Callable[[ExperimentConfig, list], dict]
+
+
+_CYCLE_STUDY = _ScalingStudy(
+    "cycle_mixing_time",
+    _cycle_horizon0,
+    lambda L: float(L * L),
+    "loglog_slopes",
+    _loglog_slopes,
+)
+_HYPERCUBE_STUDY = _ScalingStudy(
+    "hypercube_mixing_time",
+    _hypercube_horizon0,
+    lambda d: d * math.log(d),
+    "cutoff_constants",
+    _cutoff_constants,
+)
+
+_MIXING_TIME_FIELDS = (
+    "seed", "estimator", "alpha", "size", "epsilon",
+    "t_mix", "normalized", "horizon", "guard_triggered",
+)
+
+
+def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
+    """``phase-transition`` and ``cutoff``: t_mix over alphas x sizes x epsilons."""
+    mixing_time = getattr(metrics, study.mixing_time)
+    table, tried = [], []
+    guard = False
+    for si, (alpha, size) in enumerate(itertools.product(cfg.alphas, cfg.sizes)):
+        seed = cfg.seed + SECTION_SEED_STRIDE * si
+        curves: dict = {}  # every epsilon of this section scans the same curves
+        for eps in cfg.epsilons:
+            runout = mixing_time(
+                size, alpha, eps, cfg.replicas, seed, study.horizon0(size, alpha),
+                points_per_decade=cfg.points_per_decade,
+                threads=cfg.resolved_threads(),
+                curves=curves,
+            )
+            est = runout.estimate
+            guard = guard or est.guard_triggered
+            table.append(
+                {
+                    "seed": seed,
+                    "estimator": cfg.estimator,
+                    "alpha": alpha,
+                    "size": size,
+                    "epsilon": eps,
+                    "t_mix": est.t_mix,
+                    "normalized": est.t_mix / study.scale(size),
+                    "horizon": est.horizon,
+                    "guard_triggered": est.guard_triggered,
+                }
+            )
+            tried.append(runout.horizons_tried)
+    results = {
+        "mixing_times": [dict(row, horizons_tried=h) for row, h in zip(table, tried)],
+        study.results_key: study.summarize(cfg, table),
+    }
+    return [("mixing_times.csv", _MIXING_TIME_FIELDS, table)], results, guard
+
+
+def _forest_stats_section(cfg: ExperimentConfig, group, mu):
+    grid = build_grid(cfg)
+    k_max = 10
+    rows = []
+    for ai, alpha in enumerate(cfg.alphas):
+        for ni, n in enumerate(grid):
+            seed = cfg.seed + SECTION_SEED_STRIDE * ai + 31 * (ni + 1)
+            counts, odd = sample_cluster_size_counts(int(n), alpha, cfg.replicas, seed, k_max)
+            head = [seed, "forest-mc", int(n), f"{alpha:.17g}"]
+            for r in range(cfg.replicas):
+                for k in range(1, k_max + 1):
+                    rows.append(head + [r, k, int(counts[r, k - 1])])
+                rows.append(head + [r, "odd", int(odd[r])])
+    fields = ("seed", "estimator", "n", "alpha", "replica", "k", "count")
+    return [("cluster_stats.csv", fields, rows)], {}, False
+
+
+def _profiles_section(cfg: ExperimentConfig, group, mu):
+    table = iso_profile(group, mu, mode="exhaustive")
+    rows = [
+        [cfg.seed, "exhaustive", f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)]
+        for r, f, p, fw, pw in zip(
+            table.rs, table.phi, table.psi, table.phi_witness, table.psi_witness
+        )
+    ]
+    fields = (
+        "seed", "estimator", "r", "phi", "psi", "phi_witness_mask", "psi_witness_mask",
+    )
+    return [("profiles.csv", fields, rows)], {"certified": table.certified}, False
+
+
+def _oracle_check_section(cfg: ExperimentConfig, group, mu):
+    rows = []
+    for alpha in cfg.alphas:
+        for n in range(1, cfg.n_max + 1):
+            d = oracle.exact_endpoint_distribution(group, mu, alpha, n)
+            tv, p_identity = d.tv_to_uniform(), d.probs[group.identity]
+            rows.append([cfg.seed, "exact", f"{alpha:.17g}", n, f"{tv:.17g}", f"{p_identity:.17g}"])
+    fields = ("seed", "estimator", "alpha", "n", "tv", "p_identity")
+    return [("oracle_check.csv", fields, rows)], {}, False
+
+
+# kind -> section(cfg, group, mu) -> (artifacts, results, guard_triggered); an
+# artifact is (file name, field names, rows).  Sections look up estimators as
+# module attributes when they run, so wrappers installed on them take effect.
+SECTIONS = {
+    "tv-curve": partial(_curve_section, scan=False),
+    "mixing-scan": partial(_curve_section, scan=True),
+    "phase-transition": partial(_scaling_section, study=_CYCLE_STUDY),
+    "cutoff": partial(_scaling_section, study=_HYPERCUBE_STUDY),
+    "forest-stats": _forest_stats_section,
+    "profiles": _profiles_section,
+    "oracle-check": _oracle_check_section,
+}
+
+
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a validated config; returns the summary and written paths."""
     t0 = time.monotonic()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    outputs: list[str] = []
-    guard = False
-    results: dict = {}
     group = build_group(cfg.group)
     mu = build_mu(group, cfg.mu)
-
-    if cfg.kind in ("tv-curve", "mixing-scan"):
-        grid = build_grid(cfg)
-        rows = []
-        smooth_rows = []
-        scans = []
-        for ai, alpha in enumerate(cfg.alphas):
-            seed = cfg.seed + SECTION_SEED_STRIDE * ai
-            curve = _build_curve(cfg, group, mu, alpha, grid, seed)
-            rows.extend(curve.csv_rows())
-            if cfg.smoothing_bandwidth:
-                smooth_rows.extend(
-                    metrics.smooth_curve(curve, cfg.smoothing_bandwidth).csv_rows()
-                )
-            if cfg.kind == "mixing-scan":
-                for eps in cfg.epsilons:
-                    # the scan always consumes the raw curve, never the smoothed one
-                    est = metrics.mixing_time_scan(curve, eps)
-                    guard = guard or est.guard_triggered
-                    scans.append({"alpha": alpha, **est.to_json_dict()})
-        path = os.path.join(cfg.output_dir, "curves.csv")
-        _atomic_write_text(path, _csv_text(_curve_fieldnames(), rows))
+    artifacts, results, guard = SECTIONS[cfg.kind](cfg, group, mu)
+    outputs: list[str] = []
+    for name, fields, rows in artifacts:
+        path = os.path.join(cfg.output_dir, name)
+        write_csv(path, fields, rows)
         outputs.append(path)
-        if smooth_rows:
-            path = os.path.join(cfg.output_dir, "curves_smoothed.csv")
-            _atomic_write_text(path, _csv_text(_curve_fieldnames(), smooth_rows))
-            outputs.append(path)
-        if scans:
-            results["scans"] = scans
-
-    elif cfg.kind in ("phase-transition", "cutoff"):
-        table = []
-        tried = []
-        si = 0
-        for alpha in cfg.alphas:
-            for size in cfg.sizes:
-                seed = cfg.seed + SECTION_SEED_STRIDE * si
-                si += 1
-                curves: dict = {}  # every epsilon of this section scans the same curves
-                for eps in cfg.epsilons:
-                    if cfg.kind == "phase-transition":
-                        runout = metrics.cycle_mixing_time(
-                            size,
-                            alpha,
-                            eps,
-                            cfg.replicas,
-                            seed,
-                            _cycle_horizon0(size, alpha),
-                            points_per_decade=cfg.points_per_decade,
-                            threads=cfg.resolved_threads(),
-                            curves=curves,
-                        )
-                        norm = runout.estimate.t_mix / float(size * size)
-                    else:
-                        runout = metrics.hypercube_mixing_time(
-                            size,
-                            alpha,
-                            eps,
-                            cfg.replicas,
-                            seed,
-                            _hypercube_horizon0(size, alpha),
-                            points_per_decade=cfg.points_per_decade,
-                            threads=cfg.resolved_threads(),
-                            curves=curves,
-                        )
-                        norm = runout.estimate.t_mix / (size * math.log(size))
-                    guard = guard or runout.estimate.guard_triggered
-                    table.append(
-                        {
-                            "seed": seed,
-                            "estimator": cfg.estimator,
-                            "alpha": alpha,
-                            "size": size,
-                            "epsilon": eps,
-                            "t_mix": runout.estimate.t_mix,
-                            "normalized": norm,
-                            "horizon": runout.estimate.horizon,
-                            "guard_triggered": runout.estimate.guard_triggered,
-                        }
-                    )
-                    tried.append(runout.horizons_tried)
-        path = os.path.join(cfg.output_dir, "mixing_times.csv")
-        _atomic_write_text(
-            path,
-            _csv_text(
-                [
-                    "seed",
-                    "estimator",
-                    "alpha",
-                    "size",
-                    "epsilon",
-                    "t_mix",
-                    "normalized",
-                    "horizon",
-                    "guard_triggered",
-                ],
-                table,
-            ),
-        )
-        outputs.append(path)
-        results["mixing_times"] = [
-            dict(row, horizons_tried=h) for row, h in zip(table, tried)
-        ]
-        if cfg.kind == "phase-transition":
-            slopes = {}
-            for alpha in cfg.alphas:
-                pts = [
-                    (math.log(row["size"]), math.log(row["t_mix"]))
-                    for row in table
-                    if row["alpha"] == alpha and row["epsilon"] == cfg.epsilons[0]
-                ]
-                if len(pts) >= 2:
-                    xs, ys = zip(*pts)
-                    slope = np.polyfit(xs, ys, 1)[0]
-                    slopes[str(alpha)] = float(slope)
-            results["loglog_slopes"] = slopes
-        else:
-            results["cutoff_constants"] = {
-                str(a): cutoff_constant(a) for a in cfg.alphas if 0.0 < a < 1.0
-            }
-
-    elif cfg.kind == "forest-stats":
-        grid = build_grid(cfg)
-        k_max = 10
-        rows = []
-        for ai, alpha in enumerate(cfg.alphas):
-            for ni, n in enumerate(grid):
-                seed = cfg.seed + SECTION_SEED_STRIDE * ai + 31 * (ni + 1)
-                counts, odd = sample_cluster_size_counts(
-                    int(n), alpha, cfg.replicas, seed, k_max
-                )
-                for r in range(cfg.replicas):
-                    for k in range(1, k_max + 1):
-                        rows.append(
-                            {
-                                "seed": seed,
-                                "estimator": "forest-mc",
-                                "n": int(n),
-                                "alpha": f"{alpha:.17g}",
-                                "replica": r,
-                                "k": k,
-                                "count": int(counts[r, k - 1]),
-                            }
-                        )
-                    rows.append(
-                        {
-                            "seed": seed,
-                            "estimator": "forest-mc",
-                            "n": int(n),
-                            "alpha": f"{alpha:.17g}",
-                            "replica": r,
-                            "k": "odd",
-                            "count": int(odd[r]),
-                        }
-                    )
-        path = os.path.join(cfg.output_dir, "cluster_stats.csv")
-        _atomic_write_text(
-            path,
-            _csv_text(
-                ["seed", "estimator", "n", "alpha", "replica", "k", "count"], rows
-            ),
-        )
-        outputs.append(path)
-
-    elif cfg.kind == "profiles":
-        table = iso_profile(group, mu, mode="exhaustive")
-        rows = [
-            {
-                "seed": cfg.seed,
-                "estimator": "exhaustive",
-                "r": f"{r:.17g}",
-                "phi": f"{f:.17g}",
-                "psi": f"{p:.17g}",
-                "phi_witness_mask": hex(fw),
-                "psi_witness_mask": hex(pw),
-            }
-            for r, f, p, fw, pw in zip(
-                table.rs, table.phi, table.psi, table.phi_witness, table.psi_witness
-            )
-        ]
-        path = os.path.join(cfg.output_dir, "profiles.csv")
-        _atomic_write_text(
-            path,
-            _csv_text(
-                [
-                    "seed",
-                    "estimator",
-                    "r",
-                    "phi",
-                    "psi",
-                    "phi_witness_mask",
-                    "psi_witness_mask",
-                ],
-                rows,
-            ),
-        )
-        outputs.append(path)
-        results["certified"] = table.certified
-
-    elif cfg.kind == "oracle-check":
-        rows = []
-        for alpha in cfg.alphas:
-            for n in range(1, cfg.n_max + 1):
-                d = oracle.exact_endpoint_distribution(group, mu, alpha, n)
-                rows.append(
-                    {
-                        "seed": cfg.seed,
-                        "estimator": "exact",
-                        "alpha": f"{alpha:.17g}",
-                        "n": n,
-                        "tv": f"{d.tv_to_uniform():.17g}",
-                        "p_identity": f"{d.probs[group.identity]:.17g}",
-                    }
-                )
-        path = os.path.join(cfg.output_dir, "oracle_check.csv")
-        _atomic_write_text(
-            path,
-            _csv_text(["seed", "estimator", "alpha", "n", "tv", "p_identity"], rows),
-        )
-        outputs.append(path)
-
-    else:  # pragma: no cover - kinds are validated upstream
-        raise SchemaError([f"kind: {cfg.kind!r} not runnable"])
-
     summary = {
         "kind": cfg.kind,
         "group": group.describe(),
@@ -365,6 +294,9 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "results": results,
     }
     path = os.path.join(cfg.output_dir, "summary.json")
-    _atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
     outputs.append(path)
     return RunResult(summary=summary, outputs=outputs, guard_triggered=guard)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .dist import write_csv
 from .errors import ParameterError
 
 # Series length for the hypergeometric constant; the terms are dominated by
@@ -158,18 +159,17 @@ def odd_cluster_density(alpha: float) -> float:
 
 def constants_table_csv(alphas, path, k_max: int = 10) -> None:
     """Export the alpha-derived constants: alpha, theta_1..theta_k_max, F, c_alpha."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["alpha"] + [f"theta{k}" for k in range(1, k_max + 1)] + ["F", "c_alpha"]
-        )
-        for a in alphas:
-            row = [f"{a:.17g}"]
-            row += [f"{theta_k(a, k):.17g}" for k in range(1, k_max + 1)]
-            row += [f"{hyp2f1_half(a):.17g}", f"{cutoff_constant(a):.17g}"]
-            w.writerow(row)
+    ks = range(1, k_max + 1)
+    write_csv(
+        path,
+        ["alpha"] + [f"theta{k}" for k in ks] + ["F", "c_alpha"],
+        (
+            [f"{a:.17g}"]
+            + [f"{theta_k(a, k):.17g}" for k in ks]
+            + [f"{hyp2f1_half(a):.17g}", f"{cutoff_constant(a):.17g}"]
+            for a in alphas
+        ),
+    )
 
 
 @dataclass(frozen=True)

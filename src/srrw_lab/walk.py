@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DistributionVector
+from .dist import DistributionVector, write_csv
 from .errors import CapacityError, ContractError, ParameterError
 from .forest import ForestPath, _check_alpha, grow_forest
 from .groups import FiniteGroup, StepDistribution, transition_matrix
@@ -224,14 +224,15 @@ def sample_endpoints_forest(
 
 def paths_to_csv(paths, out) -> None:
     """Dump full step histories (small n) as CSV: replica, j, X_j, S_j."""
-    import csv
-
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replica", "j", "X_j", "S_j"])
-        for r, path in enumerate(paths):
-            for j in range(1, path.n + 1):
-                w.writerow([r, j, int(path.steps[j - 1]), int(path.positions[j])])
+    write_csv(
+        out,
+        ["replica", "j", "X_j", "S_j"],
+        (
+            [r, j, int(path.steps[j - 1]), int(path.positions[j])]
+            for r, path in enumerate(paths)
+            for j in range(1, path.n + 1)
+        ),
+    )
 
 
 def conditional_kernel_product(

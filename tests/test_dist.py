@@ -60,3 +60,17 @@ class TestDistributionVector:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "element,probability"
         assert len(lines) == 4
+
+
+class TestWriteCsv:
+    def test_rows_as_mappings_or_sequences(self, tmp_path):
+        path = tmp_path / "t.csv"
+        D.write_csv(path, ["a", "b"], [{"b": 2, "a": 1}, [3, "x,y"]])
+        assert path.read_bytes() == b'a,b\n1,2\n3,"x,y"\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("old contents that are longer than the new ones\n")
+        D.write_csv(path, ["a"], [])
+        assert path.read_bytes() == b"a\n"

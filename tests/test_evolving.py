@@ -193,6 +193,12 @@ class TestIsoProfile:
         header = path.read_text().splitlines()[0]
         assert header == "r,phi,psi,phi_witness_mask,psi_witness_mask"
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_order_one_group_rejected(self, mode):
+        trivial = G.make_group("table", np.array([[0]]))
+        with pytest.raises(ParameterError):
+            E.iso_profile(trivial, G.uniform_mu(trivial), mode=mode)
+
 
 def brute_orbit_minima(group, P, lo, hi, score, by_size, chunk=65536):
     """Reference for E._orbit_minima: every mask in increasing order, chunked."""
@@ -319,6 +325,16 @@ class TestPsiPhiInequality:
         z3, mu, _ = z3_kernel
         with pytest.raises(DomainError):
             E.psi_phi_inequality_check(z3, mu)
+
+    def test_order_one_group_rejected(self):
+        trivial = G.make_group("table", np.array([[0]]))
+        with pytest.raises(ParameterError):
+            E.psi_phi_inequality_check(trivial, G.uniform_mu(trivial))
+
+    def test_point_mass_at_identity_rejected(self):
+        z3 = G.make_group("cyclic", 3)
+        with pytest.raises(DomainError):
+            E.psi_phi_inequality_check(z3, G.StepDistribution(z3, {0: 1.0}))
 
 
 def generation_battery():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from srrw_lab import cli
+from srrw_lab import cli, config, metrics, runner
 from srrw_lab.config import parse_config, validate_config
 from srrw_lab.errors import SchemaError
 from srrw_lab.presets import preset_config, preset_names
@@ -87,6 +87,66 @@ class TestValidation:
         assert any(p.startswith("group") and "integer" in p for p in problems)
         with pytest.raises(SchemaError):
             parse_config(base_config(tmp_path, group=group))
+
+    def test_profiles_need_order_two(self, tmp_path):
+        doc = base_config(tmp_path, kind="profiles", group={"kind": "table", "table": [[0]]})
+        problems = validate_config(doc)
+        assert any(p.startswith("group") and ">= 2" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "kind, group, mu, estimator, sizes",
+        [
+            ("phase-transition", {"kind": "cyclic", "L": 5}, "simple-cycle", "rao-blackwell", [4]),
+            ("phase-transition", {"kind": "cyclic", "L": 5}, "simple-cycle", "rao-blackwell", [1]),
+            ("phase-transition", {"kind": "cyclic", "L": 5}, "simple-cycle", "rao-blackwell", [5, 8]),
+            ("cutoff", {"kind": "hypercube", "d": 4}, "lazy-hypercube", "hypercube-weight", [1]),
+            ("cutoff", {"kind": "hypercube", "d": 4}, "lazy-hypercube", "hypercube-weight", [1025]),
+        ],
+    )
+    def test_scaling_sizes_checked_up_front(self, tmp_path, kind, group, mu, estimator, sizes):
+        doc = base_config(
+            tmp_path, kind=kind, group=group, mu={"type": mu}, estimator=estimator, sizes=sizes
+        )
+        assert [p for p in validate_config(doc) if not p.startswith("sizes")] == []
+        assert any(p.startswith("sizes") for p in validate_config(doc))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize(
+        "kind, group, mu, estimator, field",
+        [
+            # scaling kinds run one estimator; another name would mislabel the rows
+            ("phase-transition", {"kind": "cyclic", "L": 5}, "simple-cycle", "exact", "estimator"),
+            ("cutoff", {"kind": "hypercube", "d": 4}, "lazy-hypercube", "exact", "estimator"),
+            # these estimators compute one walk's curve whatever mu says
+            ("tv-curve", {"kind": "cyclic", "L": 5}, "lazy-cycle", "rao-blackwell", "mu"),
+            ("tv-curve", {"kind": "hypercube", "d": 4}, "uniform", "hypercube-weight", "mu"),
+        ],
+    )
+    def test_mislabelling_configs_rejected(self, tmp_path, kind, group, mu, estimator, field):
+        doc = base_config(
+            tmp_path,
+            kind=kind,
+            group=group,
+            mu={"type": mu},
+            estimator=estimator,
+            sizes=[group.get("L", group.get("d"))],
+            grid={"type": "explicit", "values": [1, 2]},
+        )
+        assert [p.split(":")[0] for p in validate_config(doc)] == [field]
+
+    def test_explicit_mu_equal_to_the_estimated_walk_accepted(self, tmp_path):
+        doc = base_config(
+            tmp_path,
+            kind="tv-curve",
+            group={"kind": "cyclic", "L": 5},
+            mu={"type": "explicit", "probs": {"1": 0.5, "4": 0.5}},
+            estimator="rao-blackwell",
+            grid={"type": "explicit", "values": [1, 2]},
+        )
+        assert validate_config(doc) == []
 
     def test_programming_errors_are_not_config_problems(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -202,6 +262,103 @@ class TestRunner:
         assert result.guard_triggered
         scans = result.summary["results"]["scans"]
         assert scans[0]["guard_triggered"] and scans[0]["t_mix"] == 3
+
+
+def _small_config(tmp_path, kind, **overrides):
+    """A config of each kind that runs in well under a second."""
+    cycle = {"group": {"kind": "cyclic", "L": 5}, "mu": {"type": "simple-cycle"}}
+    cube = {"group": {"kind": "hypercube", "d": 4}, "mu": {"type": "lazy-hypercube"}}
+    fields = {
+        "tv-curve": {"grid": {"type": "explicit", "values": [1, 2]}},
+        "mixing-scan": {"grid": {"type": "explicit", "values": [1, 2, 3]}, "epsilons": [0.2]},
+        "phase-transition": dict(
+            cycle, sizes=[5], estimator="rao-blackwell", replicas=64, alphas=[0.5]
+        ),
+        "cutoff": dict(
+            cube, sizes=[4], estimator="hypercube-weight", replicas=64, alphas=[0.5]
+        ),
+        "forest-stats": {"grid": {"type": "explicit", "values": [5]}, "replicas": 2},
+        "profiles": {"group": {"kind": "cyclic", "L": 5}, "mu": {"type": "lazy-cycle"}},
+        "oracle-check": {"n_max": 2},
+    }[kind]
+    return base_config(tmp_path, kind=kind, **{**fields, **overrides})
+
+
+CURVE_HEADER = "seed,group,alpha,estimator,n,value,stderr,replicas"
+
+
+class TestSections:
+    def test_every_kind_has_a_section(self):
+        assert set(runner.SECTIONS) == set(config.KINDS)
+
+    @pytest.mark.parametrize(
+        "kind, overrides, artifacts",
+        [
+            ("tv-curve", {}, {"curves.csv": CURVE_HEADER}),
+            ("mixing-scan", {}, {"curves.csv": CURVE_HEADER}),
+            (
+                "mixing-scan",
+                {"smoothing_bandwidth": 1.0},
+                {"curves.csv": CURVE_HEADER, "curves_smoothed.csv": CURVE_HEADER},
+            ),
+            (
+                "phase-transition",
+                {},
+                {
+                    "mixing_times.csv": "seed,estimator,alpha,size,epsilon,t_mix,"
+                    "normalized,horizon,guard_triggered"
+                },
+            ),
+            (
+                "cutoff",
+                {},
+                {
+                    "mixing_times.csv": "seed,estimator,alpha,size,epsilon,t_mix,"
+                    "normalized,horizon,guard_triggered"
+                },
+            ),
+            ("forest-stats", {}, {"cluster_stats.csv": "seed,estimator,n,alpha,replica,k,count"}),
+            (
+                "profiles",
+                {},
+                {"profiles.csv": "seed,estimator,r,phi,psi,phi_witness_mask,psi_witness_mask"},
+            ),
+            ("oracle-check", {}, {"oracle_check.csv": "seed,estimator,alpha,n,tv,p_identity"}),
+        ],
+    )
+    def test_artifacts_and_headers(self, tmp_path, kind, overrides, artifacts):
+        cfg = parse_config(_small_config(tmp_path, kind, **overrides))
+        result = run(cfg)
+        paths = [os.path.join(cfg.output_dir, name) for name in artifacts]
+        summary_path = os.path.join(cfg.output_dir, "summary.json")
+        assert result.outputs == paths + [summary_path]
+        assert json.load(open(summary_path))["outputs"] == paths
+        assert sorted(os.listdir(cfg.output_dir)) == sorted([*artifacts, "summary.json"])
+        for path, header in zip(paths, artifacts.values()):
+            with open(path, "rb") as fh:
+                assert fh.readline() == header.encode() + b"\n"
+
+    def test_sections_call_entry_points_through_module_attributes(
+        self, tmp_path, monkeypatch
+    ):
+        # wrappers installed after import (as a tracer does) must see the calls
+        calls = []
+
+        def spy(module, name):
+            orig = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(metrics, "hypercube_mixing_time")
+        spy(metrics, "hypercube_tv_curve")
+        spy(runner, "iso_profile")
+        run(parse_config(_small_config(tmp_path, "cutoff", output_dir=str(tmp_path / "c"))))
+        run(parse_config(_small_config(tmp_path, "profiles", output_dir=str(tmp_path / "p"))))
+        assert calls == ["hypercube_mixing_time", "hypercube_tv_curve", "iso_profile"]
 
 
 class TestCli:
