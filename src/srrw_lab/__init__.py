@@ -34,8 +34,6 @@ from .metrics import (
     decay_rate_fit,
     empirical_tv_estimator,
     fourier_tv_bound_cycle,
-    hypercube_tv_estimate,
-    hypercube_weight_chain,
     mixing_time_scan,
     rao_blackwell_cycle_distribution,
     spectral_gap,
@@ -94,8 +92,6 @@ __all__ = [
     "grow_forest",
     "growth_factor",
     "hyp2f1_half",
-    "hypercube_tv_estimate",
-    "hypercube_weight_chain",
     "irreducibility_certificate",
     "linf_distance",
     "make_group",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups as G
-from .errors import CapacityError, SchemaError
+from .errors import SchemaError
 from .evolving import EXHAUSTIVE_CAP
 
 SCHEMA_VERSION = 1
@@ -210,9 +210,13 @@ def validate_config(doc: dict) -> list[str]:
     elif kind in ("tv-curve", "mixing-scan"):
         bad("grid", f"required for kind {kind!r}")
 
-    for i, e in enumerate(doc.get("epsilons", [0.25])):
-        if not isinstance(e, (int, float)) or not 0.0 < float(e) < 1.0:
-            bad(f"epsilons[{i}]", "must lie in (0, 1)")
+    epsilons = doc.get("epsilons", [0.25])
+    if not isinstance(epsilons, list) or not epsilons:
+        bad("epsilons", "must be a nonempty list")
+    else:
+        for i, e in enumerate(epsilons):
+            if not isinstance(e, (int, float)) or not 0.0 < float(e) < 1.0:
+                bad(f"epsilons[{i}]", "must lie in (0, 1)")
 
     # capacity prevalidation
     if group is not None:

@@ -478,11 +478,6 @@ def psi_positivity_vs_generation(group: FiniteGroup, mu: StepDistribution) -> Ge
     )
 
 
-def trajectory_to_csv(sizes, path) -> None:
-    """Dump an evolving-set size trajectory as CSV: step, |W|."""
-    write_csv(path, ["step", "size"], ([j, int(s)] for j, s in enumerate(sizes)))
-
-
 # ---------------------------------------------------------------------------
 # Trajectories along forest-induced kernel sequences
 # ---------------------------------------------------------------------------

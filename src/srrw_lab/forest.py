@@ -129,26 +129,6 @@ def grow_forest(n: int, alpha: float, rng: np.random.Generator, seed=None) -> Fo
     return ForestPath(n=n, alpha=alpha, xi=xi, u=u, labels=labels, seed=seed)
 
 
-def dump_forest(forest: ForestPath, path) -> None:
-    """Binary replay dump of (n, alpha, seed, xi, u)."""
-    np.savez_compressed(
-        path,
-        n=forest.n,
-        alpha=forest.alpha,
-        seed=-1 if forest.seed is None else forest.seed,
-        xi=forest.xi,
-        u=forest.u,
-    )
-
-
-def load_forest(path) -> ForestPath:
-    data = np.load(path)
-    seed = int(data["seed"])
-    return forest_from_choices(
-        data["xi"], data["u"], alpha=float(data["alpha"]), seed=None if seed < 0 else seed
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cluster statistics
 # ---------------------------------------------------------------------------
@@ -235,17 +215,20 @@ def growth_factor(t: int, n: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def sample_batch_choices(n: int, alpha: float, count: int, rng: np.random.Generator):
+    """Draw (xi, u), each of shape (count, n-1), for vertices 2..n of `count` forests."""
+    xi = rng.random((count, n - 1)) < alpha
+    u = rng.integers(1, np.arange(2, n + 1)[None, :], size=(count, n - 1)).astype(np.int32)
+    return xi, u
+
+
 def sample_batch_labels(
     n: int, alpha: float, replicas: int, master_seed: int, first_stream: int = 0
 ) -> np.ndarray:
     """Root labels of `replicas` independent forests, one RNG stream each chunk."""
     alpha = _check_alpha(alpha)
     rng = stream(master_seed, first_stream)
-    xi = rng.random((replicas, n - 1)) < alpha
-    u = rng.integers(1, np.arange(2, n + 1)[None, :], size=(replicas, n - 1)).astype(
-        np.int32
-    )
-    return batch_root_labels(xi, u)
+    return batch_root_labels(*sample_batch_choices(n, alpha, replicas, rng))
 
 
 def sample_isolated_counts(

@@ -1,6 +1,12 @@
 """Distance curves, Monte Carlo estimators, spectral quantities, and
 mixing-time extraction.
 
+Every Monte Carlo estimator is a view over one pass, ``_forest_sums``: it
+grows the percolated forests in replica chunks, hands each grid time's
+cluster-size histogram to the estimator's ``terms`` and adds the returned
+per-chunk sums into per-grid arrays in chunk order; the estimator then
+reduces those sums to values and delta-method stderrs.
+
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
 is the product of cos(2 pi k |C|/L) over clusters, so averaging those exact
@@ -340,6 +346,8 @@ class _CycleTables:
         self.negmask = (c2 < 0).astype(float).T
         c1sq = np.cos(np.pi * np.outer(ks, rho) / L) ** 2
         self.logbound = np.log(np.maximum(c1sq, 1e-300)).T  # (2L, K)
+        # DFT: P(S_n = m) - 1/L = (2/L) sum_k cos(2 pi k m / L) phi_k
+        self.dft = np.cos(2.0 * np.pi * np.outer(np.arange(L), ks) / L)  # (L, K)
 
     def phi(self, histo: np.ndarray) -> np.ndarray:
         """Conditional Fourier coefficients, one row per replica."""
@@ -355,41 +363,62 @@ class _CycleTables:
         return 0.5 * np.exp(h @ self.logbound).sum(axis=1)
 
     def distribution_from_phi(self, phi: np.ndarray) -> np.ndarray:
-        ms = np.arange(self.L)
-        ks = np.arange(1, self.K + 1)
-        dev = (2.0 / self.L) * (np.cos(2.0 * np.pi * np.outer(ms, ks) / self.L) @ phi)
-        return 1.0 / self.L + dev
-
-    def tv_from_phi(self, phi: np.ndarray) -> float:
-        ms = np.arange(self.L)
-        ks = np.arange(1, self.K + 1)
-        dev = (2.0 / self.L) * (np.cos(2.0 * np.pi * np.outer(ms, ks) / self.L) @ phi)
-        return 0.5 * float(np.abs(dev).sum())
+        return 1.0 / self.L + (2.0 / self.L) * (self.dft @ phi)
 
 
-def _run_chunked(alpha, grid, modulus, replicas, master_seed, chunk, threads, make_collector):
-    """Run the forest evolution over replica chunks, reducing in chunk order.
+def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms):
+    """Per-grid sums over all replicas of ``terms(histo)``.
 
-    ``make_collector(count)`` returns (collect_fn, result_holder); holders
-    are combined by the caller in chunk-index order, so the reduction is
-    deterministic for every thread count.
+    Every estimator is a view over this one pass.  Replicas evolve in chunks
+    (chunk ci on RNG stream ci); at each grid time ``terms`` maps the chunk's
+    cluster-size histogram mod `modulus` to a tuple of arrays, already summed
+    over the chunk's replicas.  Returns one array per term, indexed by grid
+    position first.  Chunks are added in chunk-index order, so the sums are
+    bit-identical for every thread count.
     """
-    ranges = chunk_ranges(replicas, chunk)
+    grid = np.asarray(grid, dtype=np.int64)
+    totals: list[np.ndarray] = []
 
-    def work(ci_range):
-        ci, (start, stop) = ci_range
-        collect, holder = make_collector(stop - start)
+    def work(task, sums):
+        ci, (start, stop) = task
+
+        def collect(gi, t, histo):
+            parts = terms(histo)
+            if not sums:
+                sums.extend(np.zeros((grid.size, *np.shape(p)), np.result_type(p)) for p in parts)
+            for acc, p in zip(sums, parts):
+                acc[gi] += p
+
         rng = stream(master_seed, ci)
         evolve_size_histograms(alpha, grid, modulus, stop - start, rng, collect)
-        return holder
+        return sums
 
-    tasks = list(enumerate(ranges))
+    tasks = enumerate(chunk_ranges(replicas, chunk))
     if threads and threads > 1:
+        # a chunk sums into its own arrays, which join the totals in order
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            holders = list(pool.map(work, tasks))
+            for sums in pool.map(lambda task: work(task, []), tasks):
+                if totals:
+                    for acc, part in zip(totals, sums):
+                        acc += part
+                else:
+                    totals = sums
     else:
-        holders = [work(t) for t in tasks]
-    return holders
+        for task in tasks:
+            work(task, totals)
+    return totals
+
+
+def _cycle_phi_sums(tables, alpha, grid, replicas, master_seed, chunk, threads):
+    """Per-grid sums over replicas of phi and of the outer products phi phi^T."""
+
+    def terms(histo):
+        phi = tables.phi(histo)
+        return phi.sum(axis=0), phi.T @ phi
+
+    return _forest_sums(
+        alpha, grid, 2 * tables.L, replicas, master_seed, chunk, threads, terms
+    )
 
 
 def rao_blackwell_cycle_curve(
@@ -409,32 +438,9 @@ def rao_blackwell_cycle_curve(
     """
     tables = _CycleTables(L)
     grid = np.asarray(grid, dtype=np.int64)
-    K = tables.K
-
-    def make_collector(count):
-        holder = {
-            "sum": np.zeros((grid.size, K)),
-            "outer": np.zeros((grid.size, K, K)),
-        }
-
-        def collect(gi, t, histo):
-            phi = tables.phi(histo)
-            holder["sum"][gi] += phi.sum(axis=0)
-            holder["outer"][gi] += phi.T @ phi
-
-        return collect, holder
-
-    holders = _run_chunked(
-        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, make_collector
-    )
-    total = np.zeros((grid.size, K))
-    outer = np.zeros((grid.size, K, K))
-    for h in holders:
-        total += h["sum"]
-        outer += h["outer"]
+    total, outer = _cycle_phi_sums(tables, alpha, grid, replicas, master_seed, chunk, threads)
     phi_mean = total / replicas
-    ms = np.arange(L)
-    C = (2.0 / L) * np.cos(2.0 * np.pi * np.outer(ms, np.arange(1, K + 1)) / L)
+    C = (2.0 / L) * tables.dft
     values = np.empty(grid.size)
     stderrs = np.zeros(grid.size)
     for i in range(grid.size):
@@ -479,21 +485,8 @@ def rao_blackwell_cycle_distribution(
     from .groups import CyclicGroup
 
     tables = _CycleTables(L)
-    grid = np.array([n], dtype=np.int64)
-
-    def make_collector(count):
-        sums = np.zeros((1, tables.K))
-
-        def collect(gi, t, histo):
-            sums[gi] += tables.phi(histo).sum(axis=0)
-
-        return collect, sums
-
-    holders = _run_chunked(
-        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, make_collector
-    )
-    phi_mean = sum(h[0] for h in holders) / replicas
-    probs = tables.distribution_from_phi(phi_mean)
+    total, _ = _cycle_phi_sums(tables, alpha, [n], replicas, master_seed, chunk, threads)
+    probs = tables.distribution_from_phi(total[0] / replicas)
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     return DistributionVector(CyclicGroup(L), probs)
@@ -514,26 +507,13 @@ def fourier_tv_bound_cycle(
     returns (estimate, stderr) with the stderr over replicas.
     """
     tables = _CycleTables(L)
-    grid = np.array([n], dtype=np.int64)
-
-    def make_collector(count):
-        acc = {"sum": 0.0, "sumsq": 0.0}
-
-        def collect(gi, t, histo):
-            v = tables.bound_terms(histo)
-            acc["sum"] += float(v.sum())
-            acc["sumsq"] += float((v**2).sum())
-
-        return collect, acc
-
-    holders = _run_chunked(
-        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, make_collector
+    s, ss = _forest_sums(
+        alpha, [n], 2 * L, replicas, master_seed, chunk, threads,
+        lambda histo: ((v := tables.bound_terms(histo)).sum(), (v**2).sum()),
     )
-    s = sum(h["sum"] for h in holders)
-    ss = sum(h["sumsq"] for h in holders)
-    mean = s / replicas
-    var = max(ss / replicas - mean**2, 0.0)
-    return float(mean), float(math.sqrt(var / replicas))
+    mean = float(s[0]) / replicas
+    var = max(float(ss[0]) / replicas - mean**2, 0.0)
+    return mean, math.sqrt(var / replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +521,13 @@ def fourier_tv_bound_cycle(
 # ---------------------------------------------------------------------------
 
 
-def hypercube_weight_chain(d: int, m: int) -> np.ndarray:
-    """Weight law of the lazy coordinate-flip walk after m steps, from weight 0.
-
-    One step from weight w: stay with probability 1/2, w -> w+1 with
-    probability (d-w)/(2d), w -> w-1 with probability w/(2d).
-    """
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    if m < 0:
-        raise ParameterError("m must be >= 0")
-    return hypercube_weight_chain_table(d, m)[m]
-
-
 def hypercube_weight_chain_table(d: int, m_max: int) -> np.ndarray:
-    """All weight laws q_0..q_{m_max} as an (m_max+1, d+1) matrix."""
+    """Weight laws q_0..q_{m_max} of the lazy coordinate-flip walk from weight 0.
+
+    Row m of the (m_max+1, d+1) matrix is the law after m steps.  One step
+    from weight w: stay with probability 1/2, w -> w+1 with probability
+    (d-w)/(2d), w -> w-1 with probability w/(2d).
+    """
     ws = np.arange(d + 1, dtype=float)
     up = (d - ws) / (2.0 * d)
     down = ws / (2.0 * d)
@@ -597,20 +569,10 @@ def hypercube_tv_curve(
         raise ParameterError("hypercube estimator supports 1 <= d <= 1024")
     grid = np.asarray(grid, dtype=np.int64)
     horizon = int(grid[-1])
-
-    def make_collector(count):
-        counts = np.zeros((grid.size, horizon + 2), dtype=np.int64)
-
-        def collect(gi, t, histo):
-            odd = histo[:, 1]
-            counts[gi] += np.bincount(odd, minlength=horizon + 2)
-
-        return collect, counts
-
-    holders = _run_chunked(
-        alpha, grid, 2, replicas, master_seed, chunk, threads, make_collector
+    (counts,) = _forest_sums(
+        alpha, grid, 2, replicas, master_seed, chunk, threads,
+        lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
     )
-    counts = sum(holders)
     qtable = hypercube_weight_chain_table(d, horizon + 1)
     pi = hypercube_stationary_weights(d)
     values = np.empty(grid.size)
@@ -639,13 +601,6 @@ def hypercube_tv_curve(
         values=values,
         stderrs=stderrs,
     )
-
-
-def hypercube_tv_estimate(
-    d: int, alpha: float, n: int, replicas: int, master_seed: int, **kw
-) -> tuple[float, float]:
-    curve = hypercube_tv_curve(d, alpha, [n], replicas, master_seed, **kw)
-    return float(curve.values[0]), float(curve.stderrs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ from .walk import sample_endpoints_direct
 # per-section seed offsets keep sections decorrelated but reproducible
 SECTION_SEED_STRIDE = 1_000_003
 
+# kinds whose section runs one fixed estimator, whatever the config names
+FIXED_ESTIMATORS = {"forest-stats": "forest-mc", "profiles": "exhaustive", "oracle-check": "exact"}
+
+
+def _estimator(cfg: ExperimentConfig) -> str:
+    """The estimator a config's section runs (its rows' ``estimator`` column)."""
+    return FIXED_ESTIMATORS.get(cfg.kind, cfg.estimator)
+
 
 @dataclass
 class RunResult:
@@ -195,7 +203,7 @@ def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
             table.append(
                 {
                     "seed": seed,
-                    "estimator": cfg.estimator,
+                    "estimator": _estimator(cfg),
                     "alpha": alpha,
                     "size": size,
                     "epsilon": eps,
@@ -221,7 +229,7 @@ def _forest_stats_section(cfg: ExperimentConfig, group, mu):
         for ni, n in enumerate(grid):
             seed = cfg.seed + SECTION_SEED_STRIDE * ai + 31 * (ni + 1)
             counts, odd = sample_cluster_size_counts(int(n), alpha, cfg.replicas, seed, k_max)
-            head = [seed, "forest-mc", int(n), f"{alpha:.17g}"]
+            head = [seed, _estimator(cfg), int(n), f"{alpha:.17g}"]
             for r in range(cfg.replicas):
                 for k in range(1, k_max + 1):
                     rows.append(head + [r, k, int(counts[r, k - 1])])
@@ -233,7 +241,7 @@ def _forest_stats_section(cfg: ExperimentConfig, group, mu):
 def _profiles_section(cfg: ExperimentConfig, group, mu):
     table = iso_profile(group, mu, mode="exhaustive")
     rows = [
-        [cfg.seed, "exhaustive", f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)]
+        [cfg.seed, _estimator(cfg), f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)]
         for r, f, p, fw, pw in zip(
             table.rs, table.phi, table.psi, table.phi_witness, table.psi_witness
         )
@@ -250,7 +258,9 @@ def _oracle_check_section(cfg: ExperimentConfig, group, mu):
         for n in range(1, cfg.n_max + 1):
             d = oracle.exact_endpoint_distribution(group, mu, alpha, n)
             tv, p_identity = d.tv_to_uniform(), d.probs[group.identity]
-            rows.append([cfg.seed, "exact", f"{alpha:.17g}", n, f"{tv:.17g}", f"{p_identity:.17g}"])
+            rows.append(
+                [cfg.seed, _estimator(cfg), f"{alpha:.17g}", n, f"{tv:.17g}", f"{p_identity:.17g}"]
+            )
     fields = ("seed", "estimator", "alpha", "n", "tv", "p_identity")
     return [("oracle_check.csv", fields, rows)], {}, False
 
@@ -284,7 +294,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     summary = {
         "kind": cfg.kind,
         "group": group.describe(),
-        "estimator": cfg.estimator,
+        "estimator": _estimator(cfg),
         "replicas": cfg.replicas,
         "seed": cfg.seed,
         "threads": cfg.resolved_threads(),

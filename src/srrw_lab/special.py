@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dist import write_csv
 from .errors import ParameterError
 
 # Series length for the hypergeometric constant; the terms are dominated by
@@ -155,21 +154,6 @@ def odd_cluster_density(alpha: float) -> float:
     """Limit of (number of odd-size clusters)/n: (1-alpha)/2 * F(alpha)."""
     alpha = _check_alpha_open(alpha)
     return 0.5 * (1.0 - alpha) * hyp2f1_half(alpha)
-
-
-def constants_table_csv(alphas, path, k_max: int = 10) -> None:
-    """Export the alpha-derived constants: alpha, theta_1..theta_k_max, F, c_alpha."""
-    ks = range(1, k_max + 1)
-    write_csv(
-        path,
-        ["alpha"] + [f"theta{k}" for k in ks] + ["F", "c_alpha"],
-        (
-            [f"{a:.17g}"]
-            + [f"{theta_k(a, k):.17g}" for k in ks]
-            + [f"{hyp2f1_half(a):.17g}", f"{cutoff_constant(a):.17g}"]
-            for a in alphas
-        ),
-    )
 
 
 @dataclass(frozen=True)

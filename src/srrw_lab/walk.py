@@ -18,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DistributionVector, write_csv
+from .dist import DistributionVector
 from .errors import CapacityError, ContractError, ParameterError
-from .forest import ForestPath, _check_alpha, grow_forest
+from .forest import (
+    ForestPath,
+    _check_alpha,
+    batch_root_labels,
+    grow_forest,
+    sample_batch_choices,
+)
 from .groups import FiniteGroup, StepDistribution, transition_matrix
 from .streams import chunk_ranges, stream
 
@@ -197,21 +203,13 @@ def sample_endpoints_forest(
     chunk: int = 10_000,
 ) -> np.ndarray:
     """Endpoints of `replicas` forest-construction walks (vectorized)."""
-    from .forest import batch_root_labels, sample_forest_choices
-
     alpha = _check_alpha(alpha)
     sampler = _MuSampler(mu)
     out = np.empty(replicas, dtype=np.int64)
     for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
         rng = stream(master_seed, ci)
         R = stop - start
-        xi = rng.random((R, n - 1)) < alpha if n > 1 else np.zeros((R, 0), bool)
-        u = (
-            rng.integers(1, np.arange(2, n + 1)[None, :], size=(R, n - 1)).astype(np.int32)
-            if n > 1
-            else np.zeros((R, 0), np.int32)
-        )
-        labels = batch_root_labels(xi, u)
+        labels = batch_root_labels(*sample_batch_choices(n, alpha, R, rng))
         spins = sampler.draw(rng, (R, n + 1))  # spin per potential root 1..n
         rows = np.arange(R)[:, None]
         X = spins[rows, labels]
@@ -220,19 +218,6 @@ def sample_endpoints_forest(
             S = group.mul_vec(S, X[:, t])
         out[start:stop] = S
     return out
-
-
-def paths_to_csv(paths, out) -> None:
-    """Dump full step histories (small n) as CSV: replica, j, X_j, S_j."""
-    write_csv(
-        out,
-        ["replica", "j", "X_j", "S_j"],
-        (
-            [r, j, int(path.steps[j - 1]), int(path.positions[j])]
-            for r, path in enumerate(paths)
-            for j in range(1, path.n + 1)
-        ),
-    )
 
 
 def conditional_kernel_product(

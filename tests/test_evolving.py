@@ -449,16 +449,3 @@ class TestLamplighterDemo:
         assert (np.diff(table.phi) <= 1e-15).all()
         assert table.phi[-1] > 0.0  # the chain is connected: positive conductance
         assert table.psi[-1] > 1e-12  # lazy kernel: psi(1/2) > 0
-
-
-class TestTrajectoryCsv:
-    def test_roundtrip(self, tmp_path, z3_kernel):
-        z3, mu, _ = z3_kernel
-        f = F.forest_from_choices([0, 0], [1, 2], alpha=0.0)
-        sizes = E.evolving_trajectory(f, {}, z3, mu, stream(6, 0), {0})
-        out = tmp_path / "traj.csv"
-        E.trajectory_to_csv(sizes, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "step,size"
-        assert len(lines) == 1 + len(sizes)
-        assert lines[1] == "0,1"

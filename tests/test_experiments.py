@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -111,6 +112,22 @@ class TestValidation:
         assert any(p.startswith("sizes") for p in validate_config(doc))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize(
+        "kind, epsilons",
+        [
+            ("oracle-check", 0.5),  # not a list: used to end in a TypeError
+            ("phase-transition", []),  # used to write a header-only mixing_times.csv
+        ],
+    )
+    def test_epsilons_checked_up_front(self, tmp_path, kind, epsilons):
+        doc = _small_config(tmp_path, kind, epsilons=epsilons)
+        assert [p.split(":")[0] for p in validate_config(doc)] == ["epsilons"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(path)]) == 2
         assert cli.main(["run", "--config", str(path)]) == 2
         assert not os.path.exists(doc["output_dir"])
 
@@ -337,6 +354,13 @@ class TestSections:
         for path, header in zip(paths, artifacts.values()):
             with open(path, "rb") as fh:
                 assert fh.readline() == header.encode() + b"\n"
+        # the summary names the estimator every row says it ran
+        estimator = json.load(open(summary_path))["estimator"]
+        for path in paths:
+            suffix = "+smoothed" if path.endswith("_smoothed.csv") else ""
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and {row["estimator"] for row in rows} == {estimator + suffix}
 
     def test_sections_call_entry_points_through_module_attributes(
         self, tmp_path, monkeypatch

@@ -70,14 +70,6 @@ class TestForestConstruction:
         with pytest.raises(ParameterError):
             F.forest_from_choices([0, 0], [1, 5])
 
-    def test_dump_and_load_roundtrip(self, tmp_path):
-        f = F.grow_forest(64, 0.5, stream(9, 0), seed=9)
-        path = tmp_path / "forest.npz"
-        F.dump_forest(f, path)
-        g = F.load_forest(path)
-        assert g.n == f.n and g.alpha == f.alpha and g.seed == 9
-        assert np.array_equal(g.labels, f.labels)
-
 
 class TestClusterStatistics:
     def test_block_count_all_singletons(self):

@@ -282,11 +282,11 @@ class TestFourierBound:
 
 class TestWeightChain:
     def test_zero_steps(self):
-        q = M.hypercube_weight_chain(5, 0)
+        q = M.hypercube_weight_chain_table(5, 0)[0]
         assert q[0] == 1.0 and q[1:].sum() == 0.0
 
     def test_one_step_d2(self):
-        q = M.hypercube_weight_chain(2, 1)
+        q = M.hypercube_weight_chain_table(2, 1)[1]
         assert np.allclose(q, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_mass_conserved_per_step(self):
@@ -297,7 +297,7 @@ class TestWeightChain:
     def test_long_run_reaches_binomial(self):
         d = 12
         m = int(10 * d * math.log(d))
-        q = M.hypercube_weight_chain(d, m)
+        q = M.hypercube_weight_chain_table(d, m)[m]
         pi = M.hypercube_stationary_weights(d)
         assert 0.5 * np.abs(q - pi).sum() < 1e-6
 
@@ -305,8 +305,8 @@ class TestWeightChain:
 class TestHypercubeEstimator:
     def test_n1_matches_single_lazy_step(self):
         d = 7
-        v, _ = M.hypercube_tv_estimate(d, 0.3, 1, 500, 3, chunk=100)
-        q1 = M.hypercube_weight_chain(d, 1)
+        v = M.hypercube_tv_curve(d, 0.3, [1], 500, 3, chunk=100).values[0]
+        q1 = M.hypercube_weight_chain_table(d, 1)[1]
         pi = M.hypercube_stationary_weights(d)
         assert v == pytest.approx(0.5 * np.abs(q1 - pi).sum(), abs=1e-12)
 
@@ -314,7 +314,8 @@ class TestHypercubeEstimator:
         h2 = G.make_group("hypercube", 2)
         mu = G.lazy_hypercube_mu(h2)
         exact = O.exact_endpoint_distribution(h2, mu, 0.5, 4).tv_to_uniform()
-        v, se = M.hypercube_tv_estimate(2, 0.5, 4, 40_000, 5, chunk=5000)
+        curve = M.hypercube_tv_curve(2, 0.5, [4], 40_000, 5, chunk=5000)
+        v, se = curve.values[0], curve.stderrs[0]
         assert abs(v - exact) < 3 * se + 2e-3
 
     def test_classical_crossing_near_half_dlogd(self):
@@ -392,6 +393,39 @@ class TestSharedCurveScan:
         assert len(built) < sum(len(run.horizons_tried) for run in runs)
 
 
+def _view_arrays(out):
+    if isinstance(out, M.DistanceCurve):
+        return [out.ns, out.values, out.stderrs]
+    if isinstance(out, tuple):
+        return [np.asarray(out)]
+    return [out.probs]
+
+
+class TestForestSums:
+    # every view over the shared pass, over several chunks with a short last one; at
+    # these seeds, adding the chunks in another order changes the float results
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda thr: M.rao_blackwell_cycle_curve(
+                9, 0.6, [1, 2, 17, 40, 300], 1100, 7, chunk=300, threads=thr
+            ),
+            lambda thr: M.rao_blackwell_cycle_distribution(
+                11, 0.4, 37, 1300, 9, chunk=110, threads=thr
+            ),
+            lambda thr: M.fourier_tv_bound_cycle(7, 0.7, 23, 1000, 8, chunk=90, threads=thr),
+            lambda thr: M.hypercube_tv_curve(
+                12, 0.5, [1, 3, 64, 65, 200], 3000, 10, chunk=700, threads=thr
+            ),
+        ],
+        ids=["rb-curve", "rb-distribution", "fourier-bound", "hypercube-curve"],
+    )
+    def test_bit_identical_across_thread_counts(self, view):
+        serial, threaded = _view_arrays(view(1)), _view_arrays(view(3))
+        for a, b in zip(serial, threaded):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestEstimatorOracleBattery:
     def test_rb_within_4se_in_99_of_100(self, z3_oracle_curves):
         exact = z3_oracle_curves[(0.5, 5)].tv_to_uniform()
@@ -408,7 +442,8 @@ class TestEstimatorOracleBattery:
         exact = O.exact_endpoint_distribution(h2, mu, 0.5, 4).tv_to_uniform()
         fails = 0
         for seed in range(100):
-            v, se = M.hypercube_tv_estimate(2, 0.5, 4, 1600, seed, chunk=200)
+            curve = M.hypercube_tv_curve(2, 0.5, [4], 1600, seed, chunk=200)
+            v, se = curve.values[0], curve.stderrs[0]
             if abs(v - exact) > 4 * se:
                 fails += 1
         assert fails <= 1

@@ -133,16 +133,3 @@ class TestAlphaParams:
             sp.AlphaParams(0.0)
         with pytest.raises(ParameterError):
             sp.AlphaParams(1.0)
-
-
-class TestConstantsCsv:
-    def test_table_export(self, tmp_path):
-        path = tmp_path / "constants.csv"
-        sp.constants_table_csv([0.25, 0.5, 0.75], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:2] == ["alpha", "theta1"]
-        assert lines[0].split(",")[-2:] == ["F", "c_alpha"]
-        assert len(lines) == 4
-        row = dict(zip(lines[0].split(","), lines[2].split(",")))
-        assert float(row["theta1"]) == pytest.approx(1 / 3, abs=1e-12)
-        assert float(row["c_alpha"]) == pytest.approx(1.2943, abs=1e-3)

@@ -173,22 +173,3 @@ class TestChiSquareAgreement:
                 counts = np.bincount(ends, minlength=3)
                 res = stats.chisquare(counts, f_exp=exact * R)
                 assert res.pvalue > 1e-3
-
-
-class TestPathCsv:
-    def test_paths_to_csv(self, tmp_path, z3, mu3):
-        paths = [
-            W.sample_path_direct(z3, mu3, 0.5, 4, stream(s, 0)) for s in range(3)
-        ]
-        out = tmp_path / "paths.csv"
-        W.paths_to_csv(paths, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "replica,j,X_j,S_j"
-        assert len(lines) == 1 + 3 * 4
-        # each row respects the position recursion
-        prev = {}
-        for row in lines[1:]:
-            r, j, x, s = (int(v) for v in row.split(","))
-            before = prev.get(r, 0)
-            assert s == z3.mul(before, x)
-            prev[r] = s
