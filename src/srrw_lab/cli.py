@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import load_config, parse_config, validate_config
+from .config import parse_config, validate_config
 from .errors import CapacityError, SchemaError
 from .presets import preset_config, preset_description, preset_names
 from .runner import run
@@ -63,13 +63,14 @@ def main(argv=None) -> int:
         print(json.dumps(preset_config(args.name), indent=2, sort_keys=True))
         return EXIT_OK
 
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        _status(f"cannot read config: {exc}")
+        return EXIT_VALIDATION
+
     if args.command == "validate":
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _status(f"cannot read config: {exc}")
-            return EXIT_VALIDATION
         problems = validate_config(doc)
         if problems:
             for prob in problems:
@@ -78,38 +79,25 @@ def main(argv=None) -> int:
         _status("config ok")
         return EXIT_OK
 
-    if args.command == "run":
-        try:
-            cfg = load_config(args.config)
-        except SchemaError as exc:
-            for prob in exc.problems:
-                _status(f"invalid: {prob}")
-            return EXIT_VALIDATION
-        except (OSError, json.JSONDecodeError) as exc:
-            _status(f"cannot read config: {exc}")
-            return EXIT_VALIDATION
-        if args.seed is not None:
-            doc = dict(cfg.raw)
-            doc["seed"] = args.seed
-            cfg = parse_config(doc)
-        if args.threads is not None:
-            cfg.threads = args.threads
-        try:
-            result = run(cfg)
-        except CapacityError as exc:
-            _status(f"capacity error: {exc}")
-            return EXIT_CAPACITY
-        except SchemaError as exc:
-            for prob in exc.problems:
-                _status(f"invalid: {prob}")
-            return EXIT_VALIDATION
-        _status(f"wrote {len(result.outputs)} artifact(s) to {cfg.output_dir}")
-        if result.guard_triggered:
-            _status("horizon guard triggered: increase the grid horizon")
-            return EXIT_GUARD
-        return EXIT_OK
-
-    return EXIT_VALIDATION  # pragma: no cover
+    # overrides are validated with the rest; parse_config reports a non-object doc
+    if isinstance(doc, dict):
+        overrides = {"seed": args.seed, "threads": args.threads}
+        doc.update({k: v for k, v in overrides.items() if v is not None})
+    try:
+        cfg = parse_config(doc)
+        result = run(cfg)
+    except CapacityError as exc:
+        _status(f"capacity error: {exc}")
+        return EXIT_CAPACITY
+    except SchemaError as exc:
+        for prob in exc.problems:
+            _status(f"invalid: {prob}")
+        return EXIT_VALIDATION
+    _status(f"wrote {len(result.outputs)} artifact(s) to {cfg.output_dir}")
+    if result.guard_triggered:
+        _status("horizon guard triggered: increase the grid horizon")
+        return EXIT_GUARD
+    return EXIT_OK
 
 
 if __name__ == "__main__":

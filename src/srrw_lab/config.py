@@ -16,6 +16,7 @@ import numpy as np
 from . import groups as G
 from .errors import SchemaError
 from .evolving import EXHAUSTIVE_CAP
+from .oracle import GROUP_CAP, ORACLE_N_CAP
 
 SCHEMA_VERSION = 1
 
@@ -221,19 +222,15 @@ def validate_config(doc: dict) -> list[str]:
     # capacity prevalidation
     if group is not None:
         if kind == "profiles" and group.order > EXHAUSTIVE_CAP:
-            bad(
-                "group",
-                f"exhaustive profiles capped at order {EXHAUSTIVE_CAP} "
-                f"(got {group.order}); use sampled mode via estimator overrides",
-            )
+            bad("group", f"exhaustive profiles capped at order {EXHAUSTIVE_CAP}, got {group.order}")
         if kind == "profiles" and group.order < 2:
             bad("group", f"profiles need a group of order >= 2 (got {group.order})")
         if kind == "oracle-check":
             n_max = doc.get("n_max", 6)
-            if not isinstance(n_max, int) or not 1 <= n_max <= 9:
-                bad("n_max", "oracle check needs 1 <= n_max <= 9")
-            if group.order > 4096:
-                bad("group", "oracle check needs order <= 4096")
+            if not isinstance(n_max, int) or not 1 <= n_max <= ORACLE_N_CAP:
+                bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
+            if group.order > GROUP_CAP:
+                bad("group", f"oracle check needs order <= {GROUP_CAP}")
         # these estimators compute one fixed walk's curve and ignore mu otherwise
         if est == "rao-blackwell":
             if group.kind != "cyclic" or group.order % 2 == 0 or group.order < 3:

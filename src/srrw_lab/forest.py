@@ -18,14 +18,8 @@ import numpy as np
 
 from . import special
 from .errors import ParameterError
+from .special import _check_alpha
 from .streams import chunk_ranges, stream
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +82,6 @@ class ForestPath:
         sizes = self.cluster_sizes_at()
         return np.nonzero(sizes[1:])[0] + 1
 
-    def ordered_root_sequence(self) -> np.ndarray:
-        """L(1), ..., L(n): the spin index applied at each walk step."""
-        return self.labels
-
 
 def forest_from_choices(xi, u, alpha: float = 0.0, seed=None) -> ForestPath:
     """Deterministic test hook: build the forest for given (xi, u) sequences."""
@@ -107,26 +97,14 @@ def forest_from_choices(xi, u, alpha: float = 0.0, seed=None) -> ForestPath:
     return ForestPath(n=n, alpha=float(alpha), xi=xi, u=u, labels=labels, seed=seed)
 
 
-def sample_forest_choices(n: int, alpha: float, rng: np.random.Generator):
-    """Draw (xi, u) for vertices 2..n: xi ~ Bernoulli(alpha), u_j ~ Unif[1, j-1]."""
+def grow_forest(n: int, alpha: float, rng: np.random.Generator, seed=None) -> ForestPath:
+    """Sample a forest of size n with retention probability alpha."""
     alpha = _check_alpha(alpha)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int32)
-    xi = rng.random(n - 1) < alpha
-    u = rng.integers(1, np.arange(2, n + 1), dtype=np.int64).astype(np.int32)
-    return xi, u
-
-
-def grow_forest(n: int, alpha: float, rng: np.random.Generator, seed=None) -> ForestPath:
-    """Sample a forest of size n with retention probability alpha."""
-    xi, u = sample_forest_choices(n, alpha, rng)
-    if n == 1:
-        labels = np.ones(1, dtype=np.int32)
-        return ForestPath(n=1, alpha=alpha, xi=xi, u=u, labels=labels, seed=seed)
-    labels = batch_root_labels(xi[None, :], u[None, :])[0]
-    return ForestPath(n=n, alpha=alpha, xi=xi, u=u, labels=labels, seed=seed)
+    xi, u = sample_batch_choices(n, alpha, 1, rng)
+    labels = batch_root_labels(xi, u)[0]
+    return ForestPath(n=n, alpha=alpha, xi=xi[0], u=u[0], labels=labels, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def _check_alpha_open(alpha: float) -> float:
     return alpha
 
 
-def _check_alpha_halfopen(alpha: float) -> float:
+def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must lie in [0, 1), got {alpha}")
@@ -95,7 +95,7 @@ def cutoff_constant(alpha: float) -> float:
 
 def beta_n(n: int, alpha: float) -> float:
     """beta_n = Gamma(n - alpha) / (Gamma(1 - alpha) * Gamma(n + 1)), beta_1 = 1."""
-    alpha = _check_alpha_halfopen(alpha)
+    alpha = _check_alpha(alpha)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if n == 1:
@@ -107,7 +107,7 @@ def beta_n(n: int, alpha: float) -> float:
 
 def beta_n_product(n: int, alpha: float) -> float:
     """beta_n by direct multiplication of (1 - (1+alpha)/(k+1)); small-n check."""
-    alpha = _check_alpha_halfopen(alpha)
+    alpha = _check_alpha(alpha)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     out = 1.0
@@ -118,7 +118,7 @@ def beta_n_product(n: int, alpha: float) -> float:
 
 def growth_a(m: int, alpha: float) -> float:
     """a_m = prod_{k<m} (1 + alpha/k) = Gamma(m + alpha) / (Gamma(1+alpha) Gamma(m))."""
-    alpha = _check_alpha_halfopen(alpha)
+    alpha = _check_alpha(alpha)
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     return math.exp(
@@ -128,7 +128,7 @@ def growth_a(m: int, alpha: float) -> float:
 
 def growth_a_product(m: int, alpha: float) -> float:
     """a_m by direct multiplication; small-m cross-check of growth_a."""
-    alpha = _check_alpha_halfopen(alpha)
+    alpha = _check_alpha(alpha)
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     out = 1.0
@@ -139,7 +139,7 @@ def growth_a_product(m: int, alpha: float) -> float:
 
 def growth_ratio(t: int, n: int, alpha: float) -> float:
     """a_n / a_t, the conditional mean size at time n of a cluster isolated at t."""
-    alpha = _check_alpha_halfopen(alpha)
+    alpha = _check_alpha(alpha)
     if not 1 <= t <= n:
         raise ParameterError(f"need 1 <= t <= n, got t={t}, n={n}")
     return math.exp(

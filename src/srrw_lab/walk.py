@@ -20,14 +20,9 @@ import numpy as np
 
 from .dist import DistributionVector
 from .errors import CapacityError, ContractError, ParameterError
-from .forest import (
-    ForestPath,
-    _check_alpha,
-    batch_root_labels,
-    grow_forest,
-    sample_batch_choices,
-)
+from .forest import ForestPath, batch_root_labels, grow_forest, sample_batch_choices
 from .groups import FiniteGroup, StepDistribution, transition_matrix
+from .special import _check_alpha
 from .streams import chunk_ranges, stream
 
 KERNEL_CAP = 4096

@@ -447,6 +447,25 @@ class TestCli:
         first = open(tmp_path / "ovr" / "curves.csv").read()
         assert first.splitlines()[1].startswith("123,")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--seed", str(1 << 64)), ("--threads", "0"), ("--threads", "-2")],
+    )
+    def test_bad_override_exit_2_and_no_output(self, tmp_path, capsys, flag, value):
+        # the overrides go through the same validation as the config fields
+        doc = base_config(tmp_path)
+        path = self.write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", path, flag, value]) == 2
+        assert f"invalid: {flag[2:]}:" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
+
+    def test_threads_override(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg.threads) or runner.run(cfg))
+        path = self.write_config(tmp_path, base_config(tmp_path, threads=1))
+        assert cli.main(["run", "--config", path, "--threads", "2"]) == 0
+        assert seen == [2]
+
     def test_presets_list_and_show(self, capsys):
         assert cli.main(["presets", "list"]) == 0
         listed = capsys.readouterr().out

@@ -41,6 +41,23 @@ class TestEnumeration:
             seen.add(key)
         assert len(seen) == 2**3 * 6
 
+    @pytest.mark.parametrize("n, bell", enumerate([1, 2, 5, 15, 52, 203, 877, 4140], start=1))
+    def test_distinct_forests_are_counted_by_bell_numbers(self, n, bell):
+        seqs, weights = O._forest_weights(n, 0.5)
+        assert seqs.shape == (bell, n)
+        assert len({row.tobytes() for row in seqs}) == bell
+        assert weights.min() > 0 and abs(weights.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+    def test_forest_weights_sum_the_configurations(self, alpha):
+        by_labels = {}
+        for ef in O.enumerate_forests(6, alpha):
+            by_labels.setdefault(tuple(ef.forest.labels.tolist()), []).append(ef.weight)
+        seqs, weights = O._forest_weights(6, alpha)
+        assert [tuple(row) for row in seqs.tolist()] == sorted(by_labels)
+        expect = [math.fsum(by_labels[tuple(row)]) for row in seqs.tolist()]
+        assert np.abs(weights - expect).max() < 1e-16
+
 
 class TestExactEndpoint:
     def test_z2_two_step_law(self):
@@ -131,6 +148,34 @@ class TestNegativeCorrelation:
         rep = O.negative_correlation_check(0.0, 5, 2, 2)
         assert rep.max_violation_ge <= 1e-12
         assert rep.max_violation_lt <= 1e-12
+
+    def test_at_the_cap(self):
+        rep = O.negative_correlation_check(0.5, 8, 4, 3)
+        assert rep.max_violation_ge <= 1e-10
+        assert rep.max_violation_lt <= 1e-10
+        assert rep.prefixes == 15  # Bell(4) forests F_4
+        # Stirling numbers S(4, R) of forests with R roots, 2^R - 1 subsets each
+        assert rep.subsets_checked == 1 * 1 + 7 * 3 + 6 * 7 + 1 * 15
+
+    def test_cap(self):
+        with pytest.raises(CapacityError):
+            O.negative_correlation_check(0.5, 9, 4, 3)
+
+    def test_worst_excess_against_every_subset(self):
+        rng = np.random.default_rng(3)
+        R = 4
+        masks = rng.integers(0, 1 << R, size=40)
+        probs = rng.random(40)
+        probs /= probs.sum()
+        contains = [(masks & J) == J for J in range(1 << R)]
+        marg = [probs[contains[1 << i]].sum() for i in range(R)]
+        expect = max(
+            probs[contains[J]].sum() - np.prod([marg[i] for i in range(R) if J >> i & 1])
+            for J in range(1, 1 << R)
+        )
+        assert O._worst_excess(masks, probs, R) == pytest.approx(expect, abs=1e-15)
+        # two indicators that always agree are positively correlated
+        assert O._worst_excess(np.array([0, 3]), np.array([0.5, 0.5]), 2) == 0.25
 
     def test_singletons_have_zero_violation(self):
         # |J| = 1 entries contribute exactly zero; overall max stays ~0 here

@@ -137,24 +137,42 @@ class TestConditionalKernelProduct:
         with pytest.raises(ContractError):
             W.conditional_kernel_product(z3, mu3, f, {})
 
-    def test_mixture_over_spins_and_forests_matches_oracle(self, z3, mu3):
-        # sum over forests and spin assignments of the kernel product = oracle
+    @pytest.mark.parametrize(
+        "kind, size, make_mu",
+        [
+            ("cyclic", 3, G.simple_cycle_mu),
+            (
+                "symmetric",
+                3,
+                lambda s3: G.StepDistribution(
+                    s3, {s3.from_cycles((1, 2)): 0.5, s3.from_cycles((1, 3, 2)): 0.5}
+                ),
+            ),
+            ("hypercube", 2, G.lazy_hypercube_mu),
+        ],
+        ids=["z3", "s3", "h2"],
+    )
+    def test_mixture_over_spins_and_forests_matches_oracle(self, kind, size, make_mu):
+        # the kernel product summed over every configuration and spin assignment
+        # equals the oracle, which integrates spins once per distinct forest
+        group = G.make_group(kind, size)
+        mu = make_mu(group)
         n = 5
         alpha = 0.4
-        total = np.zeros(3)
+        total = np.zeros(group.order)
         import itertools
 
         for ef in O.enumerate_forests(n, alpha):
             sizes = ef.forest.cluster_sizes_at()
             big = [r for r in range(1, n + 1) if sizes[r] >= 2]
-            for combo in itertools.product(mu3.support, repeat=len(big)):
+            for combo in itertools.product(mu.support, repeat=len(big)):
                 w = 1.0
                 for g in combo:
-                    w *= mu3.prob(g)
+                    w *= mu.prob(g)
                 spins = dict(zip(big, combo))
-                out = W.conditional_kernel_product(z3, mu3, ef.forest, spins)
+                out = W.conditional_kernel_product(group, mu, ef.forest, spins)
                 total += ef.weight * w * out.probs
-        exact = O.exact_endpoint_distribution(z3, mu3, alpha, n).probs
+        exact = O.exact_endpoint_distribution(group, mu, alpha, n).probs
         assert np.abs(total - exact).max() < 1e-10
 
 
