@@ -37,7 +37,6 @@ from .groups import (
 from .streams import chunk_ranges
 
 EXHAUSTIVE_CAP = 24
-TRAJECTORY_CAP = 4096
 
 
 def mask_of(elements) -> int:
@@ -496,8 +495,6 @@ def evolving_trajectory(
     Deterministic-spin steps translate the set (W -> W g, any threshold);
     isolated steps apply the exact threshold rule under P_mu.
     """
-    if group.order > TRAJECTORY_CAP:
-        raise CapacityError(f"trajectories need |G| <= {TRAJECTORY_CAP}")
     P = transition_matrix(group, mu)
     sizes_by_root = forest.cluster_sizes_at()
     W = frozenset(int(x) for x in W0)

@@ -70,9 +70,6 @@ class ForestPath:
     labels: np.ndarray  # (n,) int32, root label per vertex 1..n
     seed: object = None
 
-    def root_label(self, j: int) -> int:
-        return int(self.labels[j - 1])
-
     def cluster_sizes_at(self, t: int | None = None) -> np.ndarray:
         """Cluster size per root at time t (index = root vertex, 0 unused)."""
         t = self.n if t is None else t
@@ -123,9 +120,6 @@ class ClusterStats:
     y_n: float  # I(n)/n - (1-alpha)/(1+alpha)
     windows: dict  # (L, k) -> count of roots with L/(96k) <= |C| < L/(2k)
     blocks: dict  # m -> I^(m)(floor(n/m)*m)
-
-    def count_in(self, ks: Iterable[int]) -> int:
-        return sum(self.size_counts.get(k, 0) for k in ks)
 
 
 def _block_count(forest: ForestPath, m: int) -> int:
@@ -213,13 +207,8 @@ def sample_isolated_counts(
     n: int, alpha: float, replicas: int, master_seed: int, chunk: int = 1000
 ) -> np.ndarray:
     """I(n) for `replicas` forests, chunked to bound memory."""
-    out = np.empty(replicas, dtype=np.int64)
-    for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
-        labels = sample_batch_labels(n, alpha, stop - start, master_seed, first_stream=ci)
-        for r in range(stop - start):
-            sizes = np.bincount(labels[r])
-            out[start + r] = int((sizes == 1).sum())
-    return out
+    counts, _ = sample_cluster_size_counts(n, alpha, replicas, master_seed, k_max=1, chunk=chunk)
+    return counts[:, 0]
 
 
 def sample_cluster_size_counts(

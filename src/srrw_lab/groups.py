@@ -80,12 +80,6 @@ class FiniteGroup:
                 t[a, b] = self.mul(a, b)
         return t
 
-    @cached_property
-    def inverses(self) -> np.ndarray:
-        if not self.enumerable:
-            raise CapacityError(f"cannot enumerate inverses of order {self.order}")
-        return np.array([self.inv(a) for a in range(self.order)], dtype=np.int64)
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of index arrays (broadcasting allowed)."""
         if self.has_table:

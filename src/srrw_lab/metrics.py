@@ -3,9 +3,10 @@ mixing-time extraction.
 
 Every Monte Carlo estimator is a view over one pass, ``_forest_sums``: it
 grows the percolated forests in replica chunks, hands each grid time's
-cluster-size histogram to the estimator's ``terms`` and adds the returned
-per-chunk sums into per-grid arrays in chunk order; the estimator then
-reduces those sums to values and delta-method stderrs.
+cluster-size histogram to the estimator's ``terms``, sums the returned terms
+into per-grid arrays of the chunk and adds the chunks' arrays in chunk
+order; the estimator then reduces those sums to values and delta-method
+stderrs.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
@@ -13,7 +14,9 @@ is the product of cos(2 pi k |C|/L) over clusters, so averaging those exact
 conditional laws over sampled forests kills all spin noise.  The hypercube
 estimator reduces to the Hamming-weight marginal: conditionally on the
 number of odd clusters m, the endpoint is a lazy coordinate-flip walk run
-for m steps, whose weight law follows an Ehrenfest recursion.
+for m steps, whose weight law follows an Ehrenfest recursion; it is compared
+with the Binomial(d, 1/2) law in exact integer arithmetic, and its stderr is
+the spread of one scalar per observed m.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
@@ -377,10 +379,10 @@ def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, te
     bit-identical for every thread count.
     """
     grid = np.asarray(grid, dtype=np.int64)
-    totals: list[np.ndarray] = []
 
-    def work(task, sums):
+    def work(task):
         ci, (start, stop) = task
+        sums = []
 
         def collect(gi, t, histo):
             parts = terms(histo)
@@ -394,18 +396,16 @@ def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, te
         return sums
 
     tasks = enumerate(chunk_ranges(replicas, chunk))
-    if threads and threads > 1:
-        # a chunk sums into its own arrays, which join the totals in order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for sums in pool.map(lambda task: work(task, []), tasks):
-                if totals:
-                    for acc, part in zip(totals, sums):
-                        acc += part
-                else:
-                    totals = sums
-    else:
-        for task in tasks:
-            work(task, totals)
+    parallel = bool(threads) and threads > 1
+    totals: list[np.ndarray] = []
+    # a chunk sums into its own arrays, which join the totals in order
+    with ThreadPoolExecutor(max_workers=threads if parallel else 1) as pool:
+        for sums in (pool.map if parallel else map)(work, tasks):
+            if totals:
+                for acc, part in zip(totals, sums):
+                    acc += part
+            else:
+                totals = sums
     return totals
 
 
@@ -543,10 +543,9 @@ def hypercube_weight_chain_table(d: int, m_max: int) -> np.ndarray:
 
 
 def hypercube_stationary_weights(d: int) -> np.ndarray:
-    """Binomial(d, 1/2) weight marginal of the uniform law."""
-    ws = np.arange(d + 1)
-    logc = gammaln(d + 1) - gammaln(ws + 1) - gammaln(d - ws + 1)
-    return np.exp(logc - d * math.log(2.0))
+    """Binomial(d, 1/2) weight marginal of the uniform law, correctly rounded."""
+    # int true division rounds correctly, even where 2**d overflows a float
+    return np.array([math.comb(d, w) / 2**d for w in range(d + 1)])
 
 
 def hypercube_tv_curve(
@@ -583,14 +582,12 @@ def hypercube_tv_curve(
         values[i] = 0.5 * np.abs(dev).sum()
         if replicas >= 2:
             # delta method: the estimator averages the rows q_{N_J} of the
-            # weight-chain table, so its covariance is multinomial over N_J
+            # weight-chain table, so its variance is the weighted variance of
+            # the scalar q_{N_J} . grad over the observed N_J, over R - 1
             nz = np.nonzero(counts[i])[0]
             w = counts[i, nz].astype(float) / replicas
-            A = qtable[nz]
-            second = A.T @ (w[:, None] * A)
-            cov = (second - np.outer(p_hat, p_hat)) / (replicas - 1)
-            grad = 0.5 * np.sign(dev)
-            stderrs[i] = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+            s = qtable[nz] @ (0.5 * np.sign(dev))
+            stderrs[i] = math.sqrt(float(w @ (s - w @ s) ** 2) / (replicas - 1))
     return DistanceCurve(
         group_desc=f"hypercube(d={d})",
         alpha=alpha,

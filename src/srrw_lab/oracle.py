@@ -64,7 +64,7 @@ def _blocks(n: int, alpha: float):
     m = n - 1
     configs = list(itertools.product(*[range(1, j) for j in range(2, n + 1)]))
     u = np.array(configs, dtype=np.int32).reshape(len(configs), m)
-    w_u = math.exp(-math.fsum(math.log(j - 1) for j in range(3, n + 1)))
+    w_u = 1.0 / math.factorial(n - 1)
     for code in range(1 << m):
         gray = code ^ (code >> 1)
         xi = np.array([(gray >> b) & 1 for b in range(m)], dtype=bool)

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DistributionVector
-from .errors import CapacityError, ContractError, ParameterError
+from .errors import ContractError, ParameterError
 from .forest import ForestPath, batch_root_labels, grow_forest, sample_batch_choices
 from .groups import FiniteGroup, StepDistribution, transition_matrix
 from .special import _check_alpha
 from .streams import chunk_ranges, stream
-
-KERNEL_CAP = 4096
 
 
 @dataclass
@@ -227,8 +225,6 @@ def conditional_kernel_product(
     permutation in O(|G|)); steps in spin-free clusters must be isolated and
     use the Markov kernel P_mu.
     """
-    if group.order > KERNEL_CAP:
-        raise CapacityError(f"conditional kernels need order <= {KERNEL_CAP}")
     if isinstance(spins, dict):
         spins = SpinAssignment(spins)
     P = transition_matrix(group, mu)

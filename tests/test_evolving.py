@@ -429,6 +429,13 @@ class TestTrajectories:
         with pytest.raises(DomainError):
             E.evolving_trajectory(f, {}, z3, mu, stream(5, 0), {0})
 
+    def test_group_above_the_table_cap_rejected(self):
+        # the transition matrix's cap is the one limit on the group order
+        z = G.make_group("cyclic", 5000)
+        f = F.forest_from_choices([0, 0], [1, 2], alpha=0.0)
+        with pytest.raises(CapacityError, match="transition matrix needs order <= 4096"):
+            E.evolving_trajectory(f, {}, z, G.simple_cycle_mu(z), stream(6, 0), {0})
+
 
 class TestKernelReverse:
     def test_transpose_of_doubly_stochastic(self, lazy_z5_kernel):

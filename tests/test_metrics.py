@@ -301,6 +301,12 @@ class TestWeightChain:
         pi = M.hypercube_stationary_weights(d)
         assert 0.5 * np.abs(q - pi).sum() < 1e-6
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 1024])
+    def test_stationary_weights_correctly_rounded(self, d):
+        pi = M.hypercube_stationary_weights(d)
+        assert pi.tolist() == [math.comb(d, w) / 2**d for w in range(d + 1)]
+        assert math.fsum(pi) == 1.0
+
 
 class TestHypercubeEstimator:
     def test_n1_matches_single_lazy_step(self):
@@ -325,6 +331,43 @@ class TestHypercubeEstimator:
         curve = M.hypercube_tv_curve(d, 0.0, grid, 8, 1)  # alpha=0: deterministic
         est = M.mixing_time_scan(curve, 0.25)
         assert abs(est.t_mix - target) <= 1.5 * d
+
+    @pytest.mark.parametrize(
+        "d, alpha, horizon, replicas, seed",
+        [(64, 0.5, 600, 1000, 5), (128, 0.3, 1500, 500, 4)],
+    )
+    def test_stderr_matches_quadratic_form(self, d, alpha, horizon, replicas, seed):
+        # reference: grad^T cov grad with the (d+1)^2 multinomial covariance
+        # of the rows q_{N_J}; compared where it is above 1e-9 and does not
+        # cancel more than 6 digits (E[(q.grad)^2] / Var < 1e6)
+        grid = M.geometric_grid(horizon, 20)
+        curve = M.hypercube_tv_curve(d, alpha, grid, replicas, seed)
+        (counts,) = M._forest_sums(
+            alpha, grid, 2, replicas, seed, 2048, 1,
+            lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
+        )
+        qtable = M.hypercube_weight_chain_table(d, horizon + 1)
+        pi = M.hypercube_stationary_weights(d)
+        compared = 0
+        for i, c in enumerate(counts):
+            p_hat = (c.astype(float) @ qtable) / replicas
+            grad = 0.5 * np.sign(p_hat - pi)
+            nz = np.nonzero(c)[0]
+            A = qtable[nz]
+            second = A.T @ ((c[nz] / replicas)[:, None] * A)
+            cov = (second - np.outer(p_hat, p_hat)) / (replicas - 1)
+            ref = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+            spread = float(grad @ second @ grad) / ((replicas - 1) * ref**2) if ref else math.inf
+            if ref > 1e-9 and spread < 1e6:
+                assert curve.stderrs[i] == pytest.approx(ref, rel=1e-8, abs=0)
+                compared += 1
+        assert compared >= 15
+
+    def test_stderr_zero_when_every_replica_has_one_odd_count(self):
+        # alpha = 0: every cluster is a singleton, so N_J(n) = n in every replica
+        grid = M.geometric_grid(400, 40)
+        curve = M.hypercube_tv_curve(64, 0.0, grid, 1000, 1)
+        assert curve.stderrs.tolist() == [0.0] * grid.size
 
     def test_exchangeability_reconstruction_d2(self):
         # full-enumeration weight marginal equals the oracle's, n <= 6

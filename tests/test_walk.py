@@ -5,7 +5,7 @@ from srrw_lab import forest as F
 from srrw_lab import groups as G
 from srrw_lab import oracle as O
 from srrw_lab import walk as W
-from srrw_lab.errors import ContractError, ParameterError
+from srrw_lab.errors import CapacityError, ContractError, ParameterError
 from srrw_lab.streams import stream
 
 
@@ -136,6 +136,13 @@ class TestConditionalKernelProduct:
         f = F.forest_from_choices([1, 1], [1, 1], alpha=0.5)  # one cluster of 3
         with pytest.raises(ContractError):
             W.conditional_kernel_product(z3, mu3, f, {})
+
+    def test_group_above_the_table_cap_rejected(self):
+        # the transition matrix's cap is the one limit on the group order
+        z = G.make_group("cyclic", 5000)
+        f = F.forest_from_choices([0, 0], [1, 2], alpha=0.0)
+        with pytest.raises(CapacityError, match="transition matrix needs order <= 4096"):
+            W.conditional_kernel_product(z, G.simple_cycle_mu(z), f, {})
 
     @pytest.mark.parametrize(
         "kind, size, make_mu",
