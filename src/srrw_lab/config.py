@@ -1,42 +1,34 @@
-"""Experiment configuration: JSON schema, validation, and group/mu resolution.
+"""Experiment configuration: one table of fields, one table of kinds.
 
-A config is a single versioned JSON document.  ``validate`` performs full
-schema and capacity checks without running anything and aggregates every
-problem it finds with its field path.
+A config is a single versioned JSON document.  ``ExperimentConfig``
+declares each top-level field once, with its default (or ``REQUIRED``), the
+check its value must pass and that rule in words; ``FIELDS`` is that table
+by name.  ``validate_config`` runs every check on every field, whatever the
+kind, then the checks that need the group, mu and the kind's entry in
+``KINDS``; it aggregates every problem it finds with its field path.
+``parse_config`` builds ``ExperimentConfig`` from the same table, so every
+document that validates can run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from . import groups as G
 from .errors import SchemaError
 from .evolving import EXHAUSTIVE_CAP
+from .metrics import geometric_grid
 from .oracle import GROUP_CAP, ORACLE_N_CAP
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "tv-curve",
-    "mixing-scan",
-    "phase-transition",
-    "cutoff",
-    "forest-stats",
-    "profiles",
-    "oracle-check",
-)
-
 ESTIMATORS = ("rao-blackwell", "endpoint", "hypercube-weight", "exact")
-
-# scaling kind -> (the estimator it runs, size check, the rule in words)
-_SCALING_RULES = {
-    "phase-transition": ("rao-blackwell", lambda L: L >= 3 and L % 2 == 1, "odd integers >= 3"),
-    "cutoff": ("hypercube-weight", lambda d: 2 <= d <= 1024, "integers 2 <= d <= 1024"),
-}
 
 MU_BUILTINS = {
     "simple-cycle": G.simple_cycle_mu,
@@ -46,46 +38,131 @@ MU_BUILTINS = {
     "uniform": G.uniform_mu,
 }
 
+# group family -> the key of its size parameter
+SIZE_KEY = {"cyclic": "L", "hypercube": "d", "symmetric": "m", "lamplighter": "L", "table": "table"}
+
+# estimator: the one the kind's section runs (None: the config's); sizes: (size check, the
+# rule in words) of a scaling study, whose config must name `estimator`; needs_grid: reads grid
+Kind = namedtuple("Kind", "estimator sizes needs_grid", defaults=[None, None, False])
+
+
+KINDS = {
+    "tv-curve": Kind(needs_grid=True),
+    "mixing-scan": Kind(needs_grid=True),
+    "phase-transition": Kind("rao-blackwell", (lambda L: L >= 3 and L % 2, "odd integers >= 3")),
+    "cutoff": Kind("hypercube-weight", (lambda d: 2 <= d <= 1024, "integers 2 <= d <= 1024")),
+    "forest-stats": Kind("forest-mc", needs_grid=True),
+    "profiles": Kind("exhaustive"),
+    "oracle-check": Kind("exact"),
+}
+
+
+def _int(v) -> bool:
+    # bool is an int subclass, but true is no count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _count(v) -> bool:
+    return _int(v) and v >= 1
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(ok: Callable[[object], bool]):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+def _numbers(ok: Callable[[float], bool]):
+    """A nonempty list of numbers x with ok(x)."""
+    return lambda v: _list_of(lambda x: _number(x) and ok(x))(v) and v != []
+
+
+def _grid_ok(v) -> bool:
+    if v is None:
+        return True
+    if not isinstance(v, dict):
+        return False
+    if v.get("type") == "explicit":
+        vals = v.get("values")
+        return _list_of(_count)(vals) and sorted(set(vals)) == vals != []
+    return v.get("type", "geometric") == "geometric" and _count(v.get("n_max"))
+
+
+def _threads(v):
+    """``threads``, else $SRRW_LAB_THREADS (left a string unless all digits), else 1."""
+    if v is None:
+        env = os.environ.get("SRRW_LAB_THREADS", "").strip() or "1"
+        return int(env) if env.isdecimal() else env
+    return v
+
+
+def _floats(v) -> list:
+    return [float(x) for x in v]
+
+
+REQUIRED = object()  # the default of a field every document must give
+
+
+# default: REQUIRED, or the value an absent field takes; rule: what `check` accepts, in
+# words; parse: the value's form in ExperimentConfig
+Field = namedtuple("Field", "default check rule parse", defaults=[lambda v: v])
+
+
+def _field(*spec):
+    return field(metadata={"spec": Field(*spec)})
+
 
 @dataclass
 class ExperimentConfig:
-    kind: str
-    group: dict
-    mu: dict
-    alphas: list
-    grid: dict | None
-    replicas: int
-    seed: int
-    estimator: str
-    epsilons: list = field(default_factory=lambda: [0.25])
-    sizes: list = field(default_factory=list)  # L or d list for scaling studies
-    n_max: int = 6  # oracle-check horizon
-    output_dir: str = "srrw-out"
-    smoothing_bandwidth: float | None = None
-    threads: int | None = None
-    points_per_decade: int = 40
-    raw: dict = field(default_factory=dict)
+    """A validated config: each attribute is a top-level field, defaults filled in.
 
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, int(self.threads))
-        env = os.environ.get("SRRW_LAB_THREADS")
-        return max(1, int(env)) if env else 1
+    Each field is declared once, with its ``Field``: its default, its check
+    and that rule in words.  ``FIELDS`` is this table by name.
+    """
+
+    schema_version: int = _field(REQUIRED, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
+    kind: str = _field(REQUIRED, lambda v: v in tuple(KINDS), "one of " + ", ".join(KINDS))
+    group: dict = _field(REQUIRED, lambda v: isinstance(v, dict), "an object: kind, size key")
+    mu: dict = _field(REQUIRED, lambda v: isinstance(v, dict), "an object: type[, probs]")
+    alphas: list = _field(
+        REQUIRED, _numbers(lambda a: 0 <= a < 1), "a nonempty list of numbers in [0, 1)", _floats
+    )
+    seed: int = _field(REQUIRED, lambda v: _int(v) and 0 <= v < 1 << 64, "an integer in [0, 2^64)")
+    replicas: int = _field(1, _count, "an integer >= 1")
+    estimator: str = _field("exact", lambda v: v in ESTIMATORS, "one of " + ", ".join(ESTIMATORS))
+    grid: dict | None = _field(
+        None, _grid_ok, "null, {n_max: N} or {type: explicit, values: [N, ...]}, integers N >= 1"
+    )
+    epsilons: list = _field(
+        [0.25], _numbers(lambda e: 0 < e < 1), "a nonempty list of numbers in (0, 1)", _floats
+    )
+    sizes: list = _field([], _list_of(_int), "a list of integers", list)  # scaling studies
+    n_max: int = _field(6, _int, "an integer")  # oracle-check horizon
+    points_per_decade: int = _field(40, _count, "an integer >= 1")
+    output_dir: str = _field("srrw-out", lambda v: v and isinstance(v, str), "a nonempty string")
+    smoothing_bandwidth: float | None = _field(
+        None, lambda v: v is None or _number(v) and v > 0, "null or a number > 0"
+    )
+    threads: int = _field(
+        None,
+        lambda v: _count(_threads(v)),
+        "null or an integer >= 1; null takes $SRRW_LAB_THREADS (an integer >= 1) if set, else 1",
+        _threads,
+    )
+
+
+FIELDS = {f.name: f.metadata["spec"] for f in fields(ExperimentConfig)}
 
 
 def build_group(spec: dict) -> G.FiniteGroup:
     kind = spec.get("kind")
-    if kind == "cyclic":
-        return G.make_group("cyclic", spec["L"])
-    if kind == "hypercube":
-        return G.make_group("hypercube", spec["d"])
-    if kind == "symmetric":
-        return G.make_group("symmetric", spec["m"])
-    if kind == "lamplighter":
-        return G.make_group("lamplighter", spec["L"])
-    if kind == "table":
-        return G.make_group("table", np.asarray(spec["table"]))
-    raise SchemaError([f"group.kind: unknown kind {kind!r}"])
+    if kind not in SIZE_KEY:
+        raise SchemaError([f"group.kind: unknown kind {kind!r}"])
+    if SIZE_KEY[kind] not in spec:
+        raise SchemaError([f"group.{SIZE_KEY[kind]}: required"])
+    return G.make_group(kind, spec[SIZE_KEY[kind]])
 
 
 def build_mu(group: G.FiniteGroup, spec: dict) -> G.StepDistribution:
@@ -100,137 +177,77 @@ def build_mu(group: G.FiniteGroup, spec: dict) -> G.StepDistribution:
 
 
 def build_grid(cfg: ExperimentConfig) -> np.ndarray:
-    from .metrics import geometric_grid
-
-    spec = cfg.grid or {}
-    gtype = spec.get("type", "geometric")
-    if gtype == "explicit":
-        return np.asarray(sorted(set(int(v) for v in spec["values"])), dtype=np.int64)
-    if gtype == "geometric":
-        return geometric_grid(int(spec["n_max"]), cfg.points_per_decade)
-    raise SchemaError([f"grid.type: unknown type {gtype!r}"])
+    if cfg.grid.get("type") == "explicit":
+        return np.asarray(cfg.grid["values"], dtype=np.int64)
+    return geometric_grid(cfg.grid["n_max"], cfg.points_per_decade)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     problems = validate_config(doc)
     if problems:
         raise SchemaError(problems)
-    return ExperimentConfig(
-        kind=doc["kind"],
-        group=doc["group"],
-        mu=doc["mu"],
-        alphas=[float(a) for a in doc["alphas"]],
-        grid=doc.get("grid"),
-        replicas=int(doc.get("replicas", 1)),
-        seed=int(doc["seed"]),
-        estimator=doc.get("estimator", "exact"),
-        epsilons=[float(e) for e in doc.get("epsilons", [0.25])],
-        sizes=[int(s) for s in doc.get("sizes", [])],
-        n_max=int(doc.get("n_max", 6)),
-        output_dir=doc.get("output_dir", "srrw-out"),
-        smoothing_bandwidth=doc.get("smoothing_bandwidth"),
-        threads=doc.get("threads"),
-        points_per_decade=int(doc.get("points_per_decade", 40)),
-        raw=doc,
-    )
+    return ExperimentConfig(**{k: f.parse(doc.get(k, f.default)) for k, f in FIELDS.items()})
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        doc = json.load(fh)
-    return parse_config(doc)
+        return parse_config(json.load(fh))
 
 
 def validate_config(doc: dict) -> list[str]:
     """Full schema + capacity prevalidation; returns all problems found."""
-    problems: list[str] = []
+    if not isinstance(doc, dict):
+        return ["config: not a JSON object"]
+    problems = [f"{name}: unknown field" for name in doc if name not in FIELDS]
 
     def bad(pathstr, msg):
         problems.append(f"{pathstr}: {msg}")
 
-    if not isinstance(doc, dict):
-        return ["config: not a JSON object"]
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        bad("schema_version", f"must be {SCHEMA_VERSION}")
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        bad("kind", f"must be one of {KINDS}")
-    group_spec = doc.get("group")
-    group = None
-    if not isinstance(group_spec, dict):
-        bad("group", "must be an object")
-    else:
-        try:
-            group = build_group(group_spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            bad("group", str(exc))
-    mu_spec = doc.get("mu")
-    mu = None
-    if not isinstance(mu_spec, dict):
-        bad("mu", "must be an object")
-    elif group is not None:
-        try:
-            mu = build_mu(group, mu_spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            bad("mu", str(exc))
-    alphas = doc.get("alphas")
-    if not isinstance(alphas, list) or not alphas:
-        bad("alphas", "must be a nonempty list")
-    else:
-        for i, a in enumerate(alphas):
-            if not isinstance(a, (int, float)) or not 0.0 <= float(a) < 1.0:
-                bad(f"alphas[{i}]", "must lie in [0, 1)")
-    replicas = doc.get("replicas", 1)
-    if not isinstance(replicas, int) or replicas < 1:
-        bad("replicas", "must be an integer >= 1")
-    seed = doc.get("seed")
-    if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
-        bad("seed", "must be a 64-bit integer")
-    est = doc.get("estimator", "exact")
-    if est not in ESTIMATORS:
-        bad("estimator", f"must be one of {ESTIMATORS}")
-    grid = doc.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            bad("grid", "must be an object")
+    v = {}  # the fields that passed their checks, defaults filled in
+    for name, f in FIELDS.items():
+        if name not in doc and f.default is REQUIRED:
+            bad(name, "required")
+        elif f.check(value := doc.get(name, f.default)):
+            v[name] = value
         else:
-            gtype = grid.get("type", "geometric")
-            if gtype == "explicit":
-                vals = grid.get("values")
-                if not isinstance(vals, list) or not vals:
-                    bad("grid.values", "must be a nonempty list")
-                elif sorted(set(vals)) != vals or any(
-                    not isinstance(v, int) or v < 1 for v in vals
-                ):
-                    bad("grid.values", "must be strictly increasing positive integers")
-            elif gtype == "geometric":
-                if not isinstance(grid.get("n_max"), int) or grid["n_max"] < 1:
-                    bad("grid.n_max", "must be an integer >= 1")
-            else:
-                bad("grid.type", "must be 'explicit' or 'geometric'")
-    elif kind in ("tv-curve", "mixing-scan"):
-        bad("grid", f"required for kind {kind!r}")
+            bad(name, f"must be {f.rule}")
 
-    epsilons = doc.get("epsilons", [0.25])
-    if not isinstance(epsilons, list) or not epsilons:
-        bad("epsilons", "must be a nonempty list")
-    else:
-        for i, e in enumerate(epsilons):
-            if not isinstance(e, (int, float)) or not 0.0 < float(e) < 1.0:
-                bad(f"epsilons[{i}]", "must lie in (0, 1)")
+    def build(pathstr, builder, *args):
+        try:
+            return builder(*args)
+        except SchemaError as exc:
+            problems.extend(exc.problems)
+        except (KeyError, TypeError, ValueError) as exc:
+            bad(pathstr, str(exc))
 
-    # capacity prevalidation
+    group = build("group", build_group, v["group"]) if "group" in v else None
+    mu = build("mu", build_mu, group, v["mu"]) if "mu" in v and group is not None else None
+    name, est, grid = v.get("kind"), v.get("estimator"), v.get("grid")
+    kind = KINDS.get(name, Kind())  # an unknown kind runs the config's estimator
+    if kind.needs_grid and "grid" in v and grid is None:
+        bad("grid", f"required for kind {name!r}")
+    if kind.sizes is not None:
+        if est is not None and est != kind.estimator:
+            bad("estimator", f"kind {name!r} runs the {kind.estimator!r} estimator only")
+        size_ok, rule = kind.sizes
+        if "sizes" in v and not (v["sizes"] and all(map(size_ok, v["sizes"]))):
+            bad("sizes", f"must be a nonempty list of {rule}")
+    if name == "oracle-check" and "n_max" in v and not 1 <= v["n_max"] <= ORACLE_N_CAP:
+        bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
+    if (kind.estimator or est) == "exact":
+        # the oracle's caps, for curves as for oracle-check
+        if kind.needs_grid and grid is not None:
+            n = max(grid["values"]) if grid.get("type") == "explicit" else grid["n_max"]
+            if n > ORACLE_N_CAP:
+                bad("grid", f"the exact estimator needs n <= {ORACLE_N_CAP}, got {n}")
+        if group is not None and group.order > GROUP_CAP:
+            bad("group", f"the exact estimator needs order <= {GROUP_CAP}")
+
     if group is not None:
-        if kind == "profiles" and group.order > EXHAUSTIVE_CAP:
+        if name == "profiles" and group.order > EXHAUSTIVE_CAP:
             bad("group", f"exhaustive profiles capped at order {EXHAUSTIVE_CAP}, got {group.order}")
-        if kind == "profiles" and group.order < 2:
+        if name == "profiles" and group.order < 2:
             bad("group", f"profiles need a group of order >= 2 (got {group.order})")
-        if kind == "oracle-check":
-            n_max = doc.get("n_max", 6)
-            if not isinstance(n_max, int) or not 1 <= n_max <= ORACLE_N_CAP:
-                bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
-            if group.order > GROUP_CAP:
-                bad("group", f"oracle check needs order <= {GROUP_CAP}")
         # these estimators compute one fixed walk's curve and ignore mu otherwise
         if est == "rao-blackwell":
             if group.kind != "cyclic" or group.order % 2 == 0 or group.order < 3:
@@ -244,19 +261,4 @@ def validate_config(doc: dict) -> list[str]:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if est == "endpoint" and not group.has_table:
             bad("estimator", "endpoint sampling needs group order <= 4096")
-    if kind in _SCALING_RULES:
-        estimator, size_ok, rule = _SCALING_RULES[kind]
-        if est != estimator:
-            bad("estimator", f"kind {kind!r} runs the {estimator!r} estimator only")
-        sizes = doc.get("sizes")
-        if not isinstance(sizes, list) or not sizes or any(
-            not isinstance(s, int) or not size_ok(s) for s in sizes
-        ):
-            bad("sizes", f"must be a nonempty list of {rule}")
-    thr = doc.get("threads")
-    if thr is not None and (not isinstance(thr, int) or thr < 1):
-        bad("threads", "must be an integer >= 1")
-    bw = doc.get("smoothing_bandwidth")
-    if bw is not None and (not isinstance(bw, (int, float)) or bw <= 0):
-        bad("smoothing_bandwidth", "must be a positive number")
     return problems

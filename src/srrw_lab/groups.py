@@ -440,9 +440,6 @@ class StepDistribution:
             out[g] = p
         return out
 
-    def as_name_dict(self) -> dict:
-        return {self.group.element_name(g): p for g, p in self.items}
-
     @staticmethod
     def from_names(group: FiniteGroup, named: dict) -> "StepDistribution":
         return StepDistribution(

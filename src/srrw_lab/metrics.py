@@ -1,12 +1,13 @@
 """Distance curves, Monte Carlo estimators, spectral quantities, and
 mixing-time extraction.
 
-Every Monte Carlo estimator is a view over one pass, ``_forest_sums``: it
+Every Monte Carlo estimator is a view over one pass, ``_forest_chunks``: it
 grows the percolated forests in replica chunks, hands each grid time's
 cluster-size histogram to the estimator's ``terms``, sums the returned terms
-into per-grid arrays of the chunk and adds the chunks' arrays in chunk
-order; the estimator then reduces those sums to values and delta-method
-stderrs.
+into per-grid arrays of the chunk and yields the chunks' arrays in chunk
+order.  ``_forest_sums`` adds them up in that order; the cycle curve also
+merges the chunks' centred second moments pairwise.  The estimator then
+reduces those sums to values and delta-method stderrs.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
@@ -368,15 +369,15 @@ class _CycleTables:
         return 1.0 / self.L + (2.0 / self.L) * (self.dft @ phi)
 
 
-def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms):
-    """Per-grid sums over all replicas of ``terms(histo)``.
+def _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms):
+    """Each replica chunk's per-grid sums of ``terms(histo)``, in chunk order.
 
     Every estimator is a view over this one pass.  Replicas evolve in chunks
     (chunk ci on RNG stream ci); at each grid time ``terms`` maps the chunk's
     cluster-size histogram mod `modulus` to a tuple of arrays, already summed
-    over the chunk's replicas.  Returns one array per term, indexed by grid
-    position first.  Chunks are added in chunk-index order, so the sums are
-    bit-identical for every thread count.
+    over the chunk's replicas.  Yields, per chunk of ``chunk_ranges(replicas,
+    chunk)``, one array per term, indexed by grid position first.  Chunks come
+    in chunk-index order for every thread count.
     """
     grid = np.asarray(grid, dtype=np.int64)
 
@@ -397,28 +398,22 @@ def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, te
 
     tasks = enumerate(chunk_ranges(replicas, chunk))
     parallel = bool(threads) and threads > 1
-    totals: list[np.ndarray] = []
-    # a chunk sums into its own arrays, which join the totals in order
     with ThreadPoolExecutor(max_workers=threads if parallel else 1) as pool:
-        for sums in (pool.map if parallel else map)(work, tasks):
-            if totals:
-                for acc, part in zip(totals, sums):
-                    acc += part
-            else:
-                totals = sums
+        yield from (pool.map if parallel else map)(work, tasks)
+
+
+def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms):
+    """Per-grid sums over all replicas of ``terms(histo)`` (see ``_forest_chunks``).
+
+    The chunks' sums are added in chunk-index order, so the totals are
+    bit-identical for every thread count.
+    """
+    chunks = _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms)
+    totals = next(chunks)
+    for sums in chunks:
+        for acc, part in zip(totals, sums):
+            acc += part
     return totals
-
-
-def _cycle_phi_sums(tables, alpha, grid, replicas, master_seed, chunk, threads):
-    """Per-grid sums over replicas of phi and of the outer products phi phi^T."""
-
-    def terms(histo):
-        phi = tables.phi(histo)
-        return phi.sum(axis=0), phi.T @ phi
-
-    return _forest_sums(
-        alpha, grid, 2 * tables.L, replicas, master_seed, chunk, threads, terms
-    )
 
 
 def rao_blackwell_cycle_curve(
@@ -438,7 +433,29 @@ def rao_blackwell_cycle_curve(
     """
     tables = _CycleTables(L)
     grid = np.asarray(grid, dtype=np.int64)
-    total, outer = _cycle_phi_sums(tables, alpha, grid, replicas, master_seed, chunk, threads)
+
+    def terms(histo):
+        # phi around the chunk's first replica: equal replicas give exactly 0
+        phi = tables.phi(histo)
+        dphi = phi - phi[0]
+        return phi.sum(axis=0), phi[0], dphi.sum(axis=0), dphi.T @ dphi
+
+    # per grid point: the sum of phi, and the mean and centred second moment
+    # of phi over the replicas so far, merged chunk by chunk (Chan et al.)
+    chunks = _forest_chunks(alpha, grid, 2 * L, replicas, master_seed, chunk, threads, terms)
+    n = 0
+    for (start, stop), (s, shift, ds, dd) in zip(chunk_ranges(replicas, chunk), chunks):
+        m = stop - start
+        mean_c = shift + ds / m
+        m2_c = dd - ds[:, :, None] * ds[:, None, :] / m
+        if n == 0:
+            total, mean, m2 = s, mean_c, m2_c
+        else:
+            total += s
+            delta = mean_c - mean
+            m2 += m2_c + (n * m / (n + m)) * delta[:, :, None] * delta[:, None, :]
+            mean += (m / (n + m)) * delta
+        n += m
     phi_mean = total / replicas
     C = (2.0 / L) * tables.dft
     values = np.empty(grid.size)
@@ -447,12 +464,9 @@ def rao_blackwell_cycle_curve(
         dev = C @ phi_mean[i]
         values[i] = 0.5 * float(np.abs(dev).sum())
         if replicas >= 2:
-            cov_phi = (outer[i] / replicas - np.outer(phi_mean[i], phi_mean[i])) / (
-                replicas - 1
-            )
-            s = np.sign(dev)
-            grad = 0.5 * (C.T @ s)
-            stderrs[i] = math.sqrt(max(float(grad @ cov_phi @ grad), 0.0))
+            grad = 0.5 * (C.T @ np.sign(dev))
+            var = float(grad @ m2[i] @ grad) / (replicas * (replicas - 1))
+            stderrs[i] = math.sqrt(max(var, 0.0))
     return DistanceCurve(
         group_desc=f"cyclic(L={L})",
         alpha=alpha,
@@ -485,7 +499,10 @@ def rao_blackwell_cycle_distribution(
     from .groups import CyclicGroup
 
     tables = _CycleTables(L)
-    total, _ = _cycle_phi_sums(tables, alpha, [n], replicas, master_seed, chunk, threads)
+    (total,) = _forest_sums(
+        alpha, [n], 2 * L, replicas, master_seed, chunk, threads,
+        lambda histo: (tables.phi(histo).sum(axis=0),),
+    )
     probs = tables.distribution_from_phi(total[0] / replicas)
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()

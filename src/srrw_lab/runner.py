@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import metrics, oracle
-from .config import ExperimentConfig, build_grid, build_group, build_mu
+from .config import KINDS, ExperimentConfig, build_grid, build_group, build_mu
 from .dist import write_csv
-from .errors import SchemaError
 from .evolving import iso_profile
 from .forest import sample_cluster_size_counts
 from .special import cutoff_constant
@@ -35,13 +34,10 @@ from .walk import sample_endpoints_direct
 # per-section seed offsets keep sections decorrelated but reproducible
 SECTION_SEED_STRIDE = 1_000_003
 
-# kinds whose section runs one fixed estimator, whatever the config names
-FIXED_ESTIMATORS = {"forest-stats": "forest-mc", "profiles": "exhaustive", "oracle-check": "exact"}
-
 
 def _estimator(cfg: ExperimentConfig) -> str:
     """The estimator a config's section runs (its rows' ``estimator`` column)."""
-    return FIXED_ESTIMATORS.get(cfg.kind, cfg.estimator)
+    return KINDS[cfg.kind].estimator or cfg.estimator
 
 
 @dataclass
@@ -52,14 +48,13 @@ class RunResult:
 
 
 def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
-    threads = cfg.resolved_threads()
     if cfg.estimator == "rao-blackwell":
         return metrics.rao_blackwell_cycle_curve(
-            group.order, alpha, grid, cfg.replicas, seed, threads=threads
+            group.order, alpha, grid, cfg.replicas, seed, threads=cfg.threads
         )
     if cfg.estimator == "hypercube-weight":
         return metrics.hypercube_tv_curve(
-            group.d, alpha, grid, cfg.replicas, seed, threads=threads
+            group.d, alpha, grid, cfg.replicas, seed, threads=cfg.threads
         )
     if cfg.estimator == "endpoint":
         values, errs = [], []
@@ -90,7 +85,6 @@ def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
             values=curve.values[keep],
             stderrs=curve.stderrs[keep],
         )
-    raise SchemaError([f"estimator: {cfg.estimator!r} not runnable for kind {cfg.kind!r}"])
 
 
 def _cycle_horizon0(L: int, alpha: float) -> int:
@@ -195,7 +189,7 @@ def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
             runout = mixing_time(
                 size, alpha, eps, cfg.replicas, seed, study.horizon0(size, alpha),
                 points_per_decade=cfg.points_per_decade,
-                threads=cfg.resolved_threads(),
+                threads=cfg.threads,
                 curves=curves,
             )
             est = runout.estimate
@@ -297,7 +291,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "estimator": _estimator(cfg),
         "replicas": cfg.replicas,
         "seed": cfg.seed,
-        "threads": cfg.resolved_threads(),
+        "threads": cfg.threads,
         "wall_clock_s": round(time.monotonic() - t0, 3),
         "outputs": outputs,
         "guard_triggered": guard,

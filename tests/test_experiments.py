@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from srrw_lab.config import parse_config, validate_config
 from srrw_lab.errors import SchemaError
 from srrw_lab.presets import preset_config, preset_names
 from srrw_lab.runner import run
+
+
+DROP = object()  # an override that removes the field
 
 
 def base_config(tmp_path, **overrides):
@@ -164,6 +168,49 @@ class TestValidation:
             grid={"type": "explicit", "values": [1, 2]},
         )
         assert validate_config(doc) == []
+
+    @pytest.mark.parametrize(
+        "kind, overrides, env, field",
+        [
+            # these used to validate and then end in a traceback or a KeyError
+            ("tv-curve", {"points_per_decade": "x"}, None, "points_per_decade"),
+            ("tv-curve", {"n_max": "x"}, None, "n_max"),
+            ("tv-curve", {"sizes": 5}, None, "sizes"),
+            ("forest-stats", {"grid": DROP}, None, "grid"),
+            ("tv-curve", {"group": {"kind": "cyclic"}}, None, "group.L"),
+            ("tv-curve", {"points_per_decade": 0}, None, "points_per_decade"),
+            ("oracle-check", {"replicas": True}, None, "replicas"),
+            ("oracle-check", {"output_dir": 3}, None, "output_dir"),
+            # the exact estimator's caps hold for curves as for oracle-check
+            ("tv-curve", {"grid": {"type": "geometric", "n_max": 12}}, None, "grid"),
+            ("tv-curve", {"group": {"kind": "symmetric", "m": 7}}, None, "group"),
+            # a misspelt field used to run with the default
+            ("oracle-check", {"replica": 100}, None, "replica"),
+            ("oracle-check", {}, "abc", "threads"),
+        ],
+    )
+    def test_every_config_that_validates_can_run(
+        self, tmp_path, monkeypatch, kind, overrides, env, field
+    ):
+        doc = _small_config(tmp_path, kind, **overrides)
+        doc = {k: v for k, v in doc.items() if v is not DROP}
+        if env is not None:
+            monkeypatch.setenv("SRRW_LAB_THREADS", env)
+        assert [p.split(":")[0] for p in validate_config(doc)] == [field]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", "cfg.json"]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_readme_field_table_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| field | default | rule |\n")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()[1:]]
+        documented = {n.strip().strip("`"): d.strip().strip("`") for n, d in rows}
+        assert documented == {
+            name: "required" if f.default is config.REQUIRED else json.dumps(f.default)
+            for name, f in config.FIELDS.items()
+        }
 
     def test_programming_errors_are_not_config_problems(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -478,7 +525,7 @@ class TestCli:
     def test_threads_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SRRW_LAB_THREADS", "2")
         cfg = parse_config(base_config(tmp_path))
-        assert cfg.resolved_threads() == 2
+        assert cfg.threads == 2
 
 
 class TestExplicitMuConfigs:

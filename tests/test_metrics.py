@@ -10,6 +10,8 @@ from srrw_lab import groups as G
 from srrw_lab import metrics as M
 from srrw_lab import oracle as O
 from srrw_lab.errors import CapacityError, DomainError, ParameterError
+from srrw_lab.forest import evolve_size_histograms
+from srrw_lab.streams import chunk_ranges, stream
 
 
 def make_curve(ns, values, **kw):
@@ -250,6 +252,39 @@ class TestRaoBlackwell:
     def test_even_L_rejected(self):
         with pytest.raises(ParameterError):
             M.rao_blackwell_cycle_distribution(6, 0.5, 3, 10, 0)
+
+    def test_stderr_zero_when_every_replica_has_the_same_forest(self):
+        # alpha = 0: every cluster is a singleton, so every replica has one phi
+        grid = [1, 2, 3, 4, 5, 6, 7, 40, 300]
+        curve = M.rao_blackwell_cycle_curve(9, 0.0, grid, 1000, 7, chunk=300)
+        assert curve.stderrs.tolist() == [0.0] * len(grid)
+
+    def test_stderr_matches_centred_per_replica_reference(self):
+        # reference: the two-pass variance of the per-replica scalar phi . grad,
+        # over every replica's phi taken from the chunks' own forest streams.
+        # Tolerance: the rounding floor of a quadratic form in a centred second
+        # moment, eps |grad|^2 sum_r |phi_r - mean|^2, which matters where every
+        # replica has the same phi . grad (n <= 6 here) although phi differs
+        L, alpha, replicas, seed, chunk = 9, 0.6, 1000, 7, 300
+        grid = [1, 2, 3, 4, 5, 6, 17, 40, 300]
+        curve = M.rao_blackwell_cycle_curve(L, alpha, grid, replicas, seed, chunk=chunk)
+        tab = M._CycleTables(L)
+        phis = [[] for _ in grid]
+        for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
+            evolve_size_histograms(
+                alpha, grid, 2 * L, stop - start, stream(seed, ci),
+                lambda gi, t, histo: phis[gi].append(tab.phi(histo)),
+            )
+        C = (2.0 / L) * tab.dft
+        pairs = replicas * (replicas - 1)
+        for i, parts in enumerate(phis):
+            phi = np.concatenate(parts)
+            grad = 0.5 * (C.T @ np.sign(C @ phi.mean(axis=0)))
+            x = phi @ grad
+            ref = math.sqrt(float(((x - x.mean()) ** 2).sum()) / pairs)
+            spread = float(((phi - phi.mean(axis=0)) ** 2).sum())
+            floor = math.sqrt(np.finfo(float).eps * float(grad @ grad) * spread / pairs)
+            assert abs(curve.stderrs[i] - ref) <= 4 * floor + 1e-12 * ref + 1e-16
 
 
 class TestFourierBound:
