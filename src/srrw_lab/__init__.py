@@ -17,7 +17,6 @@ from .forest import (
     expected_isolated_exact,
     forest_from_choices,
     grow_forest,
-    growth_factor,
 )
 from .groups import (
     FiniteGroup,
@@ -44,10 +43,9 @@ from .oracle import (
     exact_tv_curve,
     negative_correlation_check,
 )
-from .special import AlphaParams, beta_n, cutoff_constant, hyp2f1_half, theta_k
+from .special import beta_n, cutoff_constant, hyp2f1_half, theta_k
 from .streams import stream
 from .walk import (
-    SpinAssignment,
     WalkPath,
     conditional_kernel_product,
     sample_path_direct,
@@ -57,7 +55,6 @@ from .walk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaParams",
     "CapacityError",
     "ClusterStats",
     "ContractError",
@@ -70,7 +67,6 @@ __all__ = [
     "ParameterError",
     "ReducibilityError",
     "SchemaError",
-    "SpinAssignment",
     "SrrwError",
     "StepDistribution",
     "WalkPath",
@@ -90,7 +86,6 @@ __all__ = [
     "forest_from_choices",
     "fourier_tv_bound_cycle",
     "grow_forest",
-    "growth_factor",
     "hyp2f1_half",
     "irreducibility_certificate",
     "linf_distance",

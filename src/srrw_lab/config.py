@@ -24,7 +24,7 @@ from . import groups as G
 from .errors import SchemaError
 from .evolving import EXHAUSTIVE_CAP
 from .metrics import geometric_grid
-from .oracle import GROUP_CAP, ORACLE_N_CAP
+from .oracle import ORACLE_N_CAP, SPIN_CAP
 
 SCHEMA_VERSION = 1
 
@@ -235,13 +235,23 @@ def validate_config(doc: dict) -> list[str]:
     if name == "oracle-check" and "n_max" in v and not 1 <= v["n_max"] <= ORACLE_N_CAP:
         bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
     if (kind.estimator or est) == "exact":
-        # the oracle's caps, for curves as for oracle-check
+        # the oracle's caps, for curves (to their last grid point) as for oracle-check
+        n_field, n = ("grid", None) if kind.needs_grid else ("n_max", v.get("n_max"))
         if kind.needs_grid and grid is not None:
             n = max(grid["values"]) if grid.get("type") == "explicit" else grid["n_max"]
             if n > ORACLE_N_CAP:
                 bad("grid", f"the exact estimator needs n <= {ORACLE_N_CAP}, got {n}")
-        if group is not None and group.order > GROUP_CAP:
-            bad("group", f"the exact estimator needs order <= {GROUP_CAP}")
+        if group is not None and group.order > G.TABLE_CAP:
+            bad("group", f"the exact estimator needs order <= {G.TABLE_CAP}")
+        # at alpha > 0 some forest of nonzero weight has floor(n/2) clusters of
+        # size >= 2, and the oracle enumerates a spin in supp mu for each
+        if mu is not None and n is not None and 1 <= n <= ORACLE_N_CAP and any(v.get("alphas", ())):
+            if (nsup := len(mu.support)) ** (n // 2) > SPIN_CAP:
+                bad(
+                    n_field,
+                    f"the exact estimator's spin enumeration needs |support|^floor(n/2)"
+                    f" <= {SPIN_CAP} at alpha > 0, got {nsup}**{n // 2} at n = {n}",
+                )
 
     if group is not None:
         if name == "profiles" and group.order > EXHAUSTIVE_CAP:
@@ -260,5 +270,5 @@ def validate_config(doc: dict) -> list[str]:
             elif mu is not None and mu.items != G.lazy_hypercube_mu(group).items:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if est == "endpoint" and not group.has_table:
-            bad("estimator", "endpoint sampling needs group order <= 4096")
+            bad("estimator", f"endpoint sampling needs group order <= {G.TABLE_CAP}")
     return problems

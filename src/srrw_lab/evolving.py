@@ -132,12 +132,12 @@ def complement_duality_check(group: FiniteGroup, kernel: np.ndarray, W0) -> floa
     W0 = frozenset(int(x) for x in W0)
     full = frozenset(range(group.order))
     law_c = {}
-    for p, s in step_law(W0, kernel) if W0 else [(1.0, frozenset())]:
+    for p, s in step_law(W0, kernel):
         comp = full - s
         law_c[comp] = law_c.get(comp, 0.0) + p
     Wc = full - W0
     law_2 = {}
-    for p, s in step_law(Wc, kernel) if Wc else [(1.0, frozenset())]:
+    for p, s in step_law(Wc, kernel):
         law_2[s] = law_2.get(s, 0.0) + p
     keys = set(law_c) | set(law_2)
     return max(abs(law_c.get(k, 0.0) - law_2.get(k, 0.0)) for k in keys)
@@ -154,12 +154,6 @@ def root_profile_psi(W, P_mu: np.ndarray) -> float:
     sizes = np.sqrt(np.arange(1, qs.size))
     exp_sqrt = float(np.sum((qs[:-1] - qs[1:]) * sizes))
     return 1.0 - exp_sqrt / math.sqrt(len(W))
-
-
-def kernel_reverse(P: np.ndarray) -> np.ndarray:
-    """Time-reversal of a doubly stochastic kernel (plain transpose)."""
-    P = np.asarray(P)
-    return P.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +199,6 @@ class ProfileTable:
             raise DomainError(f"r={r} below 1/|G|")
         i = int(np.searchsorted(self.rs, min(r, self.rs[-1]), side="right")) - 1
         return float(self.phi[i])
-
-    def psi_at(self, r: float) -> float:
-        if r < self.rs[0]:
-            raise DomainError(f"r={r} below 1/|G|")
-        i = int(np.searchsorted(self.rs, min(r, self.rs[-1]), side="right")) - 1
-        return float(self.psi[i])
 
     def to_csv(self, path):
         write_csv(

@@ -177,11 +177,6 @@ def expected_isolated_exact(n: int, alpha: float) -> float:
     return (1.0 - alpha) * n / (1.0 + alpha) + 2.0 * alpha * n * b / (1.0 + alpha)
 
 
-def growth_factor(t: int, n: int, alpha: float) -> float:
-    """a_n / a_t: conditional mean size at time n of a cluster isolated at t."""
-    return special.growth_ratio(t, n, alpha)
-
-
 # ---------------------------------------------------------------------------
 # Replica batches at a single time
 # ---------------------------------------------------------------------------
@@ -192,23 +187,6 @@ def sample_batch_choices(n: int, alpha: float, count: int, rng: np.random.Genera
     xi = rng.random((count, n - 1)) < alpha
     u = rng.integers(1, np.arange(2, n + 1)[None, :], size=(count, n - 1)).astype(np.int32)
     return xi, u
-
-
-def sample_batch_labels(
-    n: int, alpha: float, replicas: int, master_seed: int, first_stream: int = 0
-) -> np.ndarray:
-    """Root labels of `replicas` independent forests, one RNG stream each chunk."""
-    alpha = _check_alpha(alpha)
-    rng = stream(master_seed, first_stream)
-    return batch_root_labels(*sample_batch_choices(n, alpha, replicas, rng))
-
-
-def sample_isolated_counts(
-    n: int, alpha: float, replicas: int, master_seed: int, chunk: int = 1000
-) -> np.ndarray:
-    """I(n) for `replicas` forests, chunked to bound memory."""
-    counts, _ = sample_cluster_size_counts(n, alpha, replicas, master_seed, k_max=1, chunk=chunk)
-    return counts[:, 0]
 
 
 def sample_cluster_size_counts(
@@ -222,12 +200,14 @@ def sample_cluster_size_counts(
     """Per-replica (N_1..N_k_max, odd-cluster count) at time n.
 
     Returns (counts, odd) with counts of shape (replicas, k_max) and odd of
-    shape (replicas,).
+    shape (replicas,).  Chunk ci of the replicas draws from RNG stream ci.
     """
+    alpha = _check_alpha(alpha)
     counts = np.zeros((replicas, k_max), dtype=np.int64)
     odd = np.zeros(replicas, dtype=np.int64)
     for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
-        labels = sample_batch_labels(n, alpha, stop - start, master_seed, first_stream=ci)
+        rng = stream(master_seed, ci)
+        labels = batch_root_labels(*sample_batch_choices(n, alpha, stop - start, rng))
         for r in range(stop - start):
             sizes = np.bincount(labels[r])
             live = sizes[sizes > 0]

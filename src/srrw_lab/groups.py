@@ -161,9 +161,6 @@ class HypercubeGroup(FiniteGroup):
             raise ParameterError(f"coordinate must be in 1..{self.d}")
         return 1 << (k - 1)
 
-    def weight(self, a: int) -> int:
-        return bin(a).count("1")
-
     def element_name(self, a):
         return "".join(str((a >> i) & 1) for i in range(self.d))
 
@@ -641,7 +638,6 @@ def gamma_inv_gamma_closure(group: FiniteGroup, support) -> frozenset:
 class DistributionPredicates:
     symmetric: bool
     class_function: bool
-    lazy_atom: bool
     support_symmetric: bool  # case (i)
     support_union_of_classes: bool  # case (ii)
     identity_in_support: bool  # case (iii)
@@ -675,7 +671,6 @@ def distribution_predicates(group: FiniteGroup, mu: StepDistribution) -> Distrib
     return DistributionPredicates(
         symmetric=symmetric,
         class_function=class_function,
-        lazy_atom=identity_in_support,
         support_symmetric=support_symmetric,
         support_union_of_classes=support_union,
         identity_in_support=identity_in_support,

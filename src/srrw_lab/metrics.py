@@ -5,8 +5,9 @@ Every Monte Carlo estimator is a view over one pass, ``_forest_chunks``: it
 grows the percolated forests in replica chunks, hands each grid time's
 cluster-size histogram to the estimator's ``terms``, sums the returned terms
 into per-grid arrays of the chunk and yields the chunks' arrays in chunk
-order.  ``_forest_sums`` adds them up in that order; the cycle curve also
-merges the chunks' centred second moments pairwise.  The estimator then
+order.  ``_forest_sums`` adds them up in that order; ``_forest_moments``
+also merges the chunks' centred second moments pairwise, for the cycle
+curve and the Fourier bound.  The estimator then
 reduces those sums to values and delta-method stderrs.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
@@ -32,7 +33,7 @@ import numpy as np
 from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
 from .forest import evolve_size_histograms
-from .groups import FiniteGroup, StepDistribution, transition_matrix
+from .groups import TABLE_CAP, FiniteGroup, StepDistribution, transition_matrix
 from .streams import chunk_ranges, stream
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,6 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     return v
 
 
-SPECTRAL_SYM_CAP = 4096
 SPECTRAL_GEN_CAP = 512
 
 
@@ -259,21 +259,14 @@ def spectral_gap(group: FiniteGroup, mu: StepDistribution) -> SpectralGap:
             return SpectralGap(lam_star, 1.0 - lam_star)
         raise CapacityError("hypercube spectral gap needs weight<=1 support or d <= 16")
 
-    preds_symmetric = all(
-        abs(p - mu.prob(group.inv(g))) <= 1e-12 for g, p in mu.items
-    )
-    if preds_symmetric:
-        if group.order > SPECTRAL_SYM_CAP:
-            raise CapacityError(f"symmetric eigensolver capped at {SPECTRAL_SYM_CAP}")
-        lam = np.linalg.eigvalsh(transition_matrix(group, mu))
-        order = np.argsort(np.abs(lam - 1.0))
-        lam_star = float(np.abs(lam[order[1:]]).max())
-        return SpectralGap(lam_star, 1.0 - lam_star)
-    if group.order > SPECTRAL_GEN_CAP:
-        raise CapacityError(
-            f"general eigensolver unsupported beyond order {SPECTRAL_GEN_CAP}"
-        )
-    lam = np.linalg.eigvals(transition_matrix(group, mu))
+    if all(abs(p - mu.prob(group.inv(g))) <= 1e-12 for g, p in mu.items):
+        eig, cap, limit = np.linalg.eigvalsh, TABLE_CAP, "symmetric eigensolver capped at"
+    else:
+        eig, cap = np.linalg.eigvals, SPECTRAL_GEN_CAP
+        limit = "general eigensolver unsupported beyond order"
+    if group.order > cap:
+        raise CapacityError(f"{limit} {cap}")
+    lam = eig(transition_matrix(group, mu))
     order = np.argsort(np.abs(lam - 1.0))
     lam_star = float(np.abs(lam[order[1:]]).max())
     return SpectralGap(lam_star, 1.0 - lam_star)
@@ -416,6 +409,40 @@ def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, te
     return totals
 
 
+def _forest_moments(alpha, grid, modulus, replicas, master_seed, chunk, threads, rows):
+    """Per-grid sum and centred second moment of the replicas' ``rows(histo)``.
+
+    ``rows`` maps a chunk's cluster-size histogram to one row per replica,
+    shape (R, K).  Each chunk sums its rows, and the outer products of its
+    rows, around the chunk's first row, so equal rows give exactly 0; the
+    chunks' means and centred second moments are merged in chunk order by
+    the pairwise update of Chan, Golub and LeVeque.  Returns (sum, M2) of
+    shapes (grid, K) and (grid, K, K); the sums are added in chunk order as
+    in ``_forest_sums``.
+    """
+
+    def terms(histo):
+        x = rows(histo)
+        dx = x - x[0]
+        return x.sum(axis=0), x[0], dx.sum(axis=0), dx.T @ dx
+
+    chunks = _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms)
+    n = 0
+    for (start, stop), (s, shift, ds, dd) in zip(chunk_ranges(replicas, chunk), chunks):
+        m = stop - start
+        mean_c = shift + ds / m
+        m2_c = dd - ds[:, :, None] * ds[:, None, :] / m
+        if n == 0:
+            total, mean, m2 = s, mean_c, m2_c
+        else:
+            total += s
+            delta = mean_c - mean
+            m2 += m2_c + (n * m / (n + m)) * delta[:, :, None] * delta[:, None, :]
+            mean += (m / (n + m)) * delta
+        n += m
+    return total, m2
+
+
 def rao_blackwell_cycle_curve(
     L: int,
     alpha: float,
@@ -434,28 +461,9 @@ def rao_blackwell_cycle_curve(
     tables = _CycleTables(L)
     grid = np.asarray(grid, dtype=np.int64)
 
-    def terms(histo):
-        # phi around the chunk's first replica: equal replicas give exactly 0
-        phi = tables.phi(histo)
-        dphi = phi - phi[0]
-        return phi.sum(axis=0), phi[0], dphi.sum(axis=0), dphi.T @ dphi
-
-    # per grid point: the sum of phi, and the mean and centred second moment
-    # of phi over the replicas so far, merged chunk by chunk (Chan et al.)
-    chunks = _forest_chunks(alpha, grid, 2 * L, replicas, master_seed, chunk, threads, terms)
-    n = 0
-    for (start, stop), (s, shift, ds, dd) in zip(chunk_ranges(replicas, chunk), chunks):
-        m = stop - start
-        mean_c = shift + ds / m
-        m2_c = dd - ds[:, :, None] * ds[:, None, :] / m
-        if n == 0:
-            total, mean, m2 = s, mean_c, m2_c
-        else:
-            total += s
-            delta = mean_c - mean
-            m2 += m2_c + (n * m / (n + m)) * delta[:, :, None] * delta[:, None, :]
-            mean += (m / (n + m)) * delta
-        n += m
+    total, m2 = _forest_moments(
+        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, tables.phi
+    )
     phi_mean = total / replicas
     C = (2.0 / L) * tables.dft
     values = np.empty(grid.size)
@@ -521,16 +529,15 @@ def fourier_tv_bound_cycle(
     """Monte Carlo estimate of the Fourier upper bound on TV^2.
 
     The bound is (1/2) sum_{k=1}^{(L-1)/2} E prod_j cos^2(pi k |C_j| / L);
-    returns (estimate, stderr) with the stderr over replicas.
+    returns (estimate, stderr) with the stderr sqrt(sum_r (v_r - mean)^2) / R
+    over the replicas' terms v_r.
     """
     tables = _CycleTables(L)
-    s, ss = _forest_sums(
+    total, m2 = _forest_moments(
         alpha, [n], 2 * L, replicas, master_seed, chunk, threads,
-        lambda histo: ((v := tables.bound_terms(histo)).sum(), (v**2).sum()),
+        lambda histo: tables.bound_terms(histo)[:, None],
     )
-    mean = float(s[0]) / replicas
-    var = max(float(ss[0]) / replicas - mean**2, 0.0)
-    return mean, math.sqrt(var / replicas)
+    return float(total[0, 0]) / replicas, math.sqrt(max(float(m2[0, 0, 0]), 0.0)) / replicas
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,11 @@ import numpy as np
 from .dist import DistributionVector
 from .errors import CapacityError, ParameterError
 from .forest import ForestPath, batch_root_labels
-from .groups import FiniteGroup, StepDistribution, transition_matrix
+from .groups import TABLE_CAP, FiniteGroup, StepDistribution, transition_matrix
 from .special import _check_alpha
 
 ORACLE_N_CAP = 9
 SPIN_CAP = 100_000
-GROUP_CAP = 4096
 
 
 def _check_n(n: int) -> int:
@@ -136,8 +135,8 @@ def exact_endpoint_distribution(
     are enumerated (at most |support|^(#big clusters) <= spin_cap
     combinations per forest).
     """
-    if group.order > GROUP_CAP:
-        raise CapacityError(f"oracle needs group order <= {GROUP_CAP}")
+    if group.order > TABLE_CAP:
+        raise CapacityError(f"oracle needs group order <= {TABLE_CAP}")
     n = _check_n(n)
     alpha = _check_alpha(alpha)
     P = transition_matrix(group, mu)

@@ -11,7 +11,6 @@ Everything is evaluated through log-gamma so it stays finite up to n = 1e9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
@@ -155,22 +154,3 @@ def odd_cluster_density(alpha: float) -> float:
     alpha = _check_alpha_open(alpha)
     return 0.5 * (1.0 - alpha) * hyp2f1_half(alpha)
 
-
-@dataclass(frozen=True)
-class AlphaParams:
-    """Bundle of the alpha-derived constants used by the experiment runner."""
-
-    alpha: float
-    f_half: float = field(init=False)
-    cutoff: float = field(init=False)
-
-    def __post_init__(self):
-        _check_alpha_open(self.alpha)
-        object.__setattr__(self, "f_half", hyp2f1_half(self.alpha))
-        object.__setattr__(self, "cutoff", cutoff_constant(self.alpha))
-
-    def theta(self, k: int) -> float:
-        return theta_k(self.alpha, k)
-
-    def beta(self, n: int) -> float:
-        return beta_n(n, self.alpha)

@@ -42,19 +42,6 @@ class WalkPath:
         return int(self.positions[-1])
 
 
-@dataclass
-class SpinAssignment:
-    """Group element per cluster root; roots not present are 'free' (mu-integrated)."""
-
-    spins: dict  # root label -> element index
-
-    def __contains__(self, root: int) -> bool:
-        return root in self.spins
-
-    def __getitem__(self, root: int) -> int:
-        return self.spins[root]
-
-
 class _MuSampler:
     """Inverse-CDF sampling over the support of mu (deterministic given the rng)."""
 
@@ -158,8 +145,9 @@ def sample_path_forest(
 ):
     """One SRRW path via the forest construction.
 
-    Returns (forest, spins, walk); the walk's step j is the spin of the
-    cluster containing vertex j.
+    Returns (forest, spins, walk): ``spins`` maps each cluster root label to
+    its element index, and the walk's step j is the spin of the cluster
+    containing vertex j.
     """
     alpha = _check_alpha(alpha)
     if n < 1:
@@ -168,13 +156,11 @@ def sample_path_forest(
     sampler = _MuSampler(mu)
     roots = forest.roots()
     spin_values = sampler.draw(rng, roots.size)
-    spins = SpinAssignment({int(r): int(g) for r, g in zip(roots, spin_values)})
+    spins = {int(r): int(g) for r, g in zip(roots, spin_values)}
     return forest, spins, walk_from_forest(group, forest, spins, seed=seed)
 
 
-def walk_from_forest(
-    group: FiniteGroup, forest: ForestPath, spins: SpinAssignment, seed=None
-) -> WalkPath:
+def walk_from_forest(group: FiniteGroup, forest: ForestPath, spins: dict, seed=None) -> WalkPath:
     """Ordered product of root spins: step j is the spin of vertex j's cluster."""
     steps = np.array([spins[int(r)] for r in forest.labels], dtype=np.int64)
     return WalkPath(
@@ -217,7 +203,7 @@ def conditional_kernel_product(
     group: FiniteGroup,
     mu: StepDistribution,
     forest: ForestPath,
-    spins: SpinAssignment | dict,
+    spins: dict,
 ) -> DistributionVector:
     """delta_e * P_1 ... P_n for the forest-induced kernel sequence.
 
@@ -225,8 +211,6 @@ def conditional_kernel_product(
     permutation in O(|G|)); steps in spin-free clusters must be isolated and
     use the Markov kernel P_mu.
     """
-    if isinstance(spins, dict):
-        spins = SpinAssignment(spins)
     P = transition_matrix(group, mu)
     sizes = forest.cluster_sizes_at()
     idx = np.arange(group.order)

@@ -75,7 +75,7 @@ def test_a3_expected_isolated_formula():
     mc_ok = True
     n, R = 10_000, 10_000
     for alpha in (0.3, 0.5, 0.9):
-        counts = F.sample_isolated_counts(n, alpha, R, master_seed=301, chunk=2000)
+        counts = F.sample_cluster_size_counts(n, alpha, R, 301, k_max=1, chunk=2000)[0][:, 0]
         se = counts.std(ddof=1) / math.sqrt(R)
         dev = abs(counts.mean() - F.expected_isolated_exact(n, alpha))
         mc_ok &= dev < 4 * se

@@ -437,14 +437,6 @@ class TestTrajectories:
             E.evolving_trajectory(f, {}, z, G.simple_cycle_mu(z), stream(6, 0), {0})
 
 
-class TestKernelReverse:
-    def test_transpose_of_doubly_stochastic(self, lazy_z5_kernel):
-        _, _, P = lazy_z5_kernel
-        Pbar = E.kernel_reverse(P)
-        assert np.abs(Pbar.sum(axis=1) - 1.0).max() < 1e-12
-        assert np.array_equal(E.kernel_reverse(Pbar), P)
-
-
 @pytest.mark.slow
 class TestLamplighterDemo:
     def test_exhaustive_profile_at_the_cap(self):

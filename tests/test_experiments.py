@@ -187,6 +187,23 @@ class TestValidation:
             # a misspelt field used to run with the default
             ("oracle-check", {"replica": 100}, None, "replica"),
             ("oracle-check", {}, "abc", "threads"),
+            # the oracle's spin enumeration: 24^4 spin combinations at n = 8
+            (
+                "oracle-check",
+                {"group": {"kind": "symmetric", "m": 4}, "alphas": [0.5], "n_max": 8},
+                None,
+                "n_max",
+            ),
+            (
+                "tv-curve",
+                {
+                    "group": {"kind": "symmetric", "m": 4},
+                    "alphas": [0.5],
+                    "grid": {"type": "explicit", "values": [1, 8]},
+                },
+                None,
+                "grid",
+            ),
         ],
     )
     def test_every_config_that_validates_can_run(

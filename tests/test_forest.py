@@ -130,7 +130,7 @@ class TestExpectedIsolated:
     def test_monte_carlo_mean_within_4_sigma(self):
         n, R = 1000, 20_000
         for a in (0.2, 0.5, 0.8):
-            counts = F.sample_isolated_counts(n, a, R, master_seed=101, chunk=5000)
+            counts = F.sample_cluster_size_counts(n, a, R, 101, k_max=1, chunk=5000)[0][:, 0]
             mean = counts.mean()
             se = counts.std(ddof=1) / np.sqrt(R)
             assert abs(mean - F.expected_isolated_exact(n, a)) < 4 * se + 1e-9
@@ -138,14 +138,14 @@ class TestExpectedIsolated:
 
 class TestGrowthFactor:
     def test_trivial(self):
-        assert F.growth_factor(9, 9, 0.4) == pytest.approx(1.0, abs=1e-14)
-        assert F.growth_factor(1, 2, 0.5) == pytest.approx(1.5, abs=1e-12)
+        assert sp.growth_ratio(9, 9, 0.4) == pytest.approx(1.0, abs=1e-14)
+        assert sp.growth_ratio(1, 2, 0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_monte_carlo_cross_check(self):
         # mean final size of clusters isolated at time t, vs a_n / a_t
         t, n, alpha, R = 100, 400, 0.5, 4000
-        target = F.growth_factor(t, n, alpha)
-        labels = F.sample_batch_labels(n, alpha, R, master_seed=77)
+        target = sp.growth_ratio(t, n, alpha)
+        labels = F.batch_root_labels(*F.sample_batch_choices(n, alpha, R, stream(77, 0)))
         reps = []
         for r in range(R):
             at_t = np.bincount(labels[r, :t], minlength=n + 1)
@@ -160,7 +160,7 @@ class TestGrowthFactor:
         # P(I(n) <= (1-alpha) n / 8) is tiny at n = 500
         n, R = 500, 10_000
         for a in (0.2, 0.5, 0.8):
-            counts = F.sample_isolated_counts(n, a, R, master_seed=55, chunk=5000)
+            counts = F.sample_cluster_size_counts(n, a, R, 55, k_max=1, chunk=5000)[0][:, 0]
             frac = float((counts <= (1 - a) * n / 8).mean())
             assert frac <= 0.01
 

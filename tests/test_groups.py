@@ -291,7 +291,7 @@ class TestPredicates:
     def test_lazy_atom_implies_generates_under_certificate(self):
         for group, mu in fixture_battery():
             preds = G.distribution_predicates(group, mu)
-            if not preds.lazy_atom:
+            if not preds.identity_in_support:
                 continue
             try:
                 G.irreducibility_certificate(G.transition_matrix(group, mu))
@@ -344,7 +344,7 @@ class TestPredicates:
         )
         preds = G.distribution_predicates(s3, mu)
         assert not preds.class_function
-        assert preds.lazy_atom and preds.gamma_gamma_inv_generates
+        assert preds.identity_in_support and preds.gamma_gamma_inv_generates
 
 
 class TestRandomizedAxioms100k:

@@ -156,6 +156,16 @@ class TestSpectralGap:
         sg = M.spectral_gap(s3, G.uniform_mu(s3))
         assert sg.lambda_star == pytest.approx(0.0, abs=1e-12)
 
+    def test_general_dense_path_value(self):
+        # non-symmetric mu generating S_3: the sign character gives 0 and the
+        # 2-dimensional irrep has eigenvalues 0 and -1/2
+        s3 = G.make_group("symmetric", 3)
+        mu = G.StepDistribution(s3, {s3.from_cycles((1, 2)): 0.5, s3.from_cycles((1, 2, 3)): 0.5})
+        assert not G.distribution_predicates(s3, mu).symmetric
+        sg = M.spectral_gap(s3, mu)
+        assert sg.lambda_star == pytest.approx(0.5, abs=1e-12)
+        assert sg.gamma_star == pytest.approx(0.5, abs=1e-12)
+
     def test_capacity_for_general_matrices(self):
         lam = G.make_group("lamplighter", 8)  # order 2048 > 512, non-symmetric mu
         mu = G.StepDistribution(
@@ -313,6 +323,29 @@ class TestFourierBound:
             bound, _ = M.fourier_tv_bound_cycle(3, 0.5, n, 4000, 29, chunk=1000)
             exact_tv = z3_oracle_curves[(0.5, n)].tv_to_uniform()
             assert bound >= exact_tv**2 - 4e-3
+
+    def test_stderr_zero_when_every_replica_has_the_same_forest(self):
+        # alpha = 0: every cluster is a singleton, so every replica has one term
+        bound, se = M.fourier_tv_bound_cycle(9, 0.0, 7, 1000, 7, chunk=300)
+        assert bound > 0.0 and se == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+    def test_stderr_matches_centred_per_replica_reference(self, n):
+        # reference: the two-pass spread of the per-replica terms, over every
+        # replica's term taken from the chunks' own forest streams; a sum of R
+        # terms carries at most about R eps relative rounding
+        L, alpha, replicas, seed, chunk = 9, 0.6, 1000, 7, 300
+        _, se = M.fourier_tv_bound_cycle(L, alpha, n, replicas, seed, chunk=chunk)
+        tab = M._CycleTables(L)
+        parts = []
+        for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
+            evolve_size_histograms(
+                alpha, [n], 2 * L, stop - start, stream(seed, ci),
+                lambda gi, t, histo: parts.append(tab.bound_terms(histo)),
+            )
+        v = np.concatenate(parts)
+        ref = math.sqrt(float(((v - v.mean()) ** 2).sum())) / replicas
+        assert se == pytest.approx(ref, rel=replicas * np.finfo(float).eps, abs=0.0)
 
 
 class TestWeightChain:

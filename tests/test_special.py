@@ -39,6 +39,8 @@ class TestThetaK:
         with pytest.raises(ParameterError):
             sp.theta_k(0.0, 1)
         with pytest.raises(ParameterError):
+            sp.theta_k(1.0, 1)
+        with pytest.raises(ParameterError):
             sp.theta_k(0.5, 0)
 
 
@@ -118,18 +120,3 @@ class TestGrowthA:
     def test_no_overflow_at_huge_n(self):
         val = sp.growth_ratio(10**6, 10**9, 0.5)
         assert np.isfinite(val) and val > 1.0
-
-
-class TestAlphaParams:
-    def test_bundle(self):
-        ap = sp.AlphaParams(0.5)
-        assert ap.f_half == pytest.approx(sp.hyp2f1_half(0.5))
-        assert ap.cutoff == pytest.approx(sp.cutoff_constant(0.5))
-        assert ap.theta(1) == pytest.approx(1 / 3, abs=1e-12)
-        assert ap.beta(2) == pytest.approx(0.25, abs=1e-12)
-
-    def test_rejects_endpoints(self):
-        with pytest.raises(ParameterError):
-            sp.AlphaParams(0.0)
-        with pytest.raises(ParameterError):
-            sp.AlphaParams(1.0)

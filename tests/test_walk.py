@@ -68,7 +68,7 @@ class TestDirectSampler:
 class TestForestSampler:
     def test_worked_configuration_product(self, z3, mu3):
         f = F.forest_from_choices([1, 0, 0, 0, 1, 1], [1, 1, 2, 3, 4, 4], alpha=0.5)
-        spins = W.SpinAssignment({1: 1, 3: 2, 4: 1, 5: 2})
+        spins = {1: 1, 3: 2, 4: 1, 5: 2}
         walk = W.walk_from_forest(z3, f, spins)
         # S_7 = g1^2 g3 g4 g5 g4^2
         g = {1: 1, 3: 2, 4: 1, 5: 2}
@@ -79,7 +79,7 @@ class TestForestSampler:
     def test_alpha_zero_is_iid_product(self, z3, mu3):
         f, spins, walk = W.sample_path_forest(z3, mu3, 0.0, 20, stream(5, 0))
         assert np.array_equal(f.labels, np.arange(1, 21))
-        assert len(spins.spins) == 20
+        assert len(spins) == 20
 
     def test_both_constructions_agree_with_oracle(self, z3, mu3):
         n, R = 5, 100_000
