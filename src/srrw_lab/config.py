@@ -21,10 +21,10 @@ from typing import Callable
 import numpy as np
 
 from . import groups as G
-from .errors import SchemaError
+from .errors import CapacityError, SchemaError
 from .evolving import EXHAUSTIVE_CAP
 from .metrics import geometric_grid
-from .oracle import ORACLE_N_CAP, SPIN_CAP
+from .oracle import ORACLE_N_CAP, check_spin_cap
 
 SCHEMA_VERSION = 1
 
@@ -243,15 +243,13 @@ def validate_config(doc: dict) -> list[str]:
                 bad("grid", f"the exact estimator needs n <= {ORACLE_N_CAP}, got {n}")
         if group is not None and group.order > G.TABLE_CAP:
             bad("group", f"the exact estimator needs order <= {G.TABLE_CAP}")
-        # at alpha > 0 some forest of nonzero weight has floor(n/2) clusters of
-        # size >= 2, and the oracle enumerates a spin in supp mu for each
-        if mu is not None and n is not None and 1 <= n <= ORACLE_N_CAP and any(v.get("alphas", ())):
-            if (nsup := len(mu.support)) ** (n // 2) > SPIN_CAP:
-                bad(
-                    n_field,
-                    f"the exact estimator's spin enumeration needs |support|^floor(n/2)"
-                    f" <= {SPIN_CAP} at alpha > 0, got {nsup}**{n // 2} at n = {n}",
-                )
+        if mu is not None and n is not None and 1 <= n <= ORACLE_N_CAP:
+            for alpha in v.get("alphas", ()):
+                try:
+                    check_spin_cap(mu, alpha, n)
+                except CapacityError as exc:
+                    bad(n_field, str(exc))
+                    break
 
     if group is not None:
         if name == "profiles" and group.order > EXHAUSTIVE_CAP:

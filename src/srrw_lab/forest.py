@@ -178,15 +178,45 @@ def expected_isolated_exact(n: int, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Replica batches at a single time
+# The Monte Carlo draw: one uniform per vertex (stream layout v2)
 # ---------------------------------------------------------------------------
+
+STREAM_LAYOUT = 2  # version of the draw rule and draw order; bumped when either changes
+RNG_BLOCK = 128  # steps drawn per RNG call in the evolution; sets memory only
+
+
+def choices_from_uniforms(U: np.ndarray, alpha: float, j) -> tuple[np.ndarray, np.ndarray]:
+    """Retention bits and parent choices of vertices ``j`` from one uniform each.
+
+    ``xi = U < alpha`` and ``u = 1 + floor((U / alpha) * (j - 1))``, clamped to
+    ``j - 1``; ``j`` broadcasts against ``U``, and ``U`` is overwritten.  Given
+    ``xi``, ``U / alpha`` is uniform on [0, 1), so u is uniform on 1..j-1 up to
+    a float bias of order j 2^-53; the clamp catches products that round up.
+    A fresh vertex gets u = j - 1, which no forest reads.  At alpha = 0 every
+    vertex is fresh and nothing is divided.
+    """
+    xi = U < alpha
+    if alpha > 0.0:
+        with np.errstate(over="ignore"):  # U / alpha may overflow; the clamp bounds it
+            U /= alpha
+        U *= j - 1
+        np.minimum(U, j - 2, out=U)
+    else:
+        U[...] = j - 2
+    u = U.astype(np.intp)
+    u += 1
+    return xi, u
 
 
 def sample_batch_choices(n: int, alpha: float, count: int, rng: np.random.Generator):
-    """Draw (xi, u), each of shape (count, n-1), for vertices 2..n of `count` forests."""
-    xi = rng.random((count, n - 1)) < alpha
-    u = rng.integers(1, np.arange(2, n + 1)[None, :], size=(count, n - 1)).astype(np.int32)
-    return xi, u
+    """Draw (xi, u), each of shape (count, n-1), for vertices 2..n of `count` forests.
+
+    The uniforms are drawn replica-major, one per vertex
+    (see ``choices_from_uniforms``).
+    """
+    U = rng.random((count, n - 1))
+    xi, u = choices_from_uniforms(U, alpha, np.arange(2, n + 1))
+    return xi, u.astype(np.int32)
 
 
 def sample_cluster_size_counts(
@@ -221,7 +251,44 @@ def sample_cluster_size_counts(
 # Streaming evolution: cluster-size histograms (mod M) along a time grid
 # ---------------------------------------------------------------------------
 
-RNG_BLOCK = 512  # steps of (xi, u) drawn per RNG call; part of the stream layout
+
+def _time_dtype(horizon: int):
+    return np.int16 if horizon < 2**15 else np.int32
+
+
+def _residue_dtype(modulus: int):
+    return np.int8 if modulus <= 128 else np.int16 if modulus <= 2**15 else np.int32
+
+
+def state_nbytes(count: int, horizon: int, modulus: int) -> int:
+    """Bytes of the root times and residues of `count` forests grown to `horizon`."""
+    per_slot = np.dtype(_time_dtype(horizon)).itemsize
+    per_slot += np.dtype(_residue_dtype(modulus)).itemsize
+    return (horizon + 1) * count * per_slot
+
+
+@dataclass
+class EvolveState:
+    """`count` forests grown to time ``t`` by ``evolve_size_histograms``.
+
+    Slot ``t' * count + r`` is vertex t' of replica r: ``root_time`` holds the
+    time of its cluster root, whose slot is ``root_time * count + r``, and
+    ``residue``, at root slots, the cluster size mod the modulus.  ``histo``
+    is the histogram at time t and ``rng`` the generator, positioned after
+    the uniforms of times 2..t.
+    """
+
+    t: int
+    root_time: np.ndarray
+    residue: np.ndarray
+    histo: np.ndarray
+    rng: np.random.Generator
+
+
+def _extended(a: np.ndarray, size: int, dtype) -> np.ndarray:
+    out = np.zeros(size, dtype=dtype)
+    out[: a.size] = a
+    return out
 
 
 def evolve_size_histograms(
@@ -229,9 +296,10 @@ def evolve_size_histograms(
     grid: np.ndarray,
     modulus: int,
     count: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     collect: Callable[[int, int, np.ndarray], None],
-) -> None:
+    state: EvolveState | None = None,
+) -> EvolveState:
     """Grow `count` forests to max(grid), tracking cluster sizes mod `modulus`.
 
     At every grid time t, calls ``collect(grid_index, t, histo)`` where
@@ -239,54 +307,73 @@ def evolve_size_histograms(
     s mod `modulus`.  The histogram is all any consumer needs: conditional
     cycle Fourier coefficients depend on sizes mod L (or 2L), and the odd
     cluster count for the hypercube reduction is the modulus-2 case.
+
+    Vertex t of replica r takes the ((t - 2) * count + r)-th double of
+    ``rng`` (time-major, one per vertex, see ``choices_from_uniforms``), so
+    the forests at time t depend neither on the horizon nor on `RNG_BLOCK`,
+    and a run to 2h is a run to h continued.  Returns the state at max(grid).
+    Passing it back as ``state``, with ``rng`` None, continues those forests
+    on the generator the state holds, collecting only at grid times after
+    ``state.t``; the state is updated in place.
     """
     alpha = _check_alpha(alpha)
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[0] < 1 or np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be nonempty, strictly increasing, with min >= 1")
     horizon = int(grid[-1])
-    # Time-major flat state: slot t * count + r is vertex t of replica r.
-    # ``root_slot`` holds the slot of each vertex's cluster root and starts as
-    # the vertex's own slot, so a fresh vertex already points at itself;
-    # ``residue`` holds, at root slots, the cluster size mod `modulus`.
-    slot_type = np.int32 if (horizon + 1) * count < 2**31 else np.int64
-    root_slot = np.arange((horizon + 1) * count, dtype=slot_type)
-    residue = np.zeros((horizon + 1) * count, dtype=np.int32)
-    succ = (np.arange(1, modulus + 1) % modulus).astype(np.int32)
-    histo = np.zeros((count, modulus), dtype=np.int64)
+    slots = (horizon + 1) * count
+    new = state is None
+    if new:
+        empty = np.empty(0, dtype=np.int8)
+        histo = np.zeros((count, modulus), dtype=np.int64)
+        state = EvolveState(1, empty, empty, histo, rng)
+    elif rng is not None or state.histo.shape != (count, modulus) or state.t > horizon:
+        raise ParameterError(
+            "a resumed evolution takes rng=None and the state's count and modulus,"
+            " and cannot end before the state's time"
+        )
+    state.root_time = _extended(state.root_time, slots, _time_dtype(horizon))
+    state.residue = _extended(state.residue, slots, _residue_dtype(modulus))
+    root_time, residue, histo = state.root_time, state.residue, state.histo
+    succ = (np.arange(1, modulus + 1) % modulus).astype(residue.dtype)
     histo_flat = histo.reshape(-1)
-    rows = np.arange(count, dtype=np.int64)
-    histo_rows = (rows * modulus).astype(np.int32)
-    residue[count : 2 * count] = 1 % modulus
-    histo[:, 1 % modulus] += 1
-    grid_pos = {int(t): i for i, t in enumerate(grid)}
-    if 1 in grid_pos:
-        collect(grid_pos[1], 1, histo)
-    t = 2
+    rows = np.arange(count, dtype=np.intp)
+    histo_rows = rows * modulus
+    grid_pos = {int(t): i for i, t in enumerate(grid) if new or t > state.t}
+    if new:
+        root_time[count : 2 * count] = 1
+        residue[count : 2 * count] = 1 % modulus
+        histo[:, 1 % modulus] += 1
+        if 1 in grid_pos:
+            collect(grid_pos[1], 1, histo)
+    t = state.t + 1
     while t <= horizon:
         t_hi = min(t + RNG_BLOCK, horizon + 1)
-        nsteps = t_hi - t
-        xi_blk = rng.random((nsteps, count)) < alpha
-        u_blk = rng.integers(
-            1, np.arange(t, t_hi, dtype=np.int64)[:, None], size=(nsteps, count)
-        )
-        # a fresh vertex reads its own slot, a retained one its parent's
-        np.copyto(u_blk, np.arange(t, t_hi)[:, None], where=~xi_blk)
+        times = np.arange(t, t_hi, dtype=np.intp)[:, None]
+        xi_blk, u_blk = choices_from_uniforms(state.rng.random((t_hi - t, count)), alpha, times)
+        # a retained vertex reads its parent's slot; a fresh one, whose u is
+        # t - 1, reads its own, which holds its own time and residue 0: a root
+        # of size 0
+        u_blk += ~xi_blk
         u_blk *= count
         u_blk += rows
-        xi_int = xi_blk.view(np.int8)
-        for i in range(nsteps):
+        root_time[t * count : t_hi * count].reshape(-1, count)[:] = times
+        xi_int = xi_blk.astype(np.int64)
+        for i in range(t_hi - t):
             tt = t + i
-            root = root_slot.take(u_blk[i])
-            root_slot[tt * count : (tt + 1) * count] = root
+            root_t = root_time.take(u_blk[i])
+            root_time[tt * count : (tt + 1) * count] = root_t
+            root = root_t.astype(np.intp)  # the root slots, in intp for three index ops
+            root *= count
+            root += rows
             r_old = residue.take(root)
             r_new = succ.take(r_old)
             residue[root] = r_new
             # a fresh root's slot held residue 0, so -xi leaves its row alone
-            r_old += histo_rows
-            histo_flat[r_old] -= xi_int[i]
-            r_new += histo_rows
-            histo_flat[r_new] += 1
+            np.subtract.at(histo_flat, histo_rows + r_old, xi_int[i])
+            np.add.at(histo_flat, histo_rows + r_new, 1)
             if tt in grid_pos:
                 collect(grid_pos[tt], tt, histo)
         t = t_hi
+    state.t = horizon
+    return state

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
-from .forest import evolve_size_histograms
+from .forest import evolve_size_histograms, state_nbytes
 from .groups import TABLE_CAP, FiniteGroup, StepDistribution, transition_matrix
 from .streams import chunk_ranges, stream
 
@@ -362,7 +362,29 @@ class _CycleTables:
         return 1.0 / self.L + (2.0 / self.L) * (self.dft @ phi)
 
 
-def _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms):
+STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between doublings
+
+
+@dataclass
+class Checkpoint:
+    """Where a resumable forest pass stopped, kept by a scan between doublings.
+
+    ``grid`` is the grid the pass summed, ``sums`` its per-grid sums over all
+    replicas and ``states`` every chunk's forest state at ``grid[-1]``.  A
+    pass given a checkpoint with states resumes them on a grid that extends
+    ``grid``.  It leaves its own states behind if they fit in
+    ``STATE_BUDGET``, and none otherwise, so that the next pass starts over
+    from t = 2; the stream layout makes both ways give the same bytes.
+    """
+
+    grid: np.ndarray | None = None
+    sums: tuple = ()
+    states: list = field(default_factory=list)
+
+
+def _forest_chunks(
+    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
+):
     """Each replica chunk's per-grid sums of ``terms(histo)``, in chunk order.
 
     Every estimator is a view over this one pass.  Replicas evolve in chunks
@@ -370,9 +392,19 @@ def _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, 
     cluster-size histogram mod `modulus` to a tuple of arrays, already summed
     over the chunk's replicas.  Yields, per chunk of ``chunk_ranges(replicas,
     chunk)``, one array per term, indexed by grid position first.  Chunks come
-    in chunk-index order for every thread count.
+    in chunk-index order for every thread count.  A pass that resumes
+    ``checkpoint`` sums only the grid points after the checkpoint's grid.
     """
     grid = np.asarray(grid, dtype=np.int64)
+    ranges = chunk_ranges(replicas, chunk)
+    resume = checkpoint is not None and bool(checkpoint.states)
+    states = checkpoint.states if resume else [None] * len(ranges)
+    first = checkpoint.grid.size if resume else 0
+    keep = checkpoint is not None and STATE_BUDGET >= sum(
+        state_nbytes(stop - start, int(grid[-1]), modulus) for start, stop in ranges
+    )
+    if checkpoint is not None:
+        checkpoint.states = [None] * len(ranges) if keep else []
 
     def work(task):
         ci, (start, stop) = task
@@ -381,35 +413,76 @@ def _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, 
         def collect(gi, t, histo):
             parts = terms(histo)
             if not sums:
-                sums.extend(np.zeros((grid.size, *np.shape(p)), np.result_type(p)) for p in parts)
+                sums.extend(
+                    np.zeros((grid.size - first, *np.shape(p)), np.result_type(p)) for p in parts
+                )
             for acc, p in zip(sums, parts):
-                acc[gi] += p
+                acc[gi - first] += p
 
-        rng = stream(master_seed, ci)
-        evolve_size_histograms(alpha, grid, modulus, stop - start, rng, collect)
+        state, states[ci] = states[ci], None
+        rng = None if state else stream(master_seed, ci)
+        state = evolve_size_histograms(alpha, grid, modulus, stop - start, rng, collect, state)
+        if keep:
+            checkpoint.states[ci] = state
         return sums
 
-    tasks = enumerate(chunk_ranges(replicas, chunk))
+    tasks = enumerate(ranges)
     parallel = bool(threads) and threads > 1
     with ThreadPoolExecutor(max_workers=threads if parallel else 1) as pool:
         yield from (pool.map if parallel else map)(work, tasks)
 
 
-def _forest_sums(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms):
+def _resumed_sums(grid, checkpoint) -> tuple:
+    """The checkpoint's sums if a pass over ``grid`` resumes it, else ()."""
+    if checkpoint is None or not checkpoint.states:
+        return ()
+    done = checkpoint.grid
+    if grid.size <= done.size or not np.array_equal(grid[: done.size], done):
+        raise ParameterError("a resumed pass needs a grid that extends the checkpoint's")
+    return checkpoint.sums
+
+
+def _joined(old: tuple, new: tuple, grid, checkpoint) -> tuple:
+    """The resumed sums followed by the pass's own, recorded in the checkpoint.
+
+    A term whose trailing shape grows with the horizon (a histogram over
+    0..horizon) is zero-padded on the shorter grid's points.
+    """
+    if old:
+        joined = []
+        for o, n in zip(old, new):
+            pad = [(0, 0)] + [(0, b - a) for a, b in zip(o.shape[1:], n.shape[1:])]
+            joined.append(np.concatenate([np.pad(o, pad), n]))
+        new = tuple(joined)
+    if checkpoint is not None:
+        checkpoint.grid, checkpoint.sums = (grid, new) if checkpoint.states else (None, ())
+    return new
+
+
+def _forest_sums(
+    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
+):
     """Per-grid sums over all replicas of ``terms(histo)`` (see ``_forest_chunks``).
 
     The chunks' sums are added in chunk-index order, so the totals are
-    bit-identical for every thread count.
+    bit-identical for every thread count, and, grid point by grid point,
+    whether or not the pass resumed ``checkpoint``.
     """
-    chunks = _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms)
+    grid = np.asarray(grid, dtype=np.int64)
+    old = _resumed_sums(grid, checkpoint)
+    chunks = _forest_chunks(
+        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
+    )
     totals = next(chunks)
     for sums in chunks:
         for acc, part in zip(totals, sums):
             acc += part
-    return totals
+    return _joined(old, tuple(totals), grid, checkpoint)
 
 
-def _forest_moments(alpha, grid, modulus, replicas, master_seed, chunk, threads, rows):
+def _forest_moments(
+    alpha, grid, modulus, replicas, master_seed, chunk, threads, rows, checkpoint=None
+):
     """Per-grid sum and centred second moment of the replicas' ``rows(histo)``.
 
     ``rows`` maps a chunk's cluster-size histogram to one row per replica,
@@ -418,7 +491,7 @@ def _forest_moments(alpha, grid, modulus, replicas, master_seed, chunk, threads,
     chunks' means and centred second moments are merged in chunk order by
     the pairwise update of Chan, Golub and LeVeque.  Returns (sum, M2) of
     shapes (grid, K) and (grid, K, K); the sums are added in chunk order as
-    in ``_forest_sums``.
+    in ``_forest_sums``, and the merge is elementwise per grid point.
     """
 
     def terms(histo):
@@ -426,7 +499,11 @@ def _forest_moments(alpha, grid, modulus, replicas, master_seed, chunk, threads,
         dx = x - x[0]
         return x.sum(axis=0), x[0], dx.sum(axis=0), dx.T @ dx
 
-    chunks = _forest_chunks(alpha, grid, modulus, replicas, master_seed, chunk, threads, terms)
+    grid = np.asarray(grid, dtype=np.int64)
+    old = _resumed_sums(grid, checkpoint)
+    chunks = _forest_chunks(
+        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
+    )
     n = 0
     for (start, stop), (s, shift, ds, dd) in zip(chunk_ranges(replicas, chunk), chunks):
         m = stop - start
@@ -440,7 +517,7 @@ def _forest_moments(alpha, grid, modulus, replicas, master_seed, chunk, threads,
             m2 += m2_c + (n * m / (n + m)) * delta[:, :, None] * delta[:, None, :]
             mean += (m / (n + m)) * delta
         n += m
-    return total, m2
+    return _joined(old, (total, m2), grid, checkpoint)
 
 
 def rao_blackwell_cycle_curve(
@@ -451,6 +528,7 @@ def rao_blackwell_cycle_curve(
     master_seed: int,
     chunk: int = 512,
     threads: int = 1,
+    checkpoint: Checkpoint | None = None,
 ) -> DistanceCurve:
     """TV-to-uniform curve for the reinforced simple walk on an odd cycle.
 
@@ -462,7 +540,7 @@ def rao_blackwell_cycle_curve(
     grid = np.asarray(grid, dtype=np.int64)
 
     total, m2 = _forest_moments(
-        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, tables.phi
+        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, tables.phi, checkpoint
     )
     phi_mean = total / replicas
     C = (2.0 / L) * tables.dft
@@ -580,6 +658,7 @@ def hypercube_tv_curve(
     master_seed: int,
     chunk: int = 2048,
     threads: int = 1,
+    checkpoint: Checkpoint | None = None,
 ) -> DistanceCurve:
     """TV curve of the reinforced lazy walk on the hypercube, weight-marginal form.
 
@@ -595,6 +674,7 @@ def hypercube_tv_curve(
     (counts,) = _forest_sums(
         alpha, grid, 2, replicas, master_seed, chunk, threads,
         lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
+        checkpoint,
     )
     qtable = hypercube_weight_chain_table(d, horizon + 1)
     pi = hypercube_stationary_weights(d)
@@ -636,22 +716,38 @@ class MixingRun:
     horizons_tried: list = field(default_factory=list)
 
 
-def _scan_with_retries(build_curve, epsilon, horizon0, max_doublings, curves=None):
-    """Scan ``build_curve(horizon)`` at `epsilon`, doubling the horizon while
-    the guard fires.
+def _scan_with_retries(
+    build_curve, epsilon, horizon0, points_per_decade, max_doublings, curves=None
+):
+    """Scan a curve at `epsilon`, doubling the horizon while the guard fires.
 
-    ``curves`` memoizes the curves by horizon.  A curve depends only on the
-    seed, the replicas and the horizon's grid, so scans at several epsilons
-    over one (alpha, size, seed) may share a memo and evolve each horizon's
-    forests once; scans over anything else must not.
+    The first curve is ``build_curve(grid, checkpoint)`` on
+    ``geometric_grid(horizon0, points_per_decade)``.  A doubled curve keeps
+    the shorter curve's grid and appends the points of the geometric grid to
+    2h that lie above h, so it resumes the shorter curve's forest pass from
+    its checkpoint instead of regrowing the forests from t = 2.
+
+    ``curves`` memoizes (curve, checkpoint) by horizon; the longest curve
+    keeps its checkpoint while a doubling from it is still possible.  A curve
+    depends only on the seed, the replicas and its grid, so scans at several
+    epsilons over one (alpha, size, seed) may share a memo and evolve each
+    horizon's forests once; scans over anything else must not.
     """
     curves = {} if curves is None else curves
     horizon = int(horizon0)
     tried = []
     while True:
         if horizon not in curves:
-            curves[horizon] = build_curve(horizon)
-        curve = curves[horizon]
+            grid = geometric_grid(horizon, points_per_decade)
+            checkpoint = Checkpoint()
+            if tried:
+                shorter, checkpoint = curves[tried[-1]]
+                curves[tried[-1]] = (shorter, None)
+                grid = np.concatenate([shorter.ns, grid[grid > tried[-1]]])
+            curve = build_curve(grid, checkpoint)
+            doubling_possible = len(tried) < max_doublings
+            curves[horizon] = (curve, checkpoint if doubling_possible else None)
+        curve = curves[horizon][0]
         tried.append(horizon)
         est = mixing_time_scan(curve, epsilon, horizon)
         if not est.guard_triggered or len(tried) > max_doublings:
@@ -672,13 +768,13 @@ def cycle_mixing_time(
     threads: int = 1,
     curves: dict | None = None,
 ) -> MixingRun:
-    def build(horizon):
-        grid = geometric_grid(horizon, points_per_decade)
+    def build(grid, checkpoint):
         return rao_blackwell_cycle_curve(
-            L, alpha, grid, replicas, master_seed, chunk=chunk, threads=threads
+            L, alpha, grid, replicas, master_seed, chunk=chunk, threads=threads,
+            checkpoint=checkpoint,
         )
 
-    return _scan_with_retries(build, epsilon, horizon0, max_doublings, curves)
+    return _scan_with_retries(build, epsilon, horizon0, points_per_decade, max_doublings, curves)
 
 
 def hypercube_mixing_time(
@@ -694,10 +790,10 @@ def hypercube_mixing_time(
     threads: int = 1,
     curves: dict | None = None,
 ) -> MixingRun:
-    def build(horizon):
-        grid = geometric_grid(horizon, points_per_decade)
+    def build(grid, checkpoint):
         return hypercube_tv_curve(
-            d, alpha, grid, replicas, master_seed, chunk=chunk, threads=threads
+            d, alpha, grid, replicas, master_seed, chunk=chunk, threads=threads,
+            checkpoint=checkpoint,
         )
 
-    return _scan_with_retries(build, epsilon, horizon0, max_doublings, curves)
+    return _scan_with_retries(build, epsilon, horizon0, points_per_decade, max_doublings, curves)

@@ -46,6 +46,25 @@ def _check_n(n: int) -> int:
     return n
 
 
+def check_spin_cap(
+    mu: StepDistribution, alpha: float, n: int, spin_cap: int = SPIN_CAP
+) -> None:
+    """Raise ``CapacityError`` if the spin enumeration at walk length n exceeds `spin_cap`.
+
+    The oracle enumerates a spin in supp mu for each cluster of size >= 2.
+    At 0 < alpha < 1 the forest that pairs (1, 2), (3, 4), ... has nonzero
+    weight and floor(n/2) such clusters, at alpha = 1 the forest is one
+    cluster and at alpha = 0 every cluster is a singleton, so the bound is
+    reached and the check is exact.
+    """
+    big = 0 if alpha == 0.0 or n < 2 else 1 if alpha == 1.0 else n // 2
+    if (nsup := len(mu.support)) ** big > spin_cap:
+        raise CapacityError(
+            f"the oracle's spin enumeration needs |support|^(clusters of size >= 2)"
+            f" <= {spin_cap}, got {nsup}**{big} at n = {n}, alpha = {alpha}"
+        )
+
+
 @dataclass
 class EnumeratedForest:
     forest: ForestPath
@@ -132,13 +151,15 @@ def exact_endpoint_distribution(
     so spins are integrated once per distinct sequence, with the summed
     weight of its configurations.  Spins of singleton clusters are
     integrated analytically through P_mu; only non-singleton cluster roots
-    are enumerated (at most |support|^(#big clusters) <= spin_cap
-    combinations per forest).
+    are enumerated, at most |support|^(#big clusters) combinations per
+    forest, which ``check_spin_cap`` bounds by `spin_cap` before any forest
+    is enumerated.
     """
     if group.order > TABLE_CAP:
         raise CapacityError(f"oracle needs group order <= {TABLE_CAP}")
     n = _check_n(n)
     alpha = _check_alpha(alpha)
+    check_spin_cap(mu, alpha, n, spin_cap)
     P = transition_matrix(group, mu)
     support = np.array(mu.support, dtype=np.int64)
     sup_probs = np.array([p for _, p in mu.items])
@@ -169,13 +190,8 @@ def exact_endpoint_distribution(
     for labels, weight in zip(*_forest_weights(n, alpha)):
         sizes = np.bincount(labels, minlength=n + 1)
         big_roots = [r for r in range(1, n + 1) if sizes[r] >= 2]
-        B = len(big_roots)
-        if nsup**B > spin_cap:
-            raise CapacityError(
-                f"spin enumeration needs |support|^big <= {spin_cap}, got {nsup}**{B}"
-            )
         root_pos = {r: i for i, r in enumerate(big_roots)}
-        ids, wts = combos(B)
+        ids, wts = combos(len(big_roots))
         V = np.tile(delta, (ids.shape[0], 1))
         for j in range(1, n + 1):
             root = int(labels[j - 1])
@@ -194,6 +210,7 @@ def exact_tv_curve(group: FiniteGroup, mu: StepDistribution, alpha: float, n_max
     from .metrics import DistanceCurve
 
     n_max = _check_n(n_max)
+    check_spin_cap(mu, _check_alpha(alpha), n_max)  # the largest n needs the most spins
     values = [
         exact_endpoint_distribution(group, mu, alpha, n).tv_to_uniform()
         for n in range(1, n_max + 1)

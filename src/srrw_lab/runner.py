@@ -27,7 +27,7 @@ from . import metrics, oracle
 from .config import KINDS, ExperimentConfig, build_grid, build_group, build_mu
 from .dist import write_csv
 from .evolving import iso_profile
-from .forest import sample_cluster_size_counts
+from .forest import STREAM_LAYOUT, sample_cluster_size_counts
 from .special import cutoff_constant
 from .walk import sample_endpoints_direct
 
@@ -184,7 +184,9 @@ def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
     guard = False
     for si, (alpha, size) in enumerate(itertools.product(cfg.alphas, cfg.sizes)):
         seed = cfg.seed + SECTION_SEED_STRIDE * si
-        curves: dict = {}  # every epsilon of this section scans the same curves
+        # every epsilon of this section scans the same curves, and a doubling
+        # resumes the forests of the longest one
+        curves: dict = {}
         for eps in cfg.epsilons:
             runout = mixing_time(
                 size, alpha, eps, cfg.replicas, seed, study.horizon0(size, alpha),
@@ -291,6 +293,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "estimator": _estimator(cfg),
         "replicas": cfg.replicas,
         "seed": cfg.seed,
+        "stream_layout": STREAM_LAYOUT,
         "threads": cfg.threads,
         "wall_clock_s": round(time.monotonic() - t0, 3),
         "outputs": outputs,

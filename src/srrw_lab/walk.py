@@ -20,7 +20,13 @@ import numpy as np
 
 from .dist import DistributionVector
 from .errors import ContractError, ParameterError
-from .forest import ForestPath, batch_root_labels, grow_forest, sample_batch_choices
+from .forest import (
+    ForestPath,
+    batch_root_labels,
+    choices_from_uniforms,
+    grow_forest,
+    sample_batch_choices,
+)
 from .groups import FiniteGroup, StepDistribution, transition_matrix
 from .special import _check_alpha
 from .streams import chunk_ranges, stream
@@ -113,7 +119,11 @@ def sample_endpoints_direct(
     master_seed: int,
     chunk: int = 100_000,
 ) -> np.ndarray:
-    """Endpoints S_n of `replicas` direct-construction walks (vectorized)."""
+    """Endpoints S_n of `replicas` direct-construction walks (vectorized).
+
+    Step t of every replica takes one uniform for (replicate, u), by the
+    rule of ``forest.choices_from_uniforms``, then a fresh spin.
+    """
     alpha = _check_alpha(alpha)
     sampler = _MuSampler(mu)
     out = np.empty(replicas, dtype=np.int64)
@@ -124,8 +134,7 @@ def sample_endpoints_direct(
         X = np.empty((R, n + 1), dtype=np.int64)
         X[:, 1] = sampler.draw(rng, R)
         for t in range(2, n + 1):
-            replicate = rng.random(R) < alpha
-            u = rng.integers(1, t, size=R)
+            replicate, u = choices_from_uniforms(rng.random(R), alpha, t)
             fresh = sampler.draw(rng, R)
             X[:, t] = np.where(replicate, X[rows, u], fresh)
         S = np.full(R, group.identity, dtype=np.int64)

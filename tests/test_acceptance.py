@@ -157,6 +157,30 @@ def test_a7_hypercube_cutoff_constant():
     )
 
 
+def test_a7_exact_alpha0_window_explains_the_narrowing_ratio():
+    # The narrowing criterion below asks t(0.1)/t(0.9) <= 1.3 at d = 256.  The
+    # exact alpha = 0 lazy walk, whose TV(n) is the TV between row n of the
+    # weight-chain table and Binomial(d, 1/2), gives 221/62, 486/164 and
+    # 1062/411 at d = 64, 128, 256: the O(d) cutoff window is still wide there.
+    ratios = []
+    for d in (64, 128, 256):
+        n_max = int(3 * d * math.log(d))
+        q = M.hypercube_weight_chain_table(d, n_max)
+        tv = 0.5 * np.abs(q - M.hypercube_stationary_weights(d)).sum(axis=1)
+        ns = np.arange(1, n_max + 1)
+        curve = M.DistanceCurve(
+            f"hypercube(d={d})", 0.0, "exact", 0, None, ns, tv[1:], np.zeros(n_max)
+        )
+        t_01, t_09 = (M.mixing_time_scan(curve, eps) for eps in (0.1, 0.9))
+        assert not t_01.guard_triggered
+        ratios.append(t_01.t_mix / t_09.t_mix)
+    assert ratios[0] > ratios[1] > ratios[2]
+    ok = 2.4 <= ratios[2] <= 2.8
+    assert report(
+        "A7 exact alpha = 0 window", ok, "t(0.1)/t(0.9) = " + ", ".join(f"{r:.3f}" for r in ratios)
+    )
+
+
 @pytest.mark.slow
 def test_a7_hypercube_cutoff_narrowing():
     # Known to fail at desk scale: the TV cutoff window is ~(log d +- 2.5)/log d

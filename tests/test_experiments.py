@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srrw_lab import cli, config, metrics, runner
+from srrw_lab import cli, config, forest, metrics, runner
 from srrw_lab.config import parse_config, validate_config
 from srrw_lab.errors import SchemaError
 from srrw_lab.presets import preset_config, preset_names
@@ -425,6 +425,13 @@ class TestSections:
             with open(path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert rows and {row["estimator"] for row in rows} == {estimator + suffix}
+
+    @pytest.mark.parametrize("kind", sorted(config.KINDS))
+    def test_summary_records_the_stream_layout(self, tmp_path, kind):
+        cfg = parse_config(_small_config(tmp_path, kind))
+        run(cfg)
+        with open(os.path.join(cfg.output_dir, "summary.json")) as fh:
+            assert json.load(fh)["stream_layout"] == forest.STREAM_LAYOUT == 2
 
     def test_sections_call_entry_points_through_module_attributes(
         self, tmp_path, monkeypatch

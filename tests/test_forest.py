@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,8 +182,10 @@ class TestThetaDensities:
 def reference_evolve(alpha, grid, modulus, count, rng, collect):
     """Column-per-time evolution with boolean-compacted histogram updates.
 
-    The straightforward form of ``evolve_size_histograms``: same draws in the
-    same order, labels and sizes stored replica-major as (count, horizon + 1).
+    The straightforward form of ``evolve_size_histograms``: the same uniforms
+    in the same time-major order, drawn at once, with xi = U < alpha and
+    u = 1 + floor((U / alpha) (t - 1)) clamped to t - 1; labels and sizes
+    stored replica-major as (count, horizon + 1).
     """
     grid = np.asarray(grid, dtype=np.int64)
     horizon = int(grid[-1])
@@ -194,31 +199,25 @@ def reference_evolve(alpha, grid, modulus, count, rng, collect):
     grid_pos = {int(t): i for i, t in enumerate(grid)}
     if 1 in grid_pos:
         collect(grid_pos[1], 1, histo)
-    t = 2
-    while t <= horizon:
-        t_hi = min(t + F.RNG_BLOCK, horizon + 1)
-        nsteps = t_hi - t
-        xi_blk = rng.random((nsteps, count)) < alpha
-        u_blk = rng.integers(
-            1, np.arange(t, t_hi, dtype=np.int64)[:, None], size=(nsteps, count)
-        )
-        for i in range(nsteps):
-            tt = t + i
-            xi = xi_blk[i]
-            root = labels[rows, u_blk[i]]
-            r = rows[xi]
-            rt = root[xi]
-            s_old = sizes[r, rt]
-            histo[r, s_old % modulus] -= 1
-            sizes[r, rt] = s_old + 1
-            histo[r, (s_old + 1) % modulus] += 1
-            labels[:, tt] = np.where(xi, root, tt)
-            f = rows[~xi]
-            sizes[f, tt] = 1
-            histo[f, 1 % modulus] += 1
-            if tt in grid_pos:
-                collect(grid_pos[tt], tt, histo)
-        t = t_hi
+    U = rng.random((horizon - 1, count))
+    for tt in range(2, horizon + 1):
+        xi = U[tt - 2] < alpha
+        u = np.ones(count, dtype=np.int64)
+        if alpha > 0:
+            u = np.minimum(1 + np.floor(U[tt - 2] / alpha * (tt - 1)), tt - 1).astype(np.int64)
+        root = labels[rows, u]
+        r = rows[xi]
+        rt = root[xi]
+        s_old = sizes[r, rt]
+        histo[r, s_old % modulus] -= 1
+        sizes[r, rt] = s_old + 1
+        histo[r, (s_old + 1) % modulus] += 1
+        labels[:, tt] = np.where(xi, root, tt)
+        f = rows[~xi]
+        sizes[f, tt] = 1
+        histo[f, 1 % modulus] += 1
+        if tt in grid_pos:
+            collect(grid_pos[tt], tt, histo)
 
 
 class TestEvolveHistograms:
@@ -278,3 +277,135 @@ class TestEvolveHistograms:
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             F.evolve_size_histograms(0.5, np.array([5, 5]), 2, 3, stream(0, 0), lambda *a: None)
+
+
+class TestDrawRule:
+    """Stream layout v2: one uniform per vertex gives both xi and u."""
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1 / 3, 0.5, 0.7, 0.999999, 1.0])
+    def test_u_stays_in_range_just_below_alpha(self, alpha):
+        t = 10**6
+        U = np.array([np.nextafter(alpha, 0.0), 0.0, alpha, 1.0 - 2**-53])
+        xi, u = F.choices_from_uniforms(U, alpha, t)
+        assert xi.tolist() == [True, True, False, alpha == 1.0]
+        assert ((1 <= u) & (u <= t - 1)).all()
+        assert u[1] == 1
+
+    def test_alpha_zero_is_all_fresh_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi, u = F.choices_from_uniforms(stream(1, 0).random((50, 40)), 0.0, np.arange(2, 42))
+            got = []
+            F.evolve_size_histograms(
+                0.0, [1, 7, 300], 2, 5, stream(1, 0), lambda gi, t, h: got.append(h.copy())
+            )
+        assert not xi.any() and (u == np.arange(1, 41)).all()
+        assert [h[:, 1].tolist() for h in got] == [[1] * 5, [7] * 5, [300] * 5]
+
+    def test_u_uniform_and_xi_bernoulli(self):
+        # chi-square of u given xi against uniform on 1..t-1, for a few t, and a
+        # z-test of the retained share; both are far from their 1e-4 quantiles
+        from scipy import stats
+
+        alpha, t, R = 0.3, 12, 200_000
+        xi, u = F.choices_from_uniforms(stream(5, 0).random(R), alpha, t)
+        k = int(xi.sum())
+        assert abs(k - alpha * R) < 4 * math.sqrt(R * alpha * (1 - alpha))
+        counts = np.bincount(u[xi], minlength=t)[1:]
+        assert counts.sum() == k and counts.size == t - 1
+        chi2 = float(((counts - k / (t - 1)) ** 2).sum() / (k / (t - 1)))
+        assert chi2 < stats.chi2.ppf(1 - 1e-4, t - 2)
+
+    def test_batch_choices_draw_one_uniform_per_vertex_replica_major(self):
+        n, alpha, count = 30, 0.6, 7
+        xi, u = F.sample_batch_choices(n, alpha, count, stream(9, 0))
+        want_xi, want_u = F.choices_from_uniforms(
+            stream(9, 0).random((count, n - 1)), alpha, np.arange(2, n + 1)
+        )
+        assert np.array_equal(xi, want_xi) and np.array_equal(u, want_u)
+        assert u.dtype == np.int32
+
+    @pytest.mark.parametrize("modulus", [2, 66])
+    def test_evolved_histograms_match_forests_rebuilt_from_the_draws(self, modulus):
+        # the same (xi, u), taken time-major from the stream, through forest_from_choices
+        alpha, count, grid = 0.55, 6, [1, 2, 9, 40, 333]
+        got = {}
+        F.evolve_size_histograms(
+            alpha, grid, modulus, count, stream(4, 0),
+            lambda gi, t, h: got.__setitem__(t, h.copy()),
+        )
+        horizon = grid[-1]
+        times = np.arange(2, horizon + 1)[:, None]
+        xi, u = F.choices_from_uniforms(stream(4, 0).random((horizon - 1, count)), alpha, times)
+        for r in range(count):
+            forest = F.forest_from_choices(xi[:, r], u[:, r], alpha)
+            for t in grid:
+                sizes = forest.cluster_sizes_at(t)
+                want = np.bincount(sizes[sizes > 0] % modulus, minlength=modulus)
+                assert np.array_equal(got[t][r], want), (r, t)
+
+
+class TestResumableEvolution:
+    GRID = [1, 2, 3, 5, 8, 40, 127, 128, 129, 300, 301, 700]
+
+    def _run(self, alpha, modulus, count, seed, grids):
+        """Evolve through ``grids`` in turn, each call resuming the last state."""
+        seen, state = [], None
+        for grid in grids:
+            rng = None if state else stream(seed, 0)
+            state = F.evolve_size_histograms(
+                alpha, grid, modulus, count, rng,
+                lambda gi, t, h: seen.append((gi, t, h.copy())), state,
+            )
+        return seen, state
+
+    @pytest.mark.parametrize("modulus", [2, 66, 300])
+    def test_resumed_run_matches_one_pass(self, modulus):
+        alpha, count = 0.6, 9
+        full = self.GRID
+        one, s1 = self._run(alpha, modulus, count, 3, [full])
+        split, s2 = self._run(alpha, modulus, count, 3, [full[:6], full[:9], full])
+        assert [(gi, t) for gi, t, _ in split] == [(gi, t) for gi, t, _ in one]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(split, one))
+        assert s1.t == s2.t == full[-1]
+        for name in ("root_time", "residue", "histo"):
+            a, b = getattr(s1, name), getattr(s2, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert s1.residue.dtype == (np.int8 if modulus <= 128 else np.int16)
+        assert s1.rng.random() == s2.rng.random()
+
+    def test_resume_across_the_wider_root_time_type(self):
+        # root times are int16 below t = 2**15 and int32 from there on
+        one, s1 = self._run(0.4, 6, 2, 5, [[30_000, 40_000]])
+        split, s2 = self._run(0.4, 6, 2, 5, [[30_000], [30_000, 40_000]])
+        assert [t for _, t, _ in split] == [30_000, 40_000]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(split, one))
+        assert s1.root_time.dtype == s2.root_time.dtype == np.int32
+        assert np.array_equal(s1.root_time, s2.root_time)
+
+    @pytest.mark.parametrize("modulus", [2, 66])
+    def test_rng_block_sets_memory_only(self, modulus, monkeypatch):
+        seen = {}
+        for block in (1, 7, 128, 512):
+            monkeypatch.setattr(F, "RNG_BLOCK", block)
+            got, _ = self._run(0.5, modulus, 11, 8, [self.GRID])
+            seen[block] = got
+        for block in (7, 128, 512):
+            assert [t for _, t, _ in seen[block]] == self.GRID
+            assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(seen[1], seen[block]))
+
+    def test_resume_checks_its_arguments(self):
+        _, state = self._run(0.5, 2, 3, 0, [[5]])
+        with pytest.raises(ParameterError):  # the state holds its own generator
+            F.evolve_size_histograms(0.5, [9], 2, 3, stream(0, 0), lambda *a: None, state)
+        with pytest.raises(ParameterError):
+            F.evolve_size_histograms(0.5, [9], 4, 3, None, lambda *a: None, state)
+        with pytest.raises(ParameterError):
+            F.evolve_size_histograms(0.5, [4], 2, 3, None, lambda *a: None, state)
+
+    def test_state_nbytes_counts_slots(self):
+        _, state = self._run(0.5, 66, 10, 0, [[100]])
+        assert F.state_nbytes(10, 100, 66) == state.root_time.nbytes + state.residue.nbytes
+        assert F.state_nbytes(10, 100, 66) == 101 * 10 * 3
+        assert F.state_nbytes(10, 100, 300) == 101 * 10 * 4
+        assert F.state_nbytes(10, 2**15, 300) == (2**15 + 1) * 10 * 6

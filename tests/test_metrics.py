@@ -1,11 +1,13 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srrw_lab import forest as F
 from srrw_lab import groups as G
 from srrw_lab import metrics as M
 from srrw_lab import oracle as O
@@ -502,6 +504,125 @@ class TestSharedCurveScan:
         tried = {h for run in runs for h in run.horizons_tried}
         assert sorted(built) == sorted(tried)  # once per distinct horizon
         assert len(built) < sum(len(run.horizons_tried) for run in runs)
+
+
+class TestResumedScans:
+    """A doubling resumes the shorter curve's forests; the bytes never depend on it."""
+
+    EPSILONS = (0.5, 0.25, 0.05)
+
+    @staticmethod
+    def _scans(mixing_time, size, alpha, horizon0, epsilons, **kw):
+        curves = {}
+        runs = [
+            mixing_time(size, alpha, eps, 300, 11, horizon0, chunk=128, curves=curves, **kw)
+            for eps in epsilons
+        ]
+        return runs, curves
+
+    @staticmethod
+    def _same(a, b):
+        assert a.estimate == b.estimate and a.horizons_tried == b.horizons_tried
+        for name in ("ns", "values", "stderrs"):
+            x, y = getattr(a.curve, name), getattr(b.curve, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
+    def test_resumed_curve_matches_one_pass_on_the_extended_grid(
+        self, mixing_time, estimator, size, alpha, horizon0
+    ):
+        runs, curves = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
+        longest = max(curves)
+        assert longest > horizon0
+        curve = curves[longest][0]
+        # the extended grid keeps every point of the shorter curves
+        for h in curves:
+            assert np.isin(curves[h][0].ns, curve.ns).all()
+            fine = M.geometric_grid(h, 40)
+            assert set(fine[fine > h // 2].tolist()) <= set(curve.ns.tolist())
+        one_pass = getattr(M, estimator)(size, alpha, curve.ns, 300, 11, chunk=128)
+        assert np.array_equal(one_pass.values, curve.values)
+        assert np.array_equal(one_pass.stderrs, curve.stderrs)
+
+    @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
+    def test_rebuilds_above_the_budget_give_the_same_bytes(
+        self, monkeypatch, mixing_time, estimator, size, alpha, horizon0
+    ):
+        starts = []  # the time each evolve call starts from: 1 for a new forest
+        original = M.evolve_size_histograms
+
+        def spy(*args):
+            starts.append(args[6].t if len(args) > 6 and args[6] is not None else 1)
+            return original(*args)
+
+        monkeypatch.setattr(M, "evolve_size_histograms", spy)
+        resumed, _ = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
+        assert max(starts) > 1
+        starts.clear()
+        monkeypatch.setattr(M, "STATE_BUDGET", 0)
+        rebuilt, _ = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
+        assert starts and set(starts) == {1}
+        for a, b in zip(resumed, rebuilt):
+            self._same(a, b)
+
+    @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
+    def test_threads_and_epsilon_order_do_not_change_the_bytes(
+        self, mixing_time, estimator, size, alpha, horizon0
+    ):
+        base, _ = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
+        # more workers than chunks and cores, switching often: every chunk's
+        # state must land in its own checkpoint slot
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 5):
+                runs, _ = self._scans(
+                    mixing_time, size, alpha, horizon0, self.EPSILONS, threads=threads
+                )
+                for a, b in zip(base, runs):
+                    self._same(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+        for order in itertools.permutations(range(len(self.EPSILONS))):
+            runs, _ = self._scans(
+                mixing_time, size, alpha, horizon0, [self.EPSILONS[i] for i in order]
+            )
+            for i, run in zip(order, runs):
+                self._same(base[i], run)
+
+    def test_checkpoint_is_kept_only_while_a_doubling_is_possible(self):
+        curves = {}
+        M.hypercube_mixing_time(8, 0.5, 0.9, 300, 11, 16, max_doublings=2, curves=curves)
+        assert list(curves) == [16] and curves[16][1].states
+        run = M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16, max_doublings=2, curves=curves)
+        assert run.horizons_tried == [16, 32, 64]
+        assert all(checkpoint is None for _, checkpoint in curves.values())
+
+    def test_a_resumed_pass_over_the_budget_drops_its_states(self, monkeypatch):
+        # the states fit at h = 10 but not at h = 40: the pass still resumes,
+        # keeps nothing, and the next pass starts over with the same bytes
+        checkpoint = M.Checkpoint()
+        M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, chunk=20, checkpoint=checkpoint)
+        assert len(checkpoint.states) == 3
+        monkeypatch.setattr(M, "STATE_BUDGET", F.state_nbytes(50, 20, 2))
+        grids = ([1, 5, 10, 40], [1, 5, 10, 40, 90])
+        for grid in grids:
+            curve = M.hypercube_tv_curve(8, 0.5, grid, 50, 3, chunk=20, checkpoint=checkpoint)
+            assert checkpoint.states == [] and checkpoint.sums == ()
+            one_pass = M.hypercube_tv_curve(8, 0.5, grid, 50, 3, chunk=20)
+            assert np.array_equal(curve.values, one_pass.values)
+            assert np.array_equal(curve.stderrs, one_pass.stderrs)
+
+    def test_resumed_pass_needs_an_extended_grid(self):
+        checkpoint = M.Checkpoint()
+        M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, checkpoint=checkpoint)
+        assert checkpoint.states and checkpoint.grid.tolist() == [1, 5, 10]
+        for grid in ([1, 5, 10], [1, 6, 10, 20], [2, 5, 10, 20]):
+            with pytest.raises(ParameterError):
+                M.hypercube_tv_curve(8, 0.5, grid, 50, 3, checkpoint=checkpoint)
+        curve = M.hypercube_tv_curve(8, 0.5, [1, 5, 10, 20], 50, 3, checkpoint=checkpoint)
+        one_pass = M.hypercube_tv_curve(8, 0.5, [1, 5, 10, 20], 50, 3)
+        assert np.array_equal(curve.values, one_pass.values)
 
 
 def _view_arrays(out):

@@ -105,6 +105,35 @@ class TestExactEndpoint:
             assert D.tv_distance(emp, exact) < bound
 
 
+class TestSpinCap:
+    def test_raises_before_enumerating(self, monkeypatch):
+        # S4 with uniform mu at n = 8: 24**4 spin combinations in the pairing forest
+        s4 = G.make_group("symmetric", 4)
+        mu = G.uniform_mu(s4)
+
+        def enumerate_nothing(*args):
+            raise AssertionError("the enumeration was entered")
+
+        monkeypatch.setattr(O, "_blocks", enumerate_nothing)
+        with pytest.raises(CapacityError, match=r"24\*\*4"):
+            O.exact_endpoint_distribution(s4, mu, 0.5, 8)
+        with pytest.raises(CapacityError):
+            O.exact_tv_curve(s4, mu, 0.5, 8)
+
+    def test_bound_is_the_largest_number_of_big_clusters(self):
+        s4 = G.make_group("symmetric", 4)
+        mu = G.uniform_mu(s4)
+        O.check_spin_cap(mu, 0.0, 9)  # all singletons
+        O.check_spin_cap(mu, 1.0, 9)  # one cluster
+        O.check_spin_cap(mu, 0.5, 7)  # 24**3
+        with pytest.raises(CapacityError):
+            O.check_spin_cap(mu, 1e-6, 8)
+        # the bound is reached: at n = 7 a forest has three clusters of size >= 2
+        assert O.check_spin_cap(mu, 0.5, 7, spin_cap=24**3) is None
+        with pytest.raises(CapacityError):
+            O.exact_endpoint_distribution(s4, mu, 0.5, 7, spin_cap=24**3 - 1)
+
+
 class TestExactTvCurve:
     def test_z2_values(self):
         z2 = G.make_group("cyclic", 2)
