@@ -27,6 +27,8 @@ from .metrics import geometric_grid
 from .oracle import ORACLE_N_CAP, check_spin_cap
 
 SCHEMA_VERSION = 1
+REPLICAS_CAP = 10**9  # the caps of two counts: far beyond them a run cannot even be set up
+POINTS_PER_DECADE_CAP = 10**4
 
 ESTIMATORS = ("rao-blackwell", "endpoint", "hypercube-weight", "exact")
 
@@ -62,8 +64,8 @@ def _int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _count(v) -> bool:
-    return _int(v) and v >= 1
+def _count(v, cap: float = float("inf")) -> bool:
+    return _int(v) and 1 <= v <= cap
 
 
 def _number(v) -> bool:
@@ -130,7 +132,9 @@ class ExperimentConfig:
         REQUIRED, _numbers(lambda a: 0 <= a < 1), "a nonempty list of numbers in [0, 1)", _floats
     )
     seed: int = _field(REQUIRED, lambda v: _int(v) and 0 <= v < 1 << 64, "an integer in [0, 2^64)")
-    replicas: int = _field(1, _count, "an integer >= 1")
+    replicas: int = _field(
+        1, lambda v: _count(v, REPLICAS_CAP), f"an integer in [1, {REPLICAS_CAP}]"
+    )
     estimator: str = _field("exact", lambda v: v in ESTIMATORS, "one of " + ", ".join(ESTIMATORS))
     grid: dict | None = _field(
         None, _grid_ok, "null, {n_max: N} or {type: explicit, values: [N, ...]}, integers N >= 1"
@@ -140,7 +144,11 @@ class ExperimentConfig:
     )
     sizes: list = _field([], _list_of(_int), "a list of integers", list)  # scaling studies
     n_max: int = _field(6, _int, "an integer")  # oracle-check horizon
-    points_per_decade: int = _field(40, _count, "an integer >= 1")
+    points_per_decade: int = _field(
+        40,
+        lambda v: _count(v, POINTS_PER_DECADE_CAP),
+        f"an integer in [1, {POINTS_PER_DECADE_CAP}]",
+    )
     output_dir: str = _field("srrw-out", lambda v: v and isinstance(v, str), "a nonempty string")
     smoothing_bandwidth: float | None = _field(
         None, lambda v: v is None or _number(v) and v > 0, "null or a number > 0"

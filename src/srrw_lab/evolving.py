@@ -10,12 +10,13 @@ Exhaustive sweeps visit one subset per left-translation orbit.  The kernel
 P(x, y) = mu(x^-1 y) satisfies P(gx, gy) = P(x, y), so Phi(gA) = Phi(A) and
 psi(gA) = psi(A).  The representative of an orbit is the smallest mask that
 contains the identity among its translates a^-1 A (a in A); it is found by
-translating masks through byte-wise lookup tables of the permutations
-x -> g x.  Translates agree in exact arithmetic but not always in the last
-float bit (the sums run in a different order), so every representative
-within 1e-12 of the smallest is expanded to all its translates and these are
-evaluated again: the minimum and its smallest-mask witness are then the
-ones a sweep of all 2^|G| masks would report, bit for bit.
+translating masks through two lookup tables of x -> g x per g, one for each
+half of the mask (ceil(|G|/2) <= 12 bits).  Translates agree in exact
+arithmetic but not always in the last float bit (the sums run in a different
+order), so every representative within 1e-12 of the smallest is expanded to
+all its translates and these are evaluated again: the minimum and its
+smallest-mask witness are then the ones a sweep of all 2^|G| masks would
+report, bit for bit.  Chunks of 16384 masks keep float temporaries near 3 MB.
 """
 
 from __future__ import annotations
@@ -161,24 +162,24 @@ def root_profile_psi(W, P_mu: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bit_indicators(masks: np.ndarray, n: int) -> np.ndarray:
-    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
 def _chunk_phi_psi(masks: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bottleneck ratio and root profile for a chunk of subset masks."""
     n = P.shape[0]
-    X = _bit_indicators(masks, n)
-    sizes = X.sum(axis=1)
+    le_bytes = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    X = np.unpackbits(le_bytes, axis=1, count=n, bitorder="little").astype(float)
+    sizes = np.bitwise_count(masks).astype(np.int64)
     Q = X @ P
     inside = (X * Q).sum(axis=1)
     phi = (sizes - inside) / sizes
-    qs = -np.sort(-Q, axis=1)
-    qs = np.concatenate([qs, np.zeros((qs.shape[0], 1))], axis=1)
-    sqrt_sizes = np.sqrt(np.arange(1, n + 1, dtype=float))
-    exp_sqrt = ((qs[:, :-1] - qs[:, 1:]) * sqrt_sizes[None, :]).sum(axis=1)
-    psi = 1.0 - exp_sqrt / np.sqrt(sizes)
-    return sizes.astype(np.int64), phi, psi
+    # psi: E sqrt|W_1| sums (q_i - q_{i+1}) sqrt(i) over the loads q_1 >= ... >= q_n, q_{n+1} = 0
+    Q.sort(axis=1)
+    qs = Q[:, ::-1]
+    steps = np.empty_like(Q)
+    np.subtract(qs[:, :-1], qs[:, 1:], out=steps[:, :-1])
+    steps[:, -1] = qs[:, -1]
+    steps *= np.sqrt(np.arange(1, n + 1, dtype=float))
+    psi = 1.0 - steps.sum(axis=1) / np.sqrt(sizes)
+    return sizes, phi, psi
 
 
 @dataclass
@@ -214,21 +215,20 @@ class ProfileTable:
 
 
 def _translation_luts(group: FiniteGroup) -> np.ndarray:
-    """lut[g, b, v] is the mask of g * {8b + i : bit i of v} (left translation)."""
+    """lut[g, h, v] is the mask of g * {w h + i : bit i of v}, w = ceil(|G|/2) bits."""
     n = group.order
-    values = np.arange(256, dtype=np.int64)
-    lut = np.zeros((n, (n + 7) // 8, 256), dtype=np.int64)
+    w = (n + 1) // 2
+    values = np.arange(1 << w, dtype=np.int64)
+    lut = np.zeros((n, 2, 1 << w), dtype=np.int64)
     for x in range(n):
-        bit = (values >> (x % 8)) & 1
-        lut[:, x // 8, :] |= bit[None, :] << group.table[:, x, None].astype(np.int64)
+        bit = (values >> (x % w)) & 1
+        lut[:, x // w, :] |= bit[None, :] << group.table[:, x, None].astype(np.int64)
     return lut
 
 
 def _translate(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
-    out = lut_g[0][masks & 255]
-    for b in range(1, lut_g.shape[0]):
-        out |= lut_g[b][(masks >> (8 * b)) & 255]
-    return out
+    w = lut_g.shape[1].bit_length() - 1
+    return lut_g[0][masks & ((1 << w) - 1)] | lut_g[1][masks >> w]
 
 
 def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
@@ -249,7 +249,7 @@ def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
 
 
 def _orbit_minima(
-    group: FiniteGroup, P: np.ndarray, lo: int, hi: int, score, by_size: bool, chunk: int = 65536
+    group: FiniteGroup, P: np.ndarray, lo: int, hi: int, score, by_size: bool, chunk: int = 16384
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minima of score(phi, psi) over every subset A with lo <= |A| <= hi.
 
@@ -297,7 +297,7 @@ def iso_profile(
     mode: str = "exhaustive",
     sample_rounds: int = 2000,
     sample_seed: int = 0,
-    chunk: int = 65536,
+    chunk: int = 16384,
 ) -> ProfileTable:
     """Isoperimetric profile Phi(r) and root profile psi(r).
 
@@ -345,11 +345,8 @@ def iso_profile(
     elif mode == "sampled":
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sample_seed))
         for s in range(1, half + 1):
-            cand = np.empty(sample_rounds, dtype=np.int64)
-            for i in range(sample_rounds):
-                picks = rng.choice(n, size=s, replace=False)
-                cand[i] = mask_of(picks)
-            absorb(cand)
+            picks = (rng.choice(n, size=s, replace=False) for _ in range(sample_rounds))
+            absorb(np.array([mask_of(p) for p in picks], dtype=np.int64))
             # greedy single-swap descent from the current best phi witness
             cur = wit_phi[s]
             improved = True
@@ -357,13 +354,9 @@ def iso_profile(
                 improved = False
                 members = list(set_of(cur))
                 outside = [x for x in range(n) if not (cur >> x) & 1]
-                trial = []
-                for a in members:
-                    for b in outside:
-                        trial.append((cur ^ (1 << a)) | (1 << b))
-                trial = np.array(trial, dtype=np.int64)
+                swaps = [(cur ^ (1 << a)) | (1 << b) for a in members for b in outside]
                 before = best_phi[s]
-                absorb(trial)
+                absorb(np.array(swaps, dtype=np.int64))
                 if best_phi[s] < before:
                     cur = wit_phi[s]
                     improved = True
@@ -376,8 +369,7 @@ def iso_profile(
     phi = np.minimum.accumulate(best_phi[1:])
     psi = np.minimum.accumulate(best_psi[1:])
     phi_w, psi_w = [], []
-    cur_fw = wit_phi[1]
-    cur_pw = wit_psi[1]
+    cur_fw, cur_pw = wit_phi[1], wit_psi[1]
     for s in range(1, half + 1):
         if best_phi[s] <= phi[s - 1]:
             cur_fw = wit_phi[s]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ class TestIsoProfile:
             E.iso_profile(trivial, G.uniform_mu(trivial), mode=mode)
 
 
+def reference_phi_psi(masks, P):
+    """The phi/psi formula of the sweep as first written: indicators, loads, sorted steps."""
+    n = P.shape[0]
+    X = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    sizes = X.sum(axis=1)
+    Q = X @ P
+    phi = (sizes - (X * Q).sum(axis=1)) / sizes
+    qs = np.concatenate([-np.sort(-Q, axis=1), np.zeros((Q.shape[0], 1))], axis=1)
+    steps = (qs[:, :-1] - qs[:, 1:]) * np.sqrt(np.arange(1, n + 1, dtype=float))[None, :]
+    psi = 1.0 - steps.sum(axis=1) / np.sqrt(sizes)
+    return sizes.astype(np.int64), phi, psi
+
+
 def brute_orbit_minima(group, P, lo, hi, score, by_size, chunk=65536):
     """Reference for E._orbit_minima: every mask in increasing order, chunked."""
     nkeys = hi + 1 if by_size else 1
@@ -207,7 +221,7 @@ def brute_orbit_minima(group, P, lo, hi, score, by_size, chunk=65536):
     all_masks = np.arange(1, 1 << group.order, dtype=np.int64)
     for start in range(0, all_masks.size, chunk):
         masks = all_masks[start : start + chunk]
-        sizes, phi, psi = E._chunk_phi_psi(masks, P)
+        sizes, phi, psi = reference_phi_psi(masks, P)
         vals = score(phi, psi)
         if best is None:
             best = np.full((len(vals), nkeys), np.inf)
@@ -293,13 +307,73 @@ class TestOrbitSweep:
         assert ((translates == reps[:, None]) | ~np.isin(translates, reps)).all()
 
     def test_translation_tables(self):
-        s3 = G.make_group("symmetric", 3)
-        lut = E._translation_luts(s3)
-        for g in range(s3.order):
-            for mask in range(1 << s3.order):
-                expect = E.mask_of(s3.mul(g, x) for x in E.set_of(mask))
-                got = int(E._translate(np.array([mask], dtype=np.int64), lut[g])[0])
-                assert got == expect
+        # every table width: 1, 3 and 11 bits, and 12 bits at the cap |G| = 24
+        groups = [
+            G.make_group("symmetric", 3),
+            G.make_group("cyclic", 2),
+            G.make_group("cyclic", 5),
+            G.make_group("cyclic", 21),
+            G.make_group("symmetric", 4),
+            G.make_group("lamplighter", 3),
+        ]
+        rng = np.random.default_rng(12)
+        for group in groups:
+            n = group.order
+            lut = E._translation_luts(group)
+            assert lut.shape == (n, 2, 1 << (n + 1) // 2)
+            if n <= 5:
+                masks = np.arange(1 << n, dtype=np.int64)
+            else:
+                masks = rng.integers(0, 1 << n, size=200, dtype=np.int64)
+                masks[:2] = 0, (1 << n) - 1
+            for g in range(n):
+                got = E._translate(masks, lut[g])
+                expect = [E.mask_of(group.mul(g, x) for x in E.set_of(int(m))) for m in masks]
+                assert got.tolist() == expect
+
+
+def phi_psi_cases():
+    z16 = G.make_group("cyclic", 16)
+    s3 = G.make_group("symmetric", 3)
+    z21 = G.make_group("cyclic", 21)
+    s4 = G.make_group("symmetric", 4)
+    lam = G.make_group("lamplighter", 3)
+    every = None  # every nonempty mask
+    return [
+        pytest.param(s3, G.StepDistribution(s3, {0: 0.3, 1: 0.45, 4: 0.25}), every, id="S3"),
+        pytest.param(z16, G.StepDistribution(z16, {0: 0.4, 1: 0.2, 3: 0.4}), every, id="Z16"),
+        pytest.param(z21, G.lazy_cycle_mu(z21), 20_000, id="Z21"),
+        pytest.param(s4, G.StepDistribution(s4, {0: 0.1, 5: 0.3, 7: 0.2, 17: 0.4}), 20_000, id="S4"),
+        pytest.param(lam, G.lamplighter_example_mu(lam), 20_000, id="lamplighter3"),
+    ]
+
+
+class TestPhiPsiKernel:
+    @pytest.mark.parametrize("group,mu,count", phi_psi_cases())
+    def test_bits_match_the_reference_formula(self, group, mu, count):
+        n = group.order
+        P = G.transition_matrix(group, mu)
+        if count is None:
+            masks = np.arange(1, 1 << n, dtype=np.int64)
+        else:
+            masks = np.random.default_rng(n).integers(1, 1 << n, size=count, dtype=np.int64)
+        got = E._chunk_phi_psi(masks, P)
+        ref = reference_phi_psi(masks, P)
+        assert got[0].dtype == np.int64
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_working_set_is_bounded(self):
+        # one chunk of float temporaries, not one per orbit representative
+        z21 = G.make_group("cyclic", 21)
+        mu = G.lazy_cycle_mu(z21)
+        tracemalloc.start()
+        try:
+            E.iso_profile(z21, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestPsiPhiInequality:

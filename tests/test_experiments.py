@@ -136,6 +136,27 @@ class TestValidation:
         assert not os.path.exists(doc["output_dir"])
 
     @pytest.mark.parametrize(
+        "kind, field, cap",
+        [
+            # 2^63 replicas used to hang in chunk_ranges; 2^63 points per decade
+            # failed in geometric_grid
+            ("phase-transition", "replicas", config.REPLICAS_CAP),
+            ("mixing-scan", "points_per_decade", config.POINTS_PER_DECADE_CAP),
+        ],
+    )
+    def test_counts_capped_up_front(self, tmp_path, kind, field, cap):
+        assert validate_config(_small_config(tmp_path, kind, **{field: cap})) == []
+        for value in (cap + 1, 2**63):
+            doc = _small_config(tmp_path, kind, **{field: value})
+            problems = validate_config(doc)
+            assert [p.split(":")[0] for p in problems] == [field]
+            assert f"[1, {cap}]" in problems[0]
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main(["validate", "--config", str(path)]) == 2
+            assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize(
         "kind, group, mu, estimator, field",
         [
             # scaling kinds run one estimator; another name would mislabel the rows
