@@ -38,6 +38,7 @@ from .groups import (
 from .streams import chunk_ranges
 
 EXHAUSTIVE_CAP = 24
+ORBIT_BLOCK = 1 << 16  # masks per block of the orbit-representative enumeration
 
 
 def mask_of(elements) -> int:
@@ -264,7 +265,7 @@ def _orbit_minima(
     key_of = (lambda sizes: sizes) if by_size else (lambda sizes: np.zeros_like(sizes))
     nkeys = hi + 1 if by_size else 1
 
-    reps = np.concatenate(list(_orbit_representatives(lut, lo, hi, chunk)))
+    reps = np.concatenate(list(_orbit_representatives(lut, lo, hi, ORBIT_BLOCK)))
     # an empty chunk still yields the (empty) objective arrays
     parts = [_chunk_phi_psi(reps[a:b], P) for a, b in chunk_ranges(reps.size, chunk) or [(0, 0)]]
     sizes, phi, psi = (np.concatenate(col) for col in zip(*parts))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -248,8 +248,8 @@ def spectral_gap(group: FiniteGroup, mu: StepDistribution) -> SpectralGap:
             # characters give lambda_T = 1 - 2 * sum_{k in T} mu(e_k); the
             # modulus is maximized at the extreme subsets
             ws = np.array([p for g, p in mu.items if g != 0])
-            if ws.size == 0:
-                return SpectralGap(1.0, 0.0)  # mu = delta_e: no gap
+            if ws.size < d:
+                return SpectralGap(1.0, 0.0)  # a coordinate outside supp mu never moves
             cand = [abs(1.0 - 2.0 * ws.min()), abs(1.0 - 2.0 * ws.sum())]
             lam_star = float(max(cand))
             return SpectralGap(lam_star, 1.0 - lam_star)
@@ -367,18 +367,15 @@ STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between doubli
 
 @dataclass
 class Checkpoint:
-    """Where a resumable forest pass stopped, kept by a scan between doublings.
+    """Every chunk's forest state where a resumable pass stopped.
 
-    ``grid`` is the grid the pass summed, ``sums`` its per-grid sums over all
-    replicas and ``states`` every chunk's forest state at ``grid[-1]``.  A
-    pass given a checkpoint with states resumes them on a grid that extends
-    ``grid``.  It leaves its own states behind if they fit in
+    A scan keeps one between doublings.  A pass given a checkpoint with
+    states continues those forests, collecting only at grid times after
+    theirs.  It leaves its own states behind if they fit in
     ``STATE_BUDGET``, and none otherwise, so that the next pass starts over
     from t = 2; the stream layout makes both ways give the same bytes.
     """
 
-    grid: np.ndarray | None = None
-    sums: tuple = ()
     states: list = field(default_factory=list)
 
 
@@ -393,13 +390,13 @@ def _forest_chunks(
     over the chunk's replicas.  Yields, per chunk of ``chunk_ranges(replicas,
     chunk)``, one array per term, indexed by grid position first.  Chunks come
     in chunk-index order for every thread count.  A pass that resumes
-    ``checkpoint`` sums only the grid points after the checkpoint's grid.
+    ``checkpoint`` needs a grid that starts after the states' time.
     """
     grid = np.asarray(grid, dtype=np.int64)
     ranges = chunk_ranges(replicas, chunk)
-    resume = checkpoint is not None and bool(checkpoint.states)
-    states = checkpoint.states if resume else [None] * len(ranges)
-    first = checkpoint.grid.size if resume else 0
+    states = (checkpoint and checkpoint.states) or [None] * len(ranges)
+    if states[0] is not None and grid[0] <= states[0].t:
+        raise ParameterError("a resumed pass collects only after its checkpoint's time")
     keep = checkpoint is not None and STATE_BUDGET >= sum(
         state_nbytes(stop - start, int(grid[-1]), modulus) for start, stop in ranges
     )
@@ -413,11 +410,9 @@ def _forest_chunks(
         def collect(gi, t, histo):
             parts = terms(histo)
             if not sums:
-                sums.extend(
-                    np.zeros((grid.size - first, *np.shape(p)), np.result_type(p)) for p in parts
-                )
+                sums.extend(np.zeros((grid.size, *np.shape(p)), np.result_type(p)) for p in parts)
             for acc, p in zip(sums, parts):
-                acc[gi - first] += p
+                acc[gi] += p
 
         state, states[ci] = states[ci], None
         rng = None if state else stream(master_seed, ci)
@@ -432,44 +427,15 @@ def _forest_chunks(
         yield from (pool.map if parallel else map)(work, tasks)
 
 
-def _resumed_sums(grid, checkpoint) -> tuple:
-    """The checkpoint's sums if a pass over ``grid`` resumes it, else ()."""
-    if checkpoint is None or not checkpoint.states:
-        return ()
-    done = checkpoint.grid
-    if grid.size <= done.size or not np.array_equal(grid[: done.size], done):
-        raise ParameterError("a resumed pass needs a grid that extends the checkpoint's")
-    return checkpoint.sums
-
-
-def _joined(old: tuple, new: tuple, grid, checkpoint) -> tuple:
-    """The resumed sums followed by the pass's own, recorded in the checkpoint.
-
-    A term whose trailing shape grows with the horizon (a histogram over
-    0..horizon) is zero-padded on the shorter grid's points.
-    """
-    if old:
-        joined = []
-        for o, n in zip(old, new):
-            pad = [(0, 0)] + [(0, b - a) for a, b in zip(o.shape[1:], n.shape[1:])]
-            joined.append(np.concatenate([np.pad(o, pad), n]))
-        new = tuple(joined)
-    if checkpoint is not None:
-        checkpoint.grid, checkpoint.sums = (grid, new) if checkpoint.states else (None, ())
-    return new
-
-
 def _forest_sums(
     alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
 ):
     """Per-grid sums over all replicas of ``terms(histo)`` (see ``_forest_chunks``).
 
     The chunks' sums are added in chunk-index order, so the totals are
-    bit-identical for every thread count, and, grid point by grid point,
-    whether or not the pass resumed ``checkpoint``.
+    bit-identical for every thread count, and each grid point's totals
+    are the same whatever grid, or resumed pass, it was collected in.
     """
-    grid = np.asarray(grid, dtype=np.int64)
-    old = _resumed_sums(grid, checkpoint)
     chunks = _forest_chunks(
         alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
     )
@@ -477,7 +443,7 @@ def _forest_sums(
     for sums in chunks:
         for acc, part in zip(totals, sums):
             acc += part
-    return _joined(old, tuple(totals), grid, checkpoint)
+    return tuple(totals)
 
 
 def _forest_moments(
@@ -499,8 +465,6 @@ def _forest_moments(
         dx = x - x[0]
         return x.sum(axis=0), x[0], dx.sum(axis=0), dx.T @ dx
 
-    grid = np.asarray(grid, dtype=np.int64)
-    old = _resumed_sums(grid, checkpoint)
     chunks = _forest_chunks(
         alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
     )
@@ -517,7 +481,7 @@ def _forest_moments(
             m2 += m2_c + (n * m / (n + m)) * delta[:, :, None] * delta[:, None, :]
             mean += (m / (n + m)) * delta
         n += m
-    return _joined(old, (total, m2), grid, checkpoint)
+    return total, m2
 
 
 def rao_blackwell_cycle_curve(
@@ -681,16 +645,16 @@ def hypercube_tv_curve(
     values = np.empty(grid.size)
     stderrs = np.zeros(grid.size)
     for i in range(grid.size):
-        p_hat = (counts[i].astype(float) @ qtable) / replicas
-        dev = p_hat - pi
+        # the estimate averages the rows q_{N_J} of the weight-chain table over
+        # the observed N_J only, whatever the horizon; by the delta method its
+        # variance is the weighted variance of the scalar q_{N_J} . grad, over R - 1
+        nz = np.nonzero(counts[i])[0]
+        w = counts[i, nz] / replicas
+        q = qtable[nz]
+        dev = w @ q - pi
         values[i] = 0.5 * np.abs(dev).sum()
         if replicas >= 2:
-            # delta method: the estimator averages the rows q_{N_J} of the
-            # weight-chain table, so its variance is the weighted variance of
-            # the scalar q_{N_J} . grad over the observed N_J, over R - 1
-            nz = np.nonzero(counts[i])[0]
-            w = counts[i, nz].astype(float) / replicas
-            s = qtable[nz] @ (0.5 * np.sign(dev))
+            s = q @ (0.5 * np.sign(dev))
             stderrs[i] = math.sqrt(float(w @ (s - w @ s) ** 2) / (replicas - 1))
     return DistanceCurve(
         group_desc=f"hypercube(d={d})",
@@ -722,10 +686,12 @@ def _scan_with_retries(
     """Scan a curve at `epsilon`, doubling the horizon while the guard fires.
 
     The first curve is ``build_curve(grid, checkpoint)`` on
-    ``geometric_grid(horizon0, points_per_decade)``.  A doubled curve keeps
-    the shorter curve's grid and appends the points of the geometric grid to
-    2h that lie above h, so it resumes the shorter curve's forest pass from
-    its checkpoint instead of regrowing the forests from t = 2.
+    ``geometric_grid(horizon0, points_per_decade)``.  A doubled curve is the
+    shorter curve followed by a curve on the points of the geometric grid to
+    2h that lie above h; that curve's pass continues the shorter pass's
+    forests from its checkpoint instead of regrowing them from t = 2.  Every
+    estimator reduces each grid point on its own, so the doubled curve is
+    the curve a single pass would give on the extended grid.
 
     ``curves`` memoizes (curve, checkpoint) by horizon; the longest curve
     keeps its checkpoint while a doubling from it is still possible.  A curve
@@ -739,12 +705,16 @@ def _scan_with_retries(
     while True:
         if horizon not in curves:
             grid = geometric_grid(horizon, points_per_decade)
-            checkpoint = Checkpoint()
+            shorter, checkpoint = curves[tried[-1]] if tried else (None, Checkpoint())
             if tried:
-                shorter, checkpoint = curves[tried[-1]]
                 curves[tried[-1]] = (shorter, None)
-                grid = np.concatenate([shorter.ns, grid[grid > tried[-1]]])
+                grid = grid[grid > tried[-1]]
             curve = build_curve(grid, checkpoint)
+            if shorter is not None:
+                curve = replace(curve, **{
+                    k: np.concatenate([getattr(shorter, k), getattr(curve, k)])
+                    for k in ("ns", "values", "stderrs")
+                })
             doubling_possible = len(tried) < max_doublings
             curves[horizon] = (curve, checkpoint if doubling_possible else None)
         curve = curves[horizon][0]

@@ -57,14 +57,8 @@ def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
             group.d, alpha, grid, cfg.replicas, seed, threads=cfg.threads
         )
     if cfg.estimator == "endpoint":
-        values, errs = [], []
-        for i, n in enumerate(grid):
-            samples = sample_endpoints_direct(
-                group, mu, alpha, int(n), cfg.replicas, seed + 7919 * i
-            )
-            v, se = metrics.empirical_tv_estimator(samples, group)
-            values.append(v)
-            errs.append(se)
+        ends = sample_endpoints_direct(group, mu, alpha, grid, cfg.replicas, seed)
+        values, errs = zip(*(metrics.empirical_tv_estimator(row, group) for row in ends))
         return metrics.DistanceCurve(
             group_desc=group.describe(),
             alpha=alpha,
@@ -72,8 +66,8 @@ def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
             replicas=cfg.replicas,
             seed=seed,
             ns=grid,
-            values=np.array(values),
-            stderrs=np.array(errs),
+            values=values,
+            stderrs=errs,
         )
     if cfg.estimator == "exact":
         curve = oracle.exact_tv_curve(group, mu, alpha, int(grid[-1]))

@@ -114,33 +114,42 @@ def sample_endpoints_direct(
     group: FiniteGroup,
     mu: StepDistribution,
     alpha: float,
-    n: int,
+    grid,
     replicas: int,
     master_seed: int,
     chunk: int = 100_000,
 ) -> np.ndarray:
-    """Endpoints S_n of `replicas` direct-construction walks (vectorized).
+    """Positions S_n at every n of `grid` of `replicas` direct-construction walks.
 
-    Step t of every replica takes one uniform for (replicate, u), by the
-    rule of ``forest.choices_from_uniforms``, then a fresh spin.
+    Returns a (len(grid), replicas) array from one pass to max(grid).  Step t
+    of every replica takes one uniform for (replicate, u), by the rule of
+    ``forest.choices_from_uniforms``, then a fresh spin, whatever the grid, so
+    row i equals a pass to grid[i] alone.
     """
     alpha = _check_alpha(alpha)
+    grid = np.asarray(grid, dtype=np.int64)
+    if grid.size == 0 or grid[0] < 1 or np.any(np.diff(grid) <= 0):
+        raise ParameterError("grid must be nonempty, strictly increasing, with min >= 1")
     sampler = _MuSampler(mu)
-    out = np.empty(replicas, dtype=np.int64)
+    horizon = int(grid[-1])
+    out = np.empty((grid.size, replicas), dtype=np.int64)
     for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
         rng = stream(master_seed, ci)
         R = stop - start
         rows = np.arange(R)
-        X = np.empty((R, n + 1), dtype=np.int64)
+        X = np.empty((R, horizon + 1), dtype=np.int64)
         X[:, 1] = sampler.draw(rng, R)
-        for t in range(2, n + 1):
-            replicate, u = choices_from_uniforms(rng.random(R), alpha, t)
-            fresh = sampler.draw(rng, R)
-            X[:, t] = np.where(replicate, X[rows, u], fresh)
         S = np.full(R, group.identity, dtype=np.int64)
-        for t in range(1, n + 1):
+        gi = 0
+        for t in range(1, horizon + 1):
+            if t > 1:
+                replicate, u = choices_from_uniforms(rng.random(R), alpha, t)
+                fresh = sampler.draw(rng, R)
+                X[:, t] = np.where(replicate, X[rows, u], fresh)
             S = group.mul_vec(S, X[:, t])
-        out[start:stop] = S
+            if t == grid[gi]:
+                out[gi, start:stop] = S
+                gi += 1
     return out
 
 

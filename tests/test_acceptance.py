@@ -44,7 +44,7 @@ def test_a2_construction_equivalence():
     for alpha, seed in ((0.3, 201), (0.7, 202)):
         exact = O.exact_endpoint_distribution(z3, mu, alpha, n).probs
         hd = np.bincount(
-            W.sample_endpoints_direct(z3, mu, alpha, n, R, seed), minlength=3
+            W.sample_endpoints_direct(z3, mu, alpha, [n], R, seed)[0], minlength=3
         )
         hf = np.bincount(
             W.sample_endpoints_forest(z3, mu, alpha, n, R, seed + 50), minlength=3

@@ -137,12 +137,19 @@ class TestSpectralGap:
         assert sg.gamma_star == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_hypercube_closed_form_matches_eigensolver(self):
-        h = G.make_group("hypercube", 2)
-        mu = G.lazy_hypercube_mu(h)
-        sg = M.spectral_gap(h, mu)
-        lam = np.linalg.eigvalsh(G.transition_matrix(h, mu))
-        dense_star = float(np.abs(np.sort(lam)[:-1]).max())
-        assert sg.lambda_star == pytest.approx(dense_star, abs=1e-12)
+        h2, h3 = G.make_group("hypercube", 2), G.make_group("hypercube", 3)
+        cases = [
+            (h2, G.lazy_hypercube_mu(h2)),
+            # e_3 carries no mass and never moves: lambda* = 1
+            (h3, G.StepDistribution(h3, {0: 0.5, 1: 0.25, 2: 0.25})),
+            # no mass at the identity: the walk is periodic, lambda* = 1
+            (h3, G.StepDistribution(h3, {1: 0.3, 2: 0.3, 4: 0.4})),
+        ]
+        for h, mu in cases:
+            sg = M.spectral_gap(h, mu)
+            lam = np.linalg.eigvalsh(G.transition_matrix(h, mu))
+            dense_star = float(np.abs(np.sort(lam)[:-1]).max())
+            assert sg.lambda_star == pytest.approx(dense_star, abs=1e-12)
 
     def test_hypercube_walsh_path(self):
         h = G.make_group("hypercube", 3)
@@ -206,7 +213,7 @@ class TestEmpiricalTv:
         z3 = G.make_group("cyclic", 3)
         mu = G.simple_cycle_mu(z3)
         exact = O.exact_endpoint_distribution(z3, mu, 0.5, 2).tv_to_uniform()
-        ends = W.sample_endpoints_direct(z3, mu, 0.5, 2, 10**6, 13)
+        ends = W.sample_endpoints_direct(z3, mu, 0.5, [2], 10**6, 13)[0]
         v, se = M.empirical_tv_estimator(ends, z3)
         assert abs(v - exact) < 3 * se + 1e-4
 
@@ -599,16 +606,16 @@ class TestResumedScans:
         assert all(checkpoint is None for _, checkpoint in curves.values())
 
     def test_a_resumed_pass_over_the_budget_drops_its_states(self, monkeypatch):
-        # the states fit at h = 10 but not at h = 40: the pass still resumes,
-        # keeps nothing, and the next pass starts over with the same bytes
+        # the states fit at h = 10 but not at h = 40: the pass still resumes and
+        # keeps nothing, so the next pass starts over from t = 2; each pass gives
+        # the bytes of one pass over its own points
         checkpoint = M.Checkpoint()
         M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, chunk=20, checkpoint=checkpoint)
         assert len(checkpoint.states) == 3
         monkeypatch.setattr(M, "STATE_BUDGET", F.state_nbytes(50, 20, 2))
-        grids = ([1, 5, 10, 40], [1, 5, 10, 40, 90])
-        for grid in grids:
+        for grid in ([20, 40], [90]):
             curve = M.hypercube_tv_curve(8, 0.5, grid, 50, 3, chunk=20, checkpoint=checkpoint)
-            assert checkpoint.states == [] and checkpoint.sums == ()
+            assert checkpoint.states == []
             one_pass = M.hypercube_tv_curve(8, 0.5, grid, 50, 3, chunk=20)
             assert np.array_equal(curve.values, one_pass.values)
             assert np.array_equal(curve.stderrs, one_pass.stderrs)
@@ -616,13 +623,14 @@ class TestResumedScans:
     def test_resumed_pass_needs_an_extended_grid(self):
         checkpoint = M.Checkpoint()
         M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, checkpoint=checkpoint)
-        assert checkpoint.states and checkpoint.grid.tolist() == [1, 5, 10]
-        for grid in ([1, 5, 10], [1, 6, 10, 20], [2, 5, 10, 20]):
+        assert checkpoint.states and {s.t for s in checkpoint.states} == {10}
+        for grid in ([1, 5, 10, 20], [10, 20], [5]):
             with pytest.raises(ParameterError):
                 M.hypercube_tv_curve(8, 0.5, grid, 50, 3, checkpoint=checkpoint)
-        curve = M.hypercube_tv_curve(8, 0.5, [1, 5, 10, 20], 50, 3, checkpoint=checkpoint)
-        one_pass = M.hypercube_tv_curve(8, 0.5, [1, 5, 10, 20], 50, 3)
-        assert np.array_equal(curve.values, one_pass.values)
+        curve = M.hypercube_tv_curve(8, 0.5, [11, 20], 50, 3, checkpoint=checkpoint)
+        one_pass = M.hypercube_tv_curve(8, 0.5, [1, 5, 10, 11, 20], 50, 3)
+        assert np.array_equal(curve.values, one_pass.values[3:])
+        assert np.array_equal(curve.stderrs, one_pass.stderrs[3:])
 
 
 def _view_arrays(out):

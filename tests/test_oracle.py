@@ -100,7 +100,7 @@ class TestExactEndpoint:
         bound = 4 * math.sqrt(3 / R)
         for alpha in (0.3, 0.7):
             exact = O.exact_endpoint_distribution(z3, mu, alpha, 6).probs
-            ends = W.sample_endpoints_direct(z3, mu, alpha, 6, R, 5)
+            ends = W.sample_endpoints_direct(z3, mu, alpha, [6], R, 5)[0]
             emp = np.bincount(ends, minlength=3) / R
             assert D.tv_distance(emp, exact) < bound
 

@@ -44,7 +44,7 @@ class TestDirectSampler:
         assert p.endpoint() == expect
 
     def test_alpha_zero_steps_iid(self, z3, mu3):
-        ends = W.sample_endpoints_direct(z3, mu3, 0.0, 1, 40_000, 7)
+        ends = W.sample_endpoints_direct(z3, mu3, 0.0, [1], 40_000, 7)[0]
         freq = np.bincount(ends, minlength=3) / 40_000
         # X_1 ~ mu: mass 1/2 on +1 and -1
         assert freq[0] < 3 * np.sqrt(0.25 / 40_000)
@@ -54,7 +54,7 @@ class TestDirectSampler:
         z2 = G.make_group("cyclic", 2)
         mu2 = G.uniform_mu(z2)
         for a in (0.0, 0.5, 0.7):
-            ends = W.sample_endpoints_direct(z2, mu2, a, 2, 10**6, 11)
+            ends = W.sample_endpoints_direct(z2, mu2, a, [2], 10**6, 11)[0]
             p0 = float((ends == 0).mean())
             target = (1 + a) / 2
             se = np.sqrt(target * (1 - target) / 10**6)
@@ -63,6 +63,27 @@ class TestDirectSampler:
     def test_alpha_validation(self, z3, mu3):
         with pytest.raises(ParameterError):
             W.sample_path_direct(z3, mu3, 1.0, 5, stream(0, 0))
+
+    def test_single_point_endpoints_keep_their_bytes(self):
+        # the endpoints the sampler drew, one pass per n, before it took a grid
+        s3 = G.make_group("symmetric", 3)
+        ends = W.sample_endpoints_direct(s3, G.uniform_mu(s3), 0.6, [7], 12, 4, chunk=5)
+        assert ends.tolist() == [[0, 4, 0, 3, 5, 1, 5, 3, 3, 2, 0, 0]]
+        z5 = G.make_group("cyclic", 5)
+        ends = W.sample_endpoints_direct(z5, G.lazy_cycle_mu(z5), 0.3, [1], 6, 9)
+        assert ends.tolist() == [[0, 0, 4, 0, 0, 0]]
+
+    def test_each_row_of_a_grid_pass_is_a_pass_to_its_n(self):
+        s3 = G.make_group("symmetric", 3)
+        mu, grid = G.uniform_mu(s3), [1, 2, 5, 9, 30]
+        ends = W.sample_endpoints_direct(s3, mu, 0.6, grid, 50, 8, chunk=20)
+        assert ends.shape == (len(grid), 50)
+        for row, n in zip(ends, grid):
+            one = W.sample_endpoints_direct(s3, mu, 0.6, [n], 50, 8, chunk=20)[0]
+            assert row.tobytes() == one.tobytes()
+        for bad in ([], [0, 3], [4, 4]):
+            with pytest.raises(ParameterError):
+                W.sample_endpoints_direct(s3, mu, 0.6, bad, 50, 8)
 
 
 class TestForestSampler:
@@ -84,7 +105,7 @@ class TestForestSampler:
     def test_both_constructions_agree_with_oracle(self, z3, mu3):
         n, R = 5, 100_000
         exact = O.exact_endpoint_distribution(z3, mu3, 0.5, n).probs
-        e1 = W.sample_endpoints_direct(z3, mu3, 0.5, n, R, 21)
+        e1 = W.sample_endpoints_direct(z3, mu3, 0.5, [n], R, 21)[0]
         e2 = W.sample_endpoints_forest(z3, mu3, 0.5, n, R, 22)
         h1 = np.bincount(e1, minlength=3) / R
         h2 = np.bincount(e2, minlength=3) / R
@@ -190,11 +211,10 @@ class TestChiSquareAgreement:
         n, R = 6, 100_000
         for alpha, seed in ((0.3, 31), (0.7, 32)):
             exact = O.exact_endpoint_distribution(z3, mu3, alpha, n).probs
-            for sampler, s in (
-                (W.sample_endpoints_direct, seed),
-                (W.sample_endpoints_forest, seed + 100),
+            for ends in (
+                W.sample_endpoints_direct(z3, mu3, alpha, [n], R, seed)[0],
+                W.sample_endpoints_forest(z3, mu3, alpha, n, R, seed + 100),
             ):
-                ends = sampler(z3, mu3, alpha, n, R, s)
                 counts = np.bincount(ends, minlength=3)
                 res = stats.chisquare(counts, f_exp=exact * R)
                 assert res.pvalue > 1e-3
