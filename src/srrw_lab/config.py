@@ -25,6 +25,7 @@ from .errors import CapacityError, SchemaError
 from .evolving import EXHAUSTIVE_CAP
 from .metrics import geometric_grid
 from .oracle import ORACLE_N_CAP, check_spin_cap
+from .walk import check_step_table
 
 SCHEMA_VERSION = 1
 REPLICAS_CAP = 10**9  # the caps of two counts: far beyond them a run cannot even be set up
@@ -234,6 +235,10 @@ def validate_config(doc: dict) -> list[str]:
     kind = KINDS.get(name, Kind())  # an unknown kind runs the config's estimator
     if kind.needs_grid and "grid" in v and grid is None:
         bad("grid", f"required for kind {name!r}")
+    # a curve's last grid point, which sizes the exact and endpoint estimators
+    last = None
+    if kind.needs_grid and grid is not None:
+        last = max(grid["values"]) if grid.get("type") == "explicit" else grid["n_max"]
     if kind.sizes is not None:
         if est is not None and est != kind.estimator:
             bad("estimator", f"kind {name!r} runs the {kind.estimator!r} estimator only")
@@ -244,11 +249,9 @@ def validate_config(doc: dict) -> list[str]:
         bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
     if (kind.estimator or est) == "exact":
         # the oracle's caps, for curves (to their last grid point) as for oracle-check
-        n_field, n = ("grid", None) if kind.needs_grid else ("n_max", v.get("n_max"))
-        if kind.needs_grid and grid is not None:
-            n = max(grid["values"]) if grid.get("type") == "explicit" else grid["n_max"]
-            if n > ORACLE_N_CAP:
-                bad("grid", f"the exact estimator needs n <= {ORACLE_N_CAP}, got {n}")
+        n_field, n = ("grid", last) if kind.needs_grid else ("n_max", v.get("n_max"))
+        if last is not None and last > ORACLE_N_CAP:
+            bad("grid", f"the exact estimator needs n <= {ORACLE_N_CAP}, got {last}")
         if group is not None and group.order > G.TABLE_CAP:
             bad("group", f"the exact estimator needs order <= {G.TABLE_CAP}")
         if mu is not None and n is not None and 1 <= n <= ORACLE_N_CAP:
@@ -277,4 +280,6 @@ def validate_config(doc: dict) -> list[str]:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if est == "endpoint" and not group.has_table:
             bad("estimator", f"endpoint sampling needs group order <= {G.TABLE_CAP}")
+        elif (kind.estimator or est) == "endpoint" and last is not None and "replicas" in v:
+            build("grid", check_step_table, group, v["replicas"], last)
     return problems

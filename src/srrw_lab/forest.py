@@ -68,7 +68,6 @@ class ForestPath:
     xi: np.ndarray  # (n-1,) bool, vertex j=2..n
     u: np.ndarray  # (n-1,) int32, u_j uniform on [1, j-1]
     labels: np.ndarray  # (n,) int32, root label per vertex 1..n
-    seed: object = None
 
     def cluster_sizes_at(self, t: int | None = None) -> np.ndarray:
         """Cluster size per root at time t (index = root vertex, 0 unused)."""
@@ -80,7 +79,7 @@ class ForestPath:
         return np.nonzero(sizes[1:])[0] + 1
 
 
-def forest_from_choices(xi, u, alpha: float = 0.0, seed=None) -> ForestPath:
+def forest_from_choices(xi, u, alpha: float = 0.0) -> ForestPath:
     """Deterministic test hook: build the forest for given (xi, u) sequences."""
     xi = np.asarray(xi, dtype=bool)
     u = np.asarray(u, dtype=np.int32)
@@ -91,17 +90,17 @@ def forest_from_choices(xi, u, alpha: float = 0.0, seed=None) -> ForestPath:
         if not 1 <= uj <= j - 1:
             raise ParameterError(f"u_{j} = {uj} out of range [1, {j - 1}]")
     labels = batch_root_labels(xi[None, :], u[None, :])[0]
-    return ForestPath(n=n, alpha=float(alpha), xi=xi, u=u, labels=labels, seed=seed)
+    return ForestPath(n=n, alpha=float(alpha), xi=xi, u=u, labels=labels)
 
 
-def grow_forest(n: int, alpha: float, rng: np.random.Generator, seed=None) -> ForestPath:
+def grow_forest(n: int, alpha: float, rng: np.random.Generator) -> ForestPath:
     """Sample a forest of size n with retention probability alpha."""
     alpha = _check_alpha(alpha)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     xi, u = sample_batch_choices(n, alpha, 1, rng)
     labels = batch_root_labels(xi, u)[0]
-    return ForestPath(n=n, alpha=alpha, xi=xi[0], u=u[0], labels=labels, seed=seed)
+    return ForestPath(n=n, alpha=alpha, xi=xi[0], u=u[0], labels=labels)
 
 
 # ---------------------------------------------------------------------------

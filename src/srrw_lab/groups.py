@@ -27,7 +27,7 @@ from .errors import CapacityError, DomainError, ParameterError, ReducibilityErro
 TABLE_CAP = 4096  # largest order for which a dense multiplication table is built
 ENUMERABLE_CAP = 1 << 22  # largest order we will iterate element-by-element
 SYMMETRIC_MAX_DEGREE = 8
-LAMPLIGHTER_DEFAULT_MAX_ORDER = 1 << 24
+LAMPLIGHTER_MAX_ORDER = 1 << 24
 PROB_ATOL = 1e-12
 
 
@@ -262,13 +262,13 @@ class LamplighterGroup(FiniteGroup):
     Operation: (f, j)*(h, k) = (phi, j+k) with phi(i) = f(i) XOR h(i - j).
     """
 
-    def __init__(self, L: int, max_order: int = LAMPLIGHTER_DEFAULT_MAX_ORDER):
+    def __init__(self, L: int):
         if L < 2:
             raise ParameterError(f"lamplighter needs L >= 2, got {L}")
         order = L * (1 << L)
-        if order > max_order:
+        if order > LAMPLIGHTER_MAX_ORDER:
             raise CapacityError(
-                f"lamplighter order L*2^L = {order} exceeds cap {max_order}"
+                f"lamplighter order L*2^L = {order} exceeds cap {LAMPLIGHTER_MAX_ORDER}"
             )
         self.kind = "lamplighter"
         self.L = L
@@ -328,22 +328,13 @@ class LamplighterGroup(FiniteGroup):
 class TableGroup(FiniteGroup):
     """Group given by an explicit Cayley table; identity must sit at index 0."""
 
-    def __init__(self, table: np.ndarray, check: bool = True, rng_seed: int = 0):
-        table = np.asarray(table, dtype=np.int32)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+    def __init__(self, table: np.ndarray):
+        t = np.asarray(table, dtype=np.int32)
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ParameterError("Cayley table must be square")
-        n = table.shape[0]
-        if n < 1 or table.min() < 0 or table.max() >= n:
+        n = t.shape[0]
+        if n < 1 or t.min() < 0 or t.max() >= n:
             raise ParameterError("Cayley table entries out of range")
-        self.kind = "table"
-        self.order = n
-        self._table = table
-        if check:
-            self._check_axioms(rng_seed)
-
-    def _check_axioms(self, rng_seed: int):
-        t = self._table
-        n = self.order
         idx = np.arange(n)
         if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
             raise ParameterError("index 0 is not a two-sided identity")
@@ -354,11 +345,14 @@ class TableGroup(FiniteGroup):
         if n <= 256:
             ok = np.array_equal(t[t, :], t[:, t])
         else:
-            rng = np.random.default_rng(rng_seed)
+            rng = np.random.default_rng(0)
             a, b, c = rng.integers(0, n, size=(3, 100_000))
             ok = np.array_equal(t[t[a, b], c], t[a, t[b, c]])
         if not ok:
             raise ParameterError("associativity fails")
+        self.kind = "table"
+        self.order = n
+        self._table = t
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -381,7 +375,7 @@ def _size_param(kind: str, param) -> int:
     return int(param)
 
 
-def make_group(kind: str, param=None, **kwargs) -> FiniteGroup:
+def make_group(kind: str, param=None) -> FiniteGroup:
     """Factory for the supported group families."""
     if kind == "cyclic":
         return CyclicGroup(_size_param(kind, param))
@@ -390,9 +384,9 @@ def make_group(kind: str, param=None, **kwargs) -> FiniteGroup:
     if kind == "symmetric":
         return SymmetricGroup(_size_param(kind, param))
     if kind == "lamplighter":
-        return LamplighterGroup(_size_param(kind, param), **kwargs)
+        return LamplighterGroup(_size_param(kind, param))
     if kind == "table":
-        return TableGroup(param, **kwargs)
+        return TableGroup(param)
     raise ParameterError(f"unknown group kind {kind!r}")
 
 

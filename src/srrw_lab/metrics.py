@@ -17,8 +17,9 @@ conditional laws over sampled forests kills all spin noise.  The hypercube
 estimator reduces to the Hamming-weight marginal: conditionally on the
 number of odd clusters m, the endpoint is a lazy coordinate-flip walk run
 for m steps, whose weight law follows an Ehrenfest recursion; it is compared
-with the Binomial(d, 1/2) law in exact integer arithmetic, and its stderr is
-the spread of one scalar per observed m.  The module needs numpy only.
+with the Binomial(d, 1/2) law in exact integer arithmetic.  Its stderr, like
+the endpoint estimator's, is the delta-method rule of ``_mixture_tv``: the
+spread of one scalar per observed category.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -102,17 +103,17 @@ class MixingEstimate:
         }
 
 
-def mixing_time_scan(curve: DistanceCurve, epsilon: float, horizon: int | None = None) -> MixingEstimate:
+def mixing_time_scan(curve: DistanceCurve, epsilon: float) -> MixingEstimate:
     """Operationalize the 'distance stays below epsilon for all later times' rule.
 
     Returns 1 + (largest grid n whose value exceeds epsilon), or 1 if the
     curve never exceeds it.  If an exceedance falls in the last 10% of the
-    horizon the estimate cannot be trusted (the curve might rise again past
-    the grid), so the guard flag is raised.
+    horizon, the curve's last grid point, the estimate cannot be trusted (the
+    curve might rise again past the grid), so the guard flag is raised.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
-    horizon = int(curve.ns[-1]) if horizon is None else int(horizon)
+    horizon = int(curve.ns[-1])
     exceed = curve.ns[curve.values > epsilon]
     if exceed.size == 0:
         return MixingEstimate(epsilon, 1, horizon, [], False)
@@ -120,18 +121,17 @@ def mixing_time_scan(curve: DistanceCurve, epsilon: float, horizon: int | None =
     return MixingEstimate(epsilon, int(exceed[-1]) + 1, horizon, list(exceed), guard)
 
 
-def geometric_grid(n_max: int, points_per_decade: int = 40, dense_upto: int = 16) -> np.ndarray:
-    """Integer grid, exhaustive up to ``dense_upto`` then ~log-spaced."""
+def geometric_grid(n_max: int, points_per_decade: int = 40) -> np.ndarray:
+    """Integer grid, exhaustive up to 16 then ~log-spaced."""
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    head = np.arange(1, min(dense_upto, n_max) + 1)
-    if n_max <= dense_upto:
+    dense = 16
+    head = np.arange(1, min(dense, n_max) + 1)
+    if n_max <= dense:
         return head
-    decades = math.log10(n_max / dense_upto)
+    decades = math.log10(n_max / dense)
     count = max(2, int(math.ceil(decades * points_per_decade)))
-    tail = np.unique(
-        np.round(np.geomspace(dense_upto + 1, n_max, count)).astype(np.int64)
-    )
+    tail = np.unique(np.round(np.geomspace(dense + 1, n_max, count)).astype(np.int64))
     return np.unique(np.concatenate([head, tail, [n_max]]))
 
 
@@ -207,16 +207,13 @@ class SpectralGap:
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform (unnormalized)."""
+    """Walsh-Hadamard transform (unnormalized) of a copy of v."""
     v = v.copy()
     h = 1
-    n = v.size
-    while h < n:
-        for start in range(0, n, 2 * h):
-            a = v[start : start + h].copy()
-            b = v[start + h : start + 2 * h].copy()
-            v[start : start + h] = a + b
-            v[start + h : start + 2 * h] = a - b
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        a, b = pairs[:, 0], pairs[:, 1]
+        pairs[:, 0], pairs[:, 1] = a + b, a - b
         h *= 2
     return v
 
@@ -273,23 +270,33 @@ def spectral_gap(group: FiniteGroup, mu: StepDistribution) -> SpectralGap:
 
 
 # ---------------------------------------------------------------------------
-# Naive endpoint estimator
+# Mixtures over observed categories; the endpoint estimator
 # ---------------------------------------------------------------------------
 
 
-def empirical_tv_estimator(
-    samples: np.ndarray,
-    group: FiniteGroup,
-    bootstrap_bins: int = 64,
-    bootstrap_rounds: int = 256,
-    bootstrap_seed: int = 0,
-) -> tuple[float, float]:
-    """Plug-in TV of an endpoint sample against uniform, with bootstrap stderr.
+def _mixture_tv(w, dev, scores, replicas) -> tuple[float, float]:
+    """TV of the mixture sum_c w_c q_c over observed categories c, and its stderr.
+
+    ``dev`` is the mixture minus the target, w_c the share of the replicas in
+    category c, and ``scores(grad)`` gives s_c = q_c . grad at the TV gradient
+    grad = sign(dev) / 2.  By the delta method the variance is the w-weighted
+    variance of the s_c over R - 1.
+    """
+    value = 0.5 * float(np.abs(dev).sum())
+    if replicas < 2:
+        return value, 0.0
+    s = scores(0.5 * np.sign(dev))
+    return value, math.sqrt(float(w @ (s - w @ s) ** 2) / (replicas - 1))
+
+
+def empirical_tv_estimator(samples: np.ndarray, group: FiniteGroup) -> tuple[float, float]:
+    """Plug-in TV of an endpoint sample against uniform, with delta-method stderr.
 
     The plug-in estimate is biased upward by O(sqrt(|G|/R)); a replica floor
     of R >= 100 |G| keeps that bias in the last digit shown on the figures,
-    and falling below it triggers a warning.  The stderr comes from
-    resampling `bootstrap_bins` sample batches with replacement.
+    and falling below it triggers a warning.  The categories are the observed
+    endpoints and each law is a point mass, so s_x = sign(dev_x) / 2 (see
+    ``_mixture_tv``); no random numbers are drawn.
     """
     samples = np.asarray(samples)
     R = samples.size
@@ -300,20 +307,8 @@ def empirical_tv_estimator(
             stacklevel=2,
         )
     hist = np.bincount(samples, minlength=group.order).astype(float)
-    value = 0.5 * np.abs(hist / R - 1.0 / group.order).sum()
-    nbins = min(bootstrap_bins, R)
-    batches = np.array_split(samples, nbins)
-    batch_hists = np.stack(
-        [np.bincount(b, minlength=group.order) for b in batches]
-    ).astype(float)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=bootstrap_seed))
-    tvs = np.empty(bootstrap_rounds)
-    for i in range(bootstrap_rounds):
-        pick = rng.integers(0, nbins, size=nbins)
-        h = batch_hists[pick].sum(axis=0)
-        tot = h.sum()
-        tvs[i] = 0.5 * np.abs(h / tot - 1.0 / group.order).sum()
-    return float(value), float(tvs.std(ddof=1))
+    nz = np.nonzero(hist)[0]
+    return _mixture_tv(hist[nz] / R, hist / R - 1.0 / group.order, lambda grad: grad[nz], R)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +624,8 @@ def hypercube_tv_curve(
     Per replica, only the odd-cluster count N_J(n) is sampled; conditionally
     on N_J(n) = m the endpoint is the lazy walk after m steps, and the law of
     the walk is invariant under coordinate permutations, so TV reduces to the
-    Hamming-weight marginal.  Works up to d = 1024.
+    Hamming-weight marginal.  The categories of ``_mixture_tv`` are the
+    observed odd-cluster counts m, with laws q_m.  Works up to d = 1024.
     """
     if d < 1 or d > 1024:
         raise ParameterError("hypercube estimator supports 1 <= d <= 1024")
@@ -646,16 +642,11 @@ def hypercube_tv_curve(
     stderrs = np.zeros(grid.size)
     for i in range(grid.size):
         # the estimate averages the rows q_{N_J} of the weight-chain table over
-        # the observed N_J only, whatever the horizon; by the delta method its
-        # variance is the weighted variance of the scalar q_{N_J} . grad, over R - 1
+        # the observed N_J only, whatever the horizon
         nz = np.nonzero(counts[i])[0]
         w = counts[i, nz] / replicas
         q = qtable[nz]
-        dev = w @ q - pi
-        values[i] = 0.5 * np.abs(dev).sum()
-        if replicas >= 2:
-            s = q @ (0.5 * np.sign(dev))
-            stderrs[i] = math.sqrt(float(w @ (s - w @ s) ** 2) / (replicas - 1))
+        values[i], stderrs[i] = _mixture_tv(w, w @ q - pi, lambda grad: q @ grad, replicas)
     return DistanceCurve(
         group_desc=f"hypercube(d={d})",
         alpha=alpha,
@@ -719,7 +710,7 @@ def _scan_with_retries(
             curves[horizon] = (curve, checkpoint if doubling_possible else None)
         curve = curves[horizon][0]
         tried.append(horizon)
-        est = mixing_time_scan(curve, epsilon, horizon)
+        est = mixing_time_scan(curve, epsilon)
         if not est.guard_triggered or len(tried) > max_doublings:
             return MixingRun(estimate=est, curve=curve, horizons_tried=tried)
         horizon *= 2

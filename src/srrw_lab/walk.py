@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DistributionVector
-from .errors import ContractError, ParameterError
+from .errors import CapacityError, ContractError, ParameterError
 from .forest import (
     ForestPath,
     batch_root_labels,
@@ -38,7 +38,6 @@ class WalkPath:
     alpha: float
     steps: np.ndarray  # (n,) element indices X_1..X_n
     positions: np.ndarray  # (n+1,) element indices S_0..S_n
-    seed: object = None
 
     @property
     def n(self) -> int:
@@ -78,7 +77,6 @@ def sample_path_direct(
     alpha: float,
     n: int,
     rng: np.random.Generator,
-    seed=None,
     forced_xi=None,
 ) -> WalkPath:
     """One SRRW path by the direct definition (replicate-or-fresh recursion).
@@ -101,13 +99,30 @@ def sample_path_direct(
             steps[t - 1] = steps[u - 1]
         else:
             steps[t - 1] = sampler.draw(rng)
-    return WalkPath(
-        group=group,
-        alpha=alpha,
-        steps=steps,
-        positions=_positions_from_steps(group, steps),
-        seed=seed,
-    )
+    return WalkPath(group, alpha, steps, _positions_from_steps(group, steps))
+
+
+STEP_TABLE_CAP = 1 << 30  # bytes of one chunk's steps in ``sample_endpoints_direct``
+ENDPOINT_CHUNK = 100_000
+
+
+def check_step_table(
+    group: FiniteGroup, replicas: int, horizon: int, chunk: int = ENDPOINT_CHUNK
+) -> np.dtype:
+    """The dtype of ``sample_endpoints_direct``'s step table; ``CapacityError`` if too big.
+
+    A chunk keeps min(replicas, chunk) walks' steps to `horizon`, in at most
+    ``STEP_TABLE_CAP`` bytes, in the smallest unsigned type of the indices but
+    not uint64, which numpy promotes with int64 to float.
+    """
+    dtype = np.min_scalar_type(group.order - 1)
+    dtype = dtype if dtype.itemsize < 8 else np.dtype(np.int64)
+    if (nbytes := min(replicas, chunk) * (horizon + 1) * dtype.itemsize) > STEP_TABLE_CAP:
+        raise CapacityError(
+            f"endpoint sampling to n = {horizon} keeps {nbytes} bytes of steps per chunk,"
+            f" over the cap of {STEP_TABLE_CAP}"
+        )
+    return dtype
 
 
 def sample_endpoints_direct(
@@ -117,7 +132,7 @@ def sample_endpoints_direct(
     grid,
     replicas: int,
     master_seed: int,
-    chunk: int = 100_000,
+    chunk: int = ENDPOINT_CHUNK,
 ) -> np.ndarray:
     """Positions S_n at every n of `grid` of `replicas` direct-construction walks.
 
@@ -132,12 +147,13 @@ def sample_endpoints_direct(
         raise ParameterError("grid must be nonempty, strictly increasing, with min >= 1")
     sampler = _MuSampler(mu)
     horizon = int(grid[-1])
+    dtype = check_step_table(group, replicas, horizon, chunk)
     out = np.empty((grid.size, replicas), dtype=np.int64)
     for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
         rng = stream(master_seed, ci)
         R = stop - start
         rows = np.arange(R)
-        X = np.empty((R, horizon + 1), dtype=np.int64)
+        X = np.empty((R, horizon + 1), dtype=dtype)
         X[:, 1] = sampler.draw(rng, R)
         S = np.full(R, group.identity, dtype=np.int64)
         gi = 0
@@ -159,7 +175,6 @@ def sample_path_forest(
     alpha: float,
     n: int,
     rng: np.random.Generator,
-    seed=None,
 ):
     """One SRRW path via the forest construction.
 
@@ -170,24 +185,18 @@ def sample_path_forest(
     alpha = _check_alpha(alpha)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    forest = grow_forest(n, alpha, rng, seed=seed)
+    forest = grow_forest(n, alpha, rng)
     sampler = _MuSampler(mu)
     roots = forest.roots()
     spin_values = sampler.draw(rng, roots.size)
     spins = {int(r): int(g) for r, g in zip(roots, spin_values)}
-    return forest, spins, walk_from_forest(group, forest, spins, seed=seed)
+    return forest, spins, walk_from_forest(group, forest, spins)
 
 
-def walk_from_forest(group: FiniteGroup, forest: ForestPath, spins: dict, seed=None) -> WalkPath:
+def walk_from_forest(group: FiniteGroup, forest: ForestPath, spins: dict) -> WalkPath:
     """Ordered product of root spins: step j is the spin of vertex j's cluster."""
     steps = np.array([spins[int(r)] for r in forest.labels], dtype=np.int64)
-    return WalkPath(
-        group=group,
-        alpha=forest.alpha,
-        steps=steps,
-        positions=_positions_from_steps(group, steps),
-        seed=seed,
-    )
+    return WalkPath(group, forest.alpha, steps, _positions_from_steps(group, steps))
 
 
 def sample_endpoints_forest(

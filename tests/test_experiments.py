@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srrw_lab import cli, config, forest, metrics, runner
+from srrw_lab import cli, config, forest, metrics, runner, walk
 from srrw_lab.config import parse_config, validate_config
 from srrw_lab.errors import SchemaError
 from srrw_lab.presets import preset_config, preset_names
@@ -155,6 +155,23 @@ class TestValidation:
             path.write_text(json.dumps(doc))
             assert cli.main(["validate", "--config", str(path)]) == 2
             assert not os.path.exists(doc["output_dir"])
+
+    def test_endpoint_step_table_capped_up_front(self, tmp_path):
+        # one chunk of 100 000 walks on Z_3 to n = 30 000 would hold 3 GB of steps
+        doc = base_config(
+            tmp_path, kind="tv-curve", group={"kind": "cyclic", "L": 3},
+            mu={"type": "simple-cycle"}, alphas=[0.5], estimator="endpoint",
+            replicas=100_000, grid={"n_max": 30_000},
+        )
+        problems = validate_config(doc)
+        assert [p.split(":")[0] for p in problems] == ["grid"]
+        assert str(walk.STEP_TABLE_CAP) in problems[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert not os.path.exists(doc["output_dir"])
+        assert validate_config(dict(doc, replicas=10_000)) == []
 
     @pytest.mark.parametrize(
         "kind, group, mu, estimator, field",

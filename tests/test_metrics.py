@@ -160,6 +160,22 @@ class TestSpectralGap:
         dense_star = float(np.abs(np.sort(lam)[:-1]).max())
         assert sg.lambda_star == pytest.approx(dense_star, abs=1e-12)
 
+    def test_walsh_transform_matches_the_butterfly_loop(self):
+        # the block-pair loop the reshaped transform replaced: same adds, same order
+        def loop(v):
+            v, h = v.copy(), 1
+            while h < v.size:
+                for start in range(0, v.size, 2 * h):
+                    a, b = v[start : start + h].copy(), v[start + h : start + 2 * h].copy()
+                    v[start : start + h], v[start + h : start + 2 * h] = a + b, a - b
+                h *= 2
+            return v
+
+        rng = np.random.default_rng(5)
+        for d in range(11):
+            v = rng.standard_normal(1 << d)
+            assert M._fwht(v).tobytes() == loop(v).tobytes()
+
     def test_symmetric_dense_path(self):
         s3 = G.make_group("symmetric", 3)
         sg = M.spectral_gap(s3, G.uniform_mu(s3))
@@ -194,6 +210,19 @@ class TestEmpiricalTv:
         z3 = G.make_group("cyclic", 3)
         v, se = M.empirical_tv_estimator(np.zeros(1000, dtype=int), z3)
         assert v == pytest.approx(1 - 1 / 3, abs=1e-12)
+        assert se == 0.0
+
+    def test_stderr_is_the_two_pass_per_replica_spread(self):
+        # the delta-method stderr of the plug-in TV: the spread over replicas of
+        # s_r = sign(p_hat - 1/|G|) / 2 at replica r's endpoint, over sqrt(R)
+        z5 = G.make_group("cyclic", 5)
+        samples = np.random.default_rng(3).choice(5, size=800, p=[0.3, 0.25, 0.2, 0.15, 0.1])
+        v, se = M.empirical_tv_estimator(samples, z5)
+        p_hat = np.bincount(samples, minlength=5) / samples.size
+        s = 0.5 * np.sign(p_hat - 1 / 5)[samples]
+        assert se > 0.0
+        assert se == pytest.approx(s.std(ddof=1) / math.sqrt(samples.size), rel=1e-12)
+        assert v == 0.5 * np.abs(p_hat - 1 / 5).sum()
 
     def test_uniform_synthetic_bias_small(self):
         z3 = G.make_group("cyclic", 3)
@@ -675,6 +704,21 @@ class TestEstimatorOracleBattery:
             if abs(curve.values[0] - exact) > 4 * curve.stderrs[0]:
                 fails += 1
         assert fails <= 1
+
+    def test_endpoint_within_4se_in_99_of_100(self, z3_oracle_curves):
+        from srrw_lab import walk as W
+
+        z3 = G.make_group("cyclic", 3)
+        mu = G.simple_cycle_mu(z3)
+        grid = [2, 3, 5]
+        exact = [z3_oracle_curves[(0.5, n)].tv_to_uniform() for n in grid]
+        fails = np.zeros(len(grid), dtype=int)
+        for seed in range(100):
+            ends = W.sample_endpoints_direct(z3, mu, 0.5, grid, 1600, seed)
+            for i, row in enumerate(ends):
+                v, se = M.empirical_tv_estimator(row, z3)
+                fails[i] += abs(v - exact[i]) > 4 * se
+        assert fails.max() <= 1
 
     def test_hypercube_within_4se_in_99_of_100(self):
         h2 = G.make_group("hypercube", 2)

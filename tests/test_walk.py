@@ -85,6 +85,17 @@ class TestDirectSampler:
             with pytest.raises(ParameterError):
                 W.sample_endpoints_direct(s3, mu, 0.6, bad, 50, 8)
 
+    def test_step_table_over_the_cap_raises_before_the_pass(self, z3, mu3, monkeypatch):
+        # the steps of Z_3 take one byte each: 10 replicas to n = 9 hold 100 bytes
+        monkeypatch.setattr(W, "STEP_TABLE_CAP", 100)
+        assert W.sample_endpoints_direct(z3, mu3, 0.5, [9], 10, 1).shape == (1, 10)
+        monkeypatch.setattr(W, "STEP_TABLE_CAP", 99)
+        monkeypatch.setattr(W, "stream", lambda *a: pytest.fail("the pass started"))
+        with pytest.raises(CapacityError):
+            W.sample_endpoints_direct(z3, mu3, 0.5, [3, 9], 10, 1)
+        # a chunk holds the steps of its own replicas only
+        W.check_step_table(z3, 10**6, 9, chunk=9)
+
 
 class TestForestSampler:
     def test_worked_configuration_product(self, z3, mu3):
