@@ -22,7 +22,8 @@ import numpy as np
 
 from . import groups as G
 from .errors import CapacityError, SchemaError
-from .evolving import EXHAUSTIVE_CAP
+from .evolving import check_exhaustive
+from .forest import check_batch
 from .metrics import geometric_grid
 from .oracle import ORACLE_N_CAP, check_spin_cap
 from .walk import check_step_table
@@ -235,7 +236,7 @@ def validate_config(doc: dict) -> list[str]:
     kind = KINDS.get(name, Kind())  # an unknown kind runs the config's estimator
     if kind.needs_grid and "grid" in v and grid is None:
         bad("grid", f"required for kind {name!r}")
-    # a curve's last grid point, which sizes the exact and endpoint estimators
+    # the last grid point, which sizes the exact and endpoint estimators and forest-stats
     last = None
     if kind.needs_grid and grid is not None:
         last = max(grid["values"]) if grid.get("type") == "explicit" else grid["n_max"]
@@ -262,11 +263,11 @@ def validate_config(doc: dict) -> list[str]:
                     bad(n_field, str(exc))
                     break
 
+    if name == "forest-stats" and last is not None and "replicas" in v:
+        build("grid", check_batch, last, v["replicas"])
     if group is not None:
-        if name == "profiles" and group.order > EXHAUSTIVE_CAP:
-            bad("group", f"exhaustive profiles capped at order {EXHAUSTIVE_CAP}, got {group.order}")
-        if name == "profiles" and group.order < 2:
-            bad("group", f"profiles need a group of order >= 2 (got {group.order})")
+        if name == "profiles":
+            build("group", check_exhaustive, group)
         # these estimators compute one fixed walk's curve and ignore mu otherwise
         if est == "rao-blackwell":
             if group.kind != "cyclic" or group.order % 2 == 0 or group.order < 3:

@@ -194,7 +194,9 @@ class ProfileTable:
     psi: np.ndarray
     phi_witness: list
     psi_witness: list
-    certified: bool
+    certified: bool  # always True: every table is exact
+
+    CSV_FIELDS = ("r", "phi", "psi", "phi_witness_mask", "psi_witness_mask")
 
     def phi_at(self, r: float) -> float:
         if r < self.rs[0]:
@@ -202,17 +204,15 @@ class ProfileTable:
         i = int(np.searchsorted(self.rs, min(r, self.rs[-1]), side="right")) - 1
         return float(self.phi[i])
 
+    def csv_rows(self):
+        """One mapping per r, keyed by ``CSV_FIELDS``."""
+        cols = zip(self.rs, self.phi, self.psi, self.phi_witness, self.psi_witness)
+        for r, f, p, fw, pw in cols:
+            cells = (f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw))
+            yield dict(zip(self.CSV_FIELDS, cells))
+
     def to_csv(self, path):
-        write_csv(
-            path,
-            ["r", "phi", "psi", "phi_witness_mask", "psi_witness_mask"],
-            (
-                [f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)]
-                for r, f, p, fw, pw in zip(
-                    self.rs, self.phi, self.psi, self.phi_witness, self.psi_witness
-                )
-            ),
-        )
+        write_csv(path, self.CSV_FIELDS, self.csv_rows())
 
 
 def _translation_luts(group: FiniteGroup) -> np.ndarray:
@@ -292,78 +292,35 @@ def _orbit_minima(
     return best, witness
 
 
-def iso_profile(
-    group: FiniteGroup,
-    mu: StepDistribution,
-    mode: str = "exhaustive",
-    sample_rounds: int = 2000,
-    sample_seed: int = 0,
-    chunk: int = 16384,
-) -> ProfileTable:
-    """Isoperimetric profile Phi(r) and root profile psi(r).
-
-    Exhaustive mode covers every subset with |A| <= |G|/2 (cap |G| <= 24),
-    evaluating one per translation orbit plus the translates of near-minima;
-    sampled mode explores random subsets plus greedy swaps and reports
-    non-certified upper bounds.
-    """
+def check_exhaustive(group: FiniteGroup) -> None:
+    """Raise unless an exhaustive subset sweep can run: 2 <= |G| <= ``EXHAUSTIVE_CAP``."""
     n = group.order
     if n < 2:
-        raise ParameterError(f"profiles need |G| >= 2, got {n}")
-    P = transition_matrix(group, mu)
-    half = n // 2
-    best_phi = np.full(half + 1, np.inf)
-    best_psi = np.full(half + 1, np.inf)
-    wit_phi = [0] * (half + 1)
-    wit_psi = [0] * (half + 1)
+        raise ParameterError(f"exhaustive sweeps need |G| >= 2, got {n}")
+    if n > EXHAUSTIVE_CAP:
+        raise CapacityError(f"exhaustive sweeps need |G| <= {EXHAUSTIVE_CAP}, got {n}")
 
-    def absorb(masks: np.ndarray):
-        sizes, phi, psi = _chunk_phi_psi(masks, P)
-        for s in np.unique(sizes):
-            if s < 1 or s > half:
-                continue
-            sel = sizes == s
-            i = int(np.argmin(np.where(sel, phi, np.inf)))
-            if phi[i] < best_phi[s]:
-                best_phi[s] = phi[i]
-                wit_phi[s] = int(masks[i])
-            j = int(np.argmin(np.where(sel, psi, np.inf)))
-            if psi[j] < best_psi[s]:
-                best_psi[s] = psi[j]
-                wit_psi[s] = int(masks[j])
 
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_CAP:
-            raise CapacityError(
-                f"exhaustive profiles need |G| <= {EXHAUSTIVE_CAP}, got {n}"
-            )
-        best, wit = _orbit_minima(
-            group, P, 1, half, lambda phi, psi: (phi, psi), by_size=True, chunk=chunk
-        )
-        best_phi, best_psi = best
-        wit_phi, wit_psi = wit.tolist()
-        certified = True
-    elif mode == "sampled":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=sample_seed))
-        for s in range(1, half + 1):
-            picks = (rng.choice(n, size=s, replace=False) for _ in range(sample_rounds))
-            absorb(np.array([mask_of(p) for p in picks], dtype=np.int64))
-            # greedy single-swap descent from the current best phi witness
-            cur = wit_phi[s]
-            improved = True
-            while improved and cur:
-                improved = False
-                members = list(set_of(cur))
-                outside = [x for x in range(n) if not (cur >> x) & 1]
-                swaps = [(cur ^ (1 << a)) | (1 << b) for a in members for b in outside]
-                before = best_phi[s]
-                absorb(np.array(swaps, dtype=np.int64))
-                if best_phi[s] < before:
-                    cur = wit_phi[s]
-                    improved = True
-        certified = False
-    else:
+def iso_profile(
+    group: FiniteGroup, mu: StepDistribution, mode: str = "exhaustive", chunk: int = 16384
+) -> ProfileTable:
+    """Isoperimetric profile Phi(r) and root profile psi(r), exactly.
+
+    Covers every subset with |A| <= |G|/2, evaluating one per translation
+    orbit plus the translates of near-minima; ``mode`` takes only
+    "exhaustive".
+    """
+    check_exhaustive(group)
+    if mode != "exhaustive":
         raise ParameterError(f"unknown profile mode {mode!r}")
+    n = group.order
+    half = n // 2
+    P = transition_matrix(group, mu)
+    best, wit = _orbit_minima(
+        group, P, 1, half, lambda phi, psi: (phi, psi), by_size=True, chunk=chunk
+    )
+    best_phi, best_psi = best
+    wit_phi, wit_psi = wit.tolist()
 
     # running minima make both profiles nonincreasing in r by construction
     rs = np.arange(1, half + 1, dtype=float) / n
@@ -386,28 +343,25 @@ def iso_profile(
         psi=psi,
         phi_witness=phi_w,
         psi_witness=psi_w,
-        certified=certified,
+        certified=True,
     )
 
 
 def psi_phi_inequality_check(group: FiniteGroup, mu: StepDistribution) -> float:
     """Worst slack of psi(W) >= mu_0^2 Phi(W)^2 / (2 (1-mu_0)^2) over proper W.
 
-    Requires |G| >= 2 and a lazy atom 0 < mu_0 = mu(e) < 1; returns min over
-    all nonempty proper subsets of the left side minus the right side.
+    Requires ``check_exhaustive`` to pass and a lazy atom 0 < mu_0 = mu(e) < 1;
+    returns min over all nonempty proper subsets of the left side minus the
+    right side.
     """
-    n = group.order
-    if n < 2:
-        raise ParameterError(f"the psi-phi inequality needs |G| >= 2, got {n}")
+    check_exhaustive(group)
     mu0 = mu.prob(group.identity)
     if not 0.0 < mu0 < 1.0:
         raise DomainError("the psi-phi inequality needs 0 < mu(e) < 1")
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive check needs |G| <= {EXHAUSTIVE_CAP}")
     P = transition_matrix(group, mu)
     factor = mu0**2 / (2.0 * (1.0 - mu0) ** 2)
     best, _ = _orbit_minima(
-        group, P, 1, n - 1, lambda phi, psi: (psi - factor * phi**2,), by_size=False
+        group, P, 1, group.order - 1, lambda phi, psi: (psi - factor * phi**2,), by_size=False
     )
     return float(best[0, 0])
 
@@ -427,9 +381,8 @@ def psi_positivity_vs_generation(group: FiniteGroup, mu: StepDistribution) -> Ge
     When psi(1/2) = 0, also produce a subset witness fixed by right
     multiplication with Gamma * Gamma^-1 (a union of cosets of the closure).
     """
+    check_exhaustive(group)
     n = group.order
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive psi needs |G| <= {EXHAUSTIVE_CAP}")
     P = transition_matrix(group, mu)
     closure = gamma_gamma_inv_closure(group, mu.support)
     generates = len(closure) == n

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import special
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .special import _check_alpha
 from .streams import chunk_ranges, stream
 
@@ -218,13 +218,31 @@ def sample_batch_choices(n: int, alpha: float, count: int, rng: np.random.Genera
     return xi, u.astype(np.int32)
 
 
+BATCH_CAP = 1 << 30  # bytes of one chunk's uniforms in ``sample_cluster_size_counts``
+BATCH_CHUNK = 100
+
+
+def check_batch(n: int, replicas: int, chunk: int = BATCH_CHUNK) -> None:
+    """Raise ``CapacityError`` if a chunk of ``sample_cluster_size_counts`` is too big.
+
+    A chunk draws min(replicas, chunk) forests' n - 1 float64 uniforms, in at
+    most ``BATCH_CAP`` bytes; the chunk's choices and labels bring its peak to
+    21-25 bytes per (replica, vertex) slot (tracemalloc, n = 10^4 to 10^5).
+    """
+    if (nbytes := min(replicas, chunk) * (n - 1) * 8) > BATCH_CAP:
+        raise CapacityError(
+            f"forest statistics at n = {n} draw {nbytes} bytes of uniforms per chunk,"
+            f" over the cap of {BATCH_CAP}"
+        )
+
+
 def sample_cluster_size_counts(
     n: int,
     alpha: float,
     replicas: int,
     master_seed: int,
     k_max: int,
-    chunk: int = 100,
+    chunk: int = BATCH_CHUNK,
 ):
     """Per-replica (N_1..N_k_max, odd-cluster count) at time n.
 
@@ -232,6 +250,7 @@ def sample_cluster_size_counts(
     shape (replicas,).  Chunk ci of the replicas draws from RNG stream ci.
     """
     alpha = _check_alpha(alpha)
+    check_batch(n, replicas, chunk)
     counts = np.zeros((replicas, k_max), dtype=np.int64)
     odd = np.zeros(replicas, dtype=np.int64)
     for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):

@@ -1,7 +1,8 @@
 """Distance curves, Monte Carlo estimators, spectral quantities, and
 mixing-time extraction.
 
-Every Monte Carlo estimator is a view over one pass, ``_forest_chunks``: it
+Every forest-pass estimator (the cycle curve and law, the Fourier bound, the
+hypercube curve) is a view over one pass, ``_forest_chunks``: it
 grows the percolated forests in replica chunks, hands each grid time's
 cluster-size histogram to the estimator's ``terms``, sums the returned terms
 into per-grid arrays of the chunk and yields the chunks' arrays in chunk
@@ -286,7 +287,9 @@ def _mixture_tv(w, dev, scores, replicas) -> tuple[float, float]:
     if replicas < 2:
         return value, 0.0
     s = scores(0.5 * np.sign(dev))
-    return value, math.sqrt(float(w @ (s - w @ s) ** 2) / (replicas - 1))
+    # w sums to 1 only up to rounding; this centre is exactly every s_c when they are all equal
+    c = s[0] + w @ (s - s[0])
+    return value, math.sqrt(float(w @ (s - c) ** 2) / (replicas - 1))
 
 
 def empirical_tv_estimator(samples: np.ndarray, group: FiniteGroup) -> tuple[float, float]:

@@ -46,10 +46,8 @@ def _check_n(n: int) -> int:
     return n
 
 
-def check_spin_cap(
-    mu: StepDistribution, alpha: float, n: int, spin_cap: int = SPIN_CAP
-) -> None:
-    """Raise ``CapacityError`` if the spin enumeration at walk length n exceeds `spin_cap`.
+def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> None:
+    """Raise ``CapacityError`` if the spin enumeration at walk length n exceeds ``SPIN_CAP``.
 
     The oracle enumerates a spin in supp mu for each cluster of size >= 2.
     At 0 < alpha < 1 the forest that pairs (1, 2), (3, 4), ... has nonzero
@@ -58,10 +56,10 @@ def check_spin_cap(
     reached and the check is exact.
     """
     big = 0 if alpha == 0.0 or n < 2 else 1 if alpha == 1.0 else n // 2
-    if (nsup := len(mu.support)) ** big > spin_cap:
+    if (nsup := len(mu.support)) ** big > SPIN_CAP:
         raise CapacityError(
             f"the oracle's spin enumeration needs |support|^(clusters of size >= 2)"
-            f" <= {spin_cap}, got {nsup}**{big} at n = {n}, alpha = {alpha}"
+            f" <= {SPIN_CAP}, got {nsup}**{big} at n = {n}, alpha = {alpha}"
         )
 
 
@@ -139,11 +137,7 @@ def enumeration_weight_sum(n: int, alpha: float) -> float:
 
 
 def exact_endpoint_distribution(
-    group: FiniteGroup,
-    mu: StepDistribution,
-    alpha: float,
-    n: int,
-    spin_cap: int = SPIN_CAP,
+    group: FiniteGroup, mu: StepDistribution, alpha: float, n: int
 ) -> DistributionVector:
     """P(S_n = .) as the exact mixture over forests and spins.
 
@@ -152,14 +146,14 @@ def exact_endpoint_distribution(
     weight of its configurations.  Spins of singleton clusters are
     integrated analytically through P_mu; only non-singleton cluster roots
     are enumerated, at most |support|^(#big clusters) combinations per
-    forest, which ``check_spin_cap`` bounds by `spin_cap` before any forest
+    forest, which ``check_spin_cap`` bounds by ``SPIN_CAP`` before any forest
     is enumerated.
     """
     if group.order > TABLE_CAP:
         raise CapacityError(f"oracle needs group order <= {TABLE_CAP}")
     n = _check_n(n)
     alpha = _check_alpha(alpha)
-    check_spin_cap(mu, alpha, n, spin_cap)
+    check_spin_cap(mu, alpha, n)
     P = transition_matrix(group, mu)
     support = np.array(mu.support, dtype=np.int64)
     sup_probs = np.array([p for _, p in mu.items])

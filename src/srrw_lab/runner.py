@@ -230,15 +230,9 @@ def _forest_stats_section(cfg: ExperimentConfig, group, mu):
 
 def _profiles_section(cfg: ExperimentConfig, group, mu):
     table = iso_profile(group, mu, mode="exhaustive")
-    rows = [
-        [cfg.seed, _estimator(cfg), f"{r:.17g}", f"{f:.17g}", f"{p:.17g}", hex(fw), hex(pw)]
-        for r, f, p, fw, pw in zip(
-            table.rs, table.phi, table.psi, table.phi_witness, table.psi_witness
-        )
-    ]
-    fields = (
-        "seed", "estimator", "r", "phi", "psi", "phi_witness_mask", "psi_witness_mask",
-    )
+    head = {"seed": cfg.seed, "estimator": _estimator(cfg)}
+    rows = [{**head, **row} for row in table.csv_rows()]
+    fields = ("seed", "estimator", *table.CSV_FIELDS)
     return [("profiles.csv", fields, rows)], {"certified": table.certified}, False
 
 

@@ -173,13 +173,10 @@ class TestIsoProfile:
                 table.psi[i], abs=1e-12
             )
 
-    def test_sampled_mode_upper_bounds(self, lazy_z5_kernel):
+    def test_exhaustive_is_the_only_mode(self, lazy_z5_kernel):
         z5, mu, _ = lazy_z5_kernel
-        exact = E.iso_profile(z5, mu, mode="exhaustive")
-        sampled = E.iso_profile(z5, mu, mode="sampled", sample_rounds=50)
-        assert not sampled.certified
-        assert (sampled.phi >= exact.phi - 1e-12).all()
-        assert (sampled.psi >= exact.psi - 1e-12).all()
+        with pytest.raises(ParameterError, match="sampled"):
+            E.iso_profile(z5, mu, mode="sampled")
 
     def test_capacity_cap(self):
         h5 = G.make_group("hypercube", 5)  # order 32 > 24
@@ -199,6 +196,18 @@ class TestIsoProfile:
         trivial = G.make_group("table", np.array([[0]]))
         with pytest.raises(ParameterError):
             E.iso_profile(trivial, G.uniform_mu(trivial), mode=mode)
+
+
+@pytest.mark.parametrize(
+    "sweep", [E.iso_profile, E.psi_phi_inequality_check, E.psi_positivity_vs_generation]
+)
+def test_every_sweep_checks_both_caps_first(sweep):
+    trivial = G.make_group("table", np.array([[0]]))
+    with pytest.raises(ParameterError, match=">= 2"):
+        sweep(trivial, G.uniform_mu(trivial))
+    h5 = G.make_group("hypercube", 5)  # order 32 > 24
+    with pytest.raises(CapacityError, match="24"):
+        sweep(h5, G.lazy_hypercube_mu(h5))
 
 
 def reference_phi_psi(masks, P):

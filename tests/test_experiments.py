@@ -173,6 +173,22 @@ class TestValidation:
         assert not os.path.exists(doc["output_dir"])
         assert validate_config(dict(doc, replicas=10_000)) == []
 
+    def test_forest_stats_batch_capped_up_front(self, tmp_path):
+        # 100 forests on 10^8 vertices would draw 80 GB of uniforms in one chunk
+        doc = base_config(
+            tmp_path, kind="forest-stats", alphas=[0.5], replicas=100,
+            grid={"type": "explicit", "values": [10**8]},
+        )
+        problems = validate_config(doc)
+        assert [p.split(":")[0] for p in problems] == ["grid"]
+        assert str(forest.BATCH_CAP) in problems[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert not os.path.exists(doc["output_dir"])
+        assert validate_config(dict(doc, grid={"n_max": 10**6})) == []
+
     @pytest.mark.parametrize(
         "kind, group, mu, estimator, field",
         [

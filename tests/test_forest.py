@@ -6,7 +6,7 @@ import pytest
 
 from srrw_lab import forest as F
 from srrw_lab import special as sp
-from srrw_lab.errors import ParameterError
+from srrw_lab.errors import CapacityError, ParameterError
 from srrw_lab.streams import stream
 
 # the worked seven-vertex configuration: u2=u3=1, u4=2, u5=3, u6=u7=4,
@@ -177,6 +177,17 @@ class TestThetaDensities:
         for k in range(1, 6):
             assert abs(means[k - 1] - sp.theta_k(a, k)) < 0.01
         assert abs(odd.mean() / n - sp.odd_cluster_density(a)) < 0.005
+
+    def test_batch_over_the_cap_raises_before_drawing(self, monkeypatch):
+        # 10 forests on 11 vertices draw 10 x 10 float64 uniforms: 800 bytes
+        monkeypatch.setattr(F, "BATCH_CAP", 800)
+        assert F.sample_cluster_size_counts(11, 0.5, 10, 3, k_max=2)[0].shape == (10, 2)
+        monkeypatch.setattr(F, "BATCH_CAP", 799)
+        monkeypatch.setattr(F, "stream", lambda *a: pytest.fail("the draw started"))
+        with pytest.raises(CapacityError):
+            F.sample_cluster_size_counts(11, 0.5, 10, 3, k_max=2)
+        # a chunk draws the uniforms of its own replicas only
+        F.check_batch(11, 10**6, chunk=9)
 
 
 def reference_evolve(alpha, grid, modulus, count, rng, collect):

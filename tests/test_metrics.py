@@ -212,6 +212,17 @@ class TestEmpiricalTv:
         assert v == pytest.approx(1 - 1 / 3, abs=1e-12)
         assert se == 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_stderr_zero_when_every_category_has_the_same_score(self, seed):
+        # every endpoint of the lazy walk on Z_300 at n = 6 is over-represented, so each
+        # replica's score is 1/2; the shares of the 13 categories sum to 1 only up to rounding
+        from srrw_lab import walk as W
+
+        z300 = G.make_group("cyclic", 300)
+        ends = W.sample_endpoints_direct(z300, G.lazy_cycle_mu(z300), 0.7, [6], 2400, seed)[0]
+        assert (np.bincount(ends) * 300 != 2400).all()
+        assert M.empirical_tv_estimator(ends, z300)[1] == 0.0
+
     def test_stderr_is_the_two_pass_per_replica_spread(self):
         # the delta-method stderr of the plug-in TV: the spread over replicas of
         # s_r = sign(p_hat - 1/|G|) / 2 at replica r's endpoint, over sqrt(R)

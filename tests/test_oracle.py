@@ -120,7 +120,7 @@ class TestSpinCap:
         with pytest.raises(CapacityError):
             O.exact_tv_curve(s4, mu, 0.5, 8)
 
-    def test_bound_is_the_largest_number_of_big_clusters(self):
+    def test_bound_is_the_largest_number_of_big_clusters(self, monkeypatch):
         s4 = G.make_group("symmetric", 4)
         mu = G.uniform_mu(s4)
         O.check_spin_cap(mu, 0.0, 9)  # all singletons
@@ -129,9 +129,11 @@ class TestSpinCap:
         with pytest.raises(CapacityError):
             O.check_spin_cap(mu, 1e-6, 8)
         # the bound is reached: at n = 7 a forest has three clusters of size >= 2
-        assert O.check_spin_cap(mu, 0.5, 7, spin_cap=24**3) is None
+        monkeypatch.setattr(O, "SPIN_CAP", 24**3)
+        assert O.check_spin_cap(mu, 0.5, 7) is None
+        monkeypatch.setattr(O, "SPIN_CAP", 24**3 - 1)
         with pytest.raises(CapacityError):
-            O.exact_endpoint_distribution(s4, mu, 0.5, 7, spin_cap=24**3 - 1)
+            O.exact_endpoint_distribution(s4, mu, 0.5, 7)
 
 
 class TestExactTvCurve:
