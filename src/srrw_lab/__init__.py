@@ -32,9 +32,7 @@ from .metrics import (
     MixingEstimate,
     decay_rate_fit,
     empirical_tv_estimator,
-    fourier_tv_bound_cycle,
     mixing_time_scan,
-    rao_blackwell_cycle_distribution,
     spectral_gap,
 )
 from .oracle import (
@@ -84,7 +82,6 @@ __all__ = [
     "exact_tv_curve",
     "expected_isolated_exact",
     "forest_from_choices",
-    "fourier_tv_bound_cycle",
     "grow_forest",
     "hyp2f1_half",
     "irreducibility_certificate",
@@ -92,7 +89,6 @@ __all__ = [
     "make_group",
     "mixing_time_scan",
     "negative_correlation_check",
-    "rao_blackwell_cycle_distribution",
     "sample_path_direct",
     "sample_path_forest",
     "spectral_gap",

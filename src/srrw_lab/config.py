@@ -152,9 +152,6 @@ class ExperimentConfig:
         f"an integer in [1, {POINTS_PER_DECADE_CAP}]",
     )
     output_dir: str = _field("srrw-out", lambda v: v and isinstance(v, str), "a nonempty string")
-    smoothing_bandwidth: float | None = _field(
-        None, lambda v: v is None or _number(v) and v > 0, "null or a number > 0"
-    )
     threads: int = _field(
         None,
         lambda v: _count(_threads(v)),

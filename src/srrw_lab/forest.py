@@ -323,8 +323,8 @@ def evolve_size_histograms(
     At every grid time t, calls ``collect(grid_index, t, histo)`` where
     ``histo[r, s]`` counts clusters of replica r whose size is congruent to
     s mod `modulus`.  The histogram is all any consumer needs: conditional
-    cycle Fourier coefficients depend on sizes mod L (or 2L), and the odd
-    cluster count for the hypercube reduction is the modulus-2 case.
+    cycle Fourier coefficients depend on sizes mod L, and the odd cluster
+    count for the hypercube reduction is the modulus-2 case.
 
     Vertex t of replica r takes the ((t - 2) * count + r)-th double of
     ``rng`` (time-major, one per vertex, see ``choices_from_uniforms``), so

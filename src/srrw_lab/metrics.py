@@ -1,15 +1,14 @@
 """Distance curves, Monte Carlo estimators, spectral quantities, and
 mixing-time extraction.
 
-Every forest-pass estimator (the cycle curve and law, the Fourier bound, the
-hypercube curve) is a view over one pass, ``_forest_chunks``: it
-grows the percolated forests in replica chunks, hands each grid time's
-cluster-size histogram to the estimator's ``terms``, sums the returned terms
-into per-grid arrays of the chunk and yields the chunks' arrays in chunk
-order.  ``_forest_sums`` adds them up in that order; ``_forest_moments``
-also merges the chunks' centred second moments pairwise, for the cycle
-curve and the Fourier bound.  The estimator then
-reduces those sums to values and delta-method stderrs.
+Both forest-pass estimators (the cycle curve and the hypercube curve) are
+views over one pass, ``_forest_chunks``: it grows the percolated forests in
+replica chunks, hands each grid time's cluster-size histogram to the
+estimator's ``terms``, sums the returned terms into per-grid arrays of the
+chunk and yields the chunks' arrays in chunk order.  ``_forest_sums`` adds
+them up in that order; ``_forest_moments`` also merges the chunks' centred
+second moments pairwise, for the cycle curve.  The estimator then reduces
+those sums to values and delta-method stderrs.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
@@ -134,25 +133,6 @@ def geometric_grid(n_max: int, points_per_decade: int = 40) -> np.ndarray:
     count = max(2, int(math.ceil(decades * points_per_decade)))
     tail = np.unique(np.round(np.geomspace(dense + 1, n_max, count)).astype(np.int64))
     return np.unique(np.concatenate([head, tail, [n_max]]))
-
-
-def smooth_curve(curve: DistanceCurve, bandwidth: float = 2.0) -> DistanceCurve:
-    """Gaussian smoothing over grid index; presentation only, never pre-scan."""
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
-    idx = np.arange(curve.ns.size)
-    w = np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / bandwidth) ** 2)
-    sm = (w @ curve.values) / w.sum(axis=1)
-    return DistanceCurve(
-        group_desc=curve.group_desc,
-        alpha=curve.alpha,
-        estimator=curve.estimator + "+smoothed",
-        replicas=curve.replicas,
-        seed=curve.seed,
-        ns=curve.ns.copy(),
-        values=sm,
-        stderrs=curve.stderrs.copy(),
-    )
 
 
 @dataclass
@@ -320,11 +300,10 @@ def empirical_tv_estimator(samples: np.ndarray, group: FiniteGroup) -> tuple[flo
 
 
 class _CycleTables:
-    """Coefficient tables over cluster-size residues mod 2L (odd L).
+    """Coefficient tables over cluster-size residues mod L (odd L).
 
-    phi frequencies cos(2 pi k s / L) have period L in s, and the Fourier
-    upper-bound factors cos^2(pi k s / L) have period 2L, so one mod-2L
-    histogram of cluster sizes serves both.
+    The phi factors cos(2 pi k s / L) have period L in s, so a mod-L
+    histogram of cluster sizes determines phi.
     """
 
     def __init__(self, L: int):
@@ -332,16 +311,12 @@ class _CycleTables:
             raise ParameterError(f"cycle estimator needs odd L >= 3, got {L}")
         self.L = L
         self.K = (L - 1) // 2
-        rho = np.arange(2 * L)
         ks = np.arange(1, self.K + 1)
-        c2 = np.cos(2.0 * np.pi * np.outer(ks, rho) / L)
-        # |cos| is never 0 here for odd L; the clip only guards float dust
-        self.logmag = np.log(np.maximum(np.abs(c2), 1e-300)).T  # (2L, K)
-        self.negmask = (c2 < 0).astype(float).T
-        c1sq = np.cos(np.pi * np.outer(ks, rho) / L) ** 2
-        self.logbound = np.log(np.maximum(c1sq, 1e-300)).T  # (2L, K)
         # DFT: P(S_n = m) - 1/L = (2/L) sum_k cos(2 pi k m / L) phi_k
         self.dft = np.cos(2.0 * np.pi * np.outer(np.arange(L), ks) / L)  # (L, K)
+        # |cos| is never 0 here for odd L; the clip only guards float dust
+        self.logmag = np.log(np.maximum(np.abs(self.dft), 1e-300))
+        self.negmask = (self.dft < 0).astype(float)
 
     def phi(self, histo: np.ndarray) -> np.ndarray:
         """Conditional Fourier coefficients, one row per replica."""
@@ -350,14 +325,6 @@ class _CycleTables:
         negs = h @ self.negmask
         sign = np.where((np.rint(negs).astype(np.int64) & 1) == 1, -1.0, 1.0)
         return sign * np.exp(logmag)
-
-    def bound_terms(self, histo: np.ndarray) -> np.ndarray:
-        """Per-replica value of (1/2) sum_k prod_j cos^2(pi k |C_j| / L)."""
-        h = histo.astype(float)
-        return 0.5 * np.exp(h @ self.logbound).sum(axis=1)
-
-    def distribution_from_phi(self, phi: np.ndarray) -> np.ndarray:
-        return 1.0 / self.L + (2.0 / self.L) * (self.dft @ phi)
 
 
 STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between doublings
@@ -450,12 +417,13 @@ def _forest_moments(
     """Per-grid sum and centred second moment of the replicas' ``rows(histo)``.
 
     ``rows`` maps a chunk's cluster-size histogram to one row per replica,
-    shape (R, K).  Each chunk sums its rows, and the outer products of its
-    rows, around the chunk's first row, so equal rows give exactly 0; the
-    chunks' means and centred second moments are merged in chunk order by
-    the pairwise update of Chan, Golub and LeVeque.  Returns (sum, M2) of
-    shapes (grid, K) and (grid, K, K); the sums are added in chunk order as
-    in ``_forest_sums``, and the merge is elementwise per grid point.
+    shape (R, K): the cycle curve's conditional Fourier coefficients phi.
+    Each chunk sums its rows, and the outer products of its rows, around the
+    chunk's first row, so equal rows give exactly 0; the chunks' means and
+    centred second moments are merged in chunk order by the pairwise update
+    of Chan, Golub and LeVeque.  Returns (sum, M2) of shapes (grid, K) and
+    (grid, K, K); the sums are added in chunk order as in ``_forest_sums``,
+    and the merge is elementwise per grid point.
     """
 
     def terms(histo):
@@ -502,7 +470,7 @@ def rao_blackwell_cycle_curve(
     grid = np.asarray(grid, dtype=np.int64)
 
     total, m2 = _forest_moments(
-        alpha, grid, 2 * L, replicas, master_seed, chunk, threads, tables.phi, checkpoint
+        alpha, grid, L, replicas, master_seed, chunk, threads, tables.phi, checkpoint
     )
     phi_mean = total / replicas
     C = (2.0 / L) * tables.dft
@@ -525,59 +493,6 @@ def rao_blackwell_cycle_curve(
         values=values,
         stderrs=stderrs,
     )
-
-
-def rao_blackwell_cycle_distribution(
-    L: int,
-    alpha: float,
-    n: int,
-    replicas: int,
-    master_seed: int,
-    chunk: int = 512,
-    threads: int = 1,
-):
-    """Estimate of the endpoint law P(S_n = .) on the cycle.
-
-    The averaged conditional laws are unbiased cell by cell; the result is
-    projected onto the simplex (clip at 0, renormalize) so it is a valid
-    distribution even when Monte Carlo noise dips a near-zero cell negative.
-    TV curves bypass this projection and use the raw deviations.
-    """
-    from .dist import DistributionVector
-    from .groups import CyclicGroup
-
-    tables = _CycleTables(L)
-    (total,) = _forest_sums(
-        alpha, [n], 2 * L, replicas, master_seed, chunk, threads,
-        lambda histo: (tables.phi(histo).sum(axis=0),),
-    )
-    probs = tables.distribution_from_phi(total[0] / replicas)
-    probs = np.maximum(probs, 0.0)
-    probs /= probs.sum()
-    return DistributionVector(CyclicGroup(L), probs)
-
-
-def fourier_tv_bound_cycle(
-    L: int,
-    alpha: float,
-    n: int,
-    replicas: int,
-    master_seed: int,
-    chunk: int = 512,
-    threads: int = 1,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the Fourier upper bound on TV^2.
-
-    The bound is (1/2) sum_{k=1}^{(L-1)/2} E prod_j cos^2(pi k |C_j| / L);
-    returns (estimate, stderr) with the stderr sqrt(sum_r (v_r - mean)^2) / R
-    over the replicas' terms v_r.
-    """
-    tables = _CycleTables(L)
-    total, m2 = _forest_moments(
-        alpha, [n], 2 * L, replicas, master_seed, chunk, threads,
-        lambda histo: tables.bound_terms(histo)[:, None],
-    )
-    return float(total[0, 0]) / replicas, math.sqrt(max(float(m2[0, 0, 0]), 0.0)) / replicas
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +589,13 @@ class MixingRun:
     horizons_tried: list = field(default_factory=list)
 
 
-def _scan_with_retries(
-    build_curve, epsilon, horizon0, points_per_decade, max_doublings, curves=None
-):
+MAX_DOUBLINGS = 3  # horizon doublings a scan may make while its guard fires
+
+
+def _scan_with_retries(build_curve, epsilon, horizon0, points_per_decade, curves=None):
     """Scan a curve at `epsilon`, doubling the horizon while the guard fires.
 
-    The first curve is ``build_curve(grid, checkpoint)`` on
+    A scan doubles at most ``MAX_DOUBLINGS`` times.  The first curve is ``build_curve(grid, checkpoint)`` on
     ``geometric_grid(horizon0, points_per_decade)``.  A doubled curve is the
     shorter curve followed by a curve on the points of the geometric grid to
     2h that lie above h; that curve's pass continues the shorter pass's
@@ -709,12 +625,12 @@ def _scan_with_retries(
                     k: np.concatenate([getattr(shorter, k), getattr(curve, k)])
                     for k in ("ns", "values", "stderrs")
                 })
-            doubling_possible = len(tried) < max_doublings
+            doubling_possible = len(tried) < MAX_DOUBLINGS
             curves[horizon] = (curve, checkpoint if doubling_possible else None)
         curve = curves[horizon][0]
         tried.append(horizon)
         est = mixing_time_scan(curve, epsilon)
-        if not est.guard_triggered or len(tried) > max_doublings:
+        if not est.guard_triggered or len(tried) > MAX_DOUBLINGS:
             return MixingRun(estimate=est, curve=curve, horizons_tried=tried)
         horizon *= 2
 
@@ -727,7 +643,6 @@ def cycle_mixing_time(
     master_seed: int,
     horizon0: int,
     points_per_decade: int = 40,
-    max_doublings: int = 3,
     chunk: int = 512,
     threads: int = 1,
     curves: dict | None = None,
@@ -738,7 +653,7 @@ def cycle_mixing_time(
             checkpoint=checkpoint,
         )
 
-    return _scan_with_retries(build, epsilon, horizon0, points_per_decade, max_doublings, curves)
+    return _scan_with_retries(build, epsilon, horizon0, points_per_decade, curves)
 
 
 def hypercube_mixing_time(
@@ -749,7 +664,6 @@ def hypercube_mixing_time(
     master_seed: int,
     horizon0: int,
     points_per_decade: int = 40,
-    max_doublings: int = 3,
     chunk: int = 2048,
     threads: int = 1,
     curves: dict | None = None,
@@ -760,4 +674,4 @@ def hypercube_mixing_time(
             checkpoint=checkpoint,
         )
 
-    return _scan_with_retries(build, epsilon, horizon0, points_per_decade, max_doublings, curves)
+    return _scan_with_retries(build, epsilon, horizon0, points_per_decade, curves)

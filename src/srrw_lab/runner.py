@@ -99,25 +99,17 @@ def _hypercube_horizon0(d: int, alpha: float) -> int:
 def _curve_section(cfg: ExperimentConfig, group, mu, scan: bool):
     """``tv-curve`` (scan=False) and ``mixing-scan`` (scan=True)."""
     grid = build_grid(cfg)
-    rows, smooth_rows, scans = [], [], []
+    rows, scans = [], []
     guard = False
     for ai, alpha in enumerate(cfg.alphas):
         seed = cfg.seed + SECTION_SEED_STRIDE * ai
         curve = _build_curve(cfg, group, mu, alpha, grid, seed)
         rows.extend(curve.csv_rows())
-        if cfg.smoothing_bandwidth:
-            smooth_rows.extend(
-                metrics.smooth_curve(curve, cfg.smoothing_bandwidth).csv_rows()
-            )
         for eps in cfg.epsilons if scan else ():
-            # the scan always consumes the raw curve, never the smoothed one
             est = metrics.mixing_time_scan(curve, eps)
             guard = guard or est.guard_triggered
             scans.append({"alpha": alpha, **est.to_json_dict()})
-    fields = metrics.DistanceCurve.CSV_FIELDS
-    artifacts = [("curves.csv", fields, rows)]
-    if smooth_rows:
-        artifacts.append(("curves_smoothed.csv", fields, smooth_rows))
+    artifacts = [("curves.csv", metrics.DistanceCurve.CSV_FIELDS, rows)]
     return artifacts, {"scans": scans} if scans else {}, guard
 
 

@@ -258,6 +258,8 @@ class TestValidation:
                 None,
                 "grid",
             ),
+            # a field this schema no longer has is reported, not ignored
+            ("mixing-scan", {"smoothing_bandwidth": 1.0}, None, "smoothing_bandwidth"),
         ],
     )
     def test_every_config_that_validates_can_run(
@@ -433,8 +435,13 @@ class TestSections:
             ("mixing-scan", {}, {"curves.csv": CURVE_HEADER}),
             (
                 "mixing-scan",
-                {"smoothing_bandwidth": 1.0},
-                {"curves.csv": CURVE_HEADER, "curves_smoothed.csv": CURVE_HEADER},
+                {
+                    "group": {"kind": "cyclic", "L": 5},
+                    "mu": {"type": "simple-cycle"},
+                    "estimator": "rao-blackwell",
+                    "replicas": 64,
+                },
+                {"curves.csv": CURVE_HEADER},
             ),
             (
                 "phase-transition",
@@ -475,10 +482,9 @@ class TestSections:
         # the summary names the estimator every row says it ran
         estimator = json.load(open(summary_path))["estimator"]
         for path in paths:
-            suffix = "+smoothed" if path.endswith("_smoothed.csv") else ""
             with open(path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            assert rows and {row["estimator"] for row in rows} == {estimator + suffix}
+            assert rows and {row["estimator"] for row in rows} == {estimator}
 
     @pytest.mark.parametrize("kind", sorted(config.KINDS))
     def test_summary_records_the_stream_layout(self, tmp_path, kind):
@@ -658,23 +664,6 @@ class TestExplicitMuConfigs:
         )
         problems = validate_config(doc)
         assert any(p.startswith("mu") for p in problems)
-
-
-class TestSmoothingInRunner:
-    def test_scan_uses_raw_curve_and_smoothed_csv_emitted(self, tmp_path):
-        doc = base_config(
-            tmp_path,
-            kind="mixing-scan",
-            alphas=[0.5],
-            epsilons=[0.2],
-            grid={"type": "explicit", "values": [1, 2, 3, 4, 5, 6]},
-            smoothing_bandwidth=2.0,
-            output_dir=str(tmp_path / "sm"),
-        )
-        result = run(parse_config(doc))
-        # smoothing would drag D(2)=0.25 below 0.2; the scan must still see it
-        assert result.summary["results"]["scans"][0]["t_mix"] == 3
-        assert os.path.exists(tmp_path / "sm" / "curves_smoothed.csv")
 
 
 class TestRunnerEstimatorPaths:

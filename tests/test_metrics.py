@@ -271,19 +271,17 @@ def z3_oracle_curves():
 
 class TestRaoBlackwell:
     def test_single_step_profile(self):
-        dv = M.rao_blackwell_cycle_distribution(5, 0.5, 1, 64, 3)
-        assert dv.probs[0] == pytest.approx(0.0, abs=1e-12)
-        assert dv.probs[1] == pytest.approx(0.5, abs=1e-12)
-        assert dv.probs[4] == pytest.approx(0.5, abs=1e-12)
+        # S_1 is +-1 with probability 1/2 each on Z_5: TV = 3/5 for every forest
+        curve = M.rao_blackwell_cycle_curve(5, 0.5, [1], 64, 3)
+        assert curve.values[0] == pytest.approx(0.6, abs=1e-12)
+        assert curve.stderrs[0] == 0.0
 
     def test_multiple_of_L_contributes_unit_factor(self):
         tab = M._CycleTables(5)
-        h = np.zeros((1, 10), dtype=np.int64)
-        h[0, 0] = 3  # three clusters of size = 0 mod 2L (i.e. multiples of 10)
-        assert np.abs(tab.phi(h) - 1.0).max() < 1e-12
-        h2 = np.zeros((1, 10), dtype=np.int64)
-        h2[0, 5] = 1  # one cluster of size = L mod 2L: cos(2 pi k) = 1 as well
-        assert np.abs(tab.phi(h2) - 1.0).max() < 1e-12
+        for clusters in (1, 3):
+            h = np.zeros((1, 5), dtype=np.int64)
+            h[0, 0] = clusters  # clusters of size = 0 mod L: cos(2 pi k m) = 1
+            assert np.abs(tab.phi(h) - 1.0).max() < 1e-12
 
     def test_full_enumeration_matches_oracle(self, z3_oracle_curves):
         tab = M._CycleTables(3)
@@ -292,9 +290,9 @@ class TestRaoBlackwell:
             for ef in O.enumerate_forests(n, 0.5):
                 sizes = ef.forest.cluster_sizes_at()
                 live = sizes[sizes > 0]
-                h = np.bincount(live % 6, minlength=6)[None, :]
+                h = np.bincount(live % 3, minlength=3)[None, :]
                 acc += ef.weight * tab.phi(h)[0]
-            probs = tab.distribution_from_phi(acc)
+            probs = 1.0 / 3 + (2.0 / 3) * (tab.dft @ acc)
             exact = z3_oracle_curves[(0.5, n)].probs
             assert np.abs(probs - exact).max() < 1e-10
 
@@ -310,7 +308,26 @@ class TestRaoBlackwell:
 
     def test_even_L_rejected(self):
         with pytest.raises(ParameterError):
-            M.rao_blackwell_cycle_distribution(6, 0.5, 3, 10, 0)
+            M.rao_blackwell_cycle_curve(6, 0.5, [3], 10, 0)
+
+    def test_forests_evolve_at_modulus_L(self, monkeypatch):
+        # phi depends on the cluster sizes mod L only; at L <= 128 the
+        # residues then fit in one byte
+        calls = []
+        original = M.evolve_size_histograms
+
+        def spy(*args):
+            state = original(*args)
+            calls.append((args[2], args[3], state))
+            return state
+
+        monkeypatch.setattr(M, "evolve_size_histograms", spy)
+        M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20)
+        assert len(calls) == 3
+        for modulus, count, state in calls:
+            assert modulus == 101 and state.residue.itemsize == 1
+            nbytes = state.root_time.nbytes + state.residue.nbytes
+            assert nbytes == F.state_nbytes(count, 30, 101)
 
     def test_stderr_zero_when_every_replica_has_the_same_forest(self):
         # alpha = 0: every cluster is a singleton, so every replica has one phi
@@ -331,7 +348,7 @@ class TestRaoBlackwell:
         phis = [[] for _ in grid]
         for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
             evolve_size_histograms(
-                alpha, grid, 2 * L, stop - start, stream(seed, ci),
+                alpha, grid, L, stop - start, stream(seed, ci),
                 lambda gi, t, histo: phis[gi].append(tab.phi(histo)),
             )
         C = (2.0 / L) * tab.dft
@@ -344,57 +361,6 @@ class TestRaoBlackwell:
             spread = float(((phi - phi.mean(axis=0)) ** 2).sum())
             floor = math.sqrt(np.finfo(float).eps * float(grad @ grad) * spread / pairs)
             assert abs(curve.stderrs[i] - ref) <= 4 * floor + 1e-12 * ref + 1e-16
-
-
-class TestFourierBound:
-    def test_single_step_value(self):
-        b, se = M.fourier_tv_bound_cycle(3, 0.5, 1, 32, 0)
-        assert b == pytest.approx(0.125, abs=1e-12)
-        exact_tv = 1.0 / 3.0
-        assert b >= exact_tv**2
-
-    def test_cycle_spanning_clusters_do_not_decay(self):
-        tab = M._CycleTables(5)
-        h = np.zeros((1, 10), dtype=np.int64)
-        h[0, 5] = 4  # all clusters have size L: cos^2(pi k) = 1 per frequency
-        assert tab.bound_terms(h)[0] == pytest.approx(tab.K / 2.0, abs=1e-12)
-
-    def test_bound_dominates_rb_tv_squared(self):
-        L, alpha, n, R = 33, 0.75, 2000, 3000
-        bound, bse = M.fourier_tv_bound_cycle(L, alpha, n, R, 7, chunk=750)
-        curve = M.rao_blackwell_cycle_curve(L, alpha, [n], R, 7, chunk=750)
-        tv = float(curve.values[0])
-        combined = 4 * (bse + 2 * tv * curve.stderrs[0])
-        assert bound >= tv**2 - combined
-
-    def test_bound_dominates_on_small_fixture(self, z3_oracle_curves):
-        for n in (2, 4, 6):
-            bound, _ = M.fourier_tv_bound_cycle(3, 0.5, n, 4000, 29, chunk=1000)
-            exact_tv = z3_oracle_curves[(0.5, n)].tv_to_uniform()
-            assert bound >= exact_tv**2 - 4e-3
-
-    def test_stderr_zero_when_every_replica_has_the_same_forest(self):
-        # alpha = 0: every cluster is a singleton, so every replica has one term
-        bound, se = M.fourier_tv_bound_cycle(9, 0.0, 7, 1000, 7, chunk=300)
-        assert bound > 0.0 and se == 0.0
-
-    @pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
-    def test_stderr_matches_centred_per_replica_reference(self, n):
-        # reference: the two-pass spread of the per-replica terms, over every
-        # replica's term taken from the chunks' own forest streams; a sum of R
-        # terms carries at most about R eps relative rounding
-        L, alpha, replicas, seed, chunk = 9, 0.6, 1000, 7, 300
-        _, se = M.fourier_tv_bound_cycle(L, alpha, n, replicas, seed, chunk=chunk)
-        tab = M._CycleTables(L)
-        parts = []
-        for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
-            evolve_size_histograms(
-                alpha, [n], 2 * L, stop - start, stream(seed, ci),
-                lambda gi, t, histo: parts.append(tab.bound_terms(histo)),
-            )
-        v = np.concatenate(parts)
-        ref = math.sqrt(float(((v - v.mean()) ** 2).sum())) / replicas
-        assert se == pytest.approx(ref, rel=replicas * np.finfo(float).eps, abs=0.0)
 
 
 class TestWeightChain:
@@ -637,11 +603,12 @@ class TestResumedScans:
             for i, run in zip(order, runs):
                 self._same(base[i], run)
 
-    def test_checkpoint_is_kept_only_while_a_doubling_is_possible(self):
+    def test_checkpoint_is_kept_only_while_a_doubling_is_possible(self, monkeypatch):
+        monkeypatch.setattr(M, "MAX_DOUBLINGS", 2)
         curves = {}
-        M.hypercube_mixing_time(8, 0.5, 0.9, 300, 11, 16, max_doublings=2, curves=curves)
+        M.hypercube_mixing_time(8, 0.5, 0.9, 300, 11, 16, curves=curves)
         assert list(curves) == [16] and curves[16][1].states
-        run = M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16, max_doublings=2, curves=curves)
+        run = M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16, curves=curves)
         assert run.horizons_tried == [16, 32, 64]
         assert all(checkpoint is None for _, checkpoint in curves.values())
 
@@ -673,14 +640,6 @@ class TestResumedScans:
         assert np.array_equal(curve.stderrs, one_pass.stderrs[3:])
 
 
-def _view_arrays(out):
-    if isinstance(out, M.DistanceCurve):
-        return [out.ns, out.values, out.stderrs]
-    if isinstance(out, tuple):
-        return [np.asarray(out)]
-    return [out.probs]
-
-
 class TestForestSums:
     # every view over the shared pass, over several chunks with a short last one; at
     # these seeds, adding the chunks in another order changes the float results
@@ -690,19 +649,16 @@ class TestForestSums:
             lambda thr: M.rao_blackwell_cycle_curve(
                 9, 0.6, [1, 2, 17, 40, 300], 1100, 7, chunk=300, threads=thr
             ),
-            lambda thr: M.rao_blackwell_cycle_distribution(
-                11, 0.4, 37, 1300, 9, chunk=110, threads=thr
-            ),
-            lambda thr: M.fourier_tv_bound_cycle(7, 0.7, 23, 1000, 8, chunk=90, threads=thr),
             lambda thr: M.hypercube_tv_curve(
                 12, 0.5, [1, 3, 64, 65, 200], 3000, 10, chunk=700, threads=thr
             ),
         ],
-        ids=["rb-curve", "rb-distribution", "fourier-bound", "hypercube-curve"],
+        ids=["rb-curve", "hypercube-curve"],
     )
     def test_bit_identical_across_thread_counts(self, view):
-        serial, threaded = _view_arrays(view(1)), _view_arrays(view(3))
-        for a, b in zip(serial, threaded):
+        serial, threaded = view(1), view(3)
+        for name in ("ns", "values", "stderrs"):
+            a, b = getattr(serial, name), getattr(threaded, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -742,23 +698,6 @@ class TestEstimatorOracleBattery:
             if abs(v - exact) > 4 * se:
                 fails += 1
         assert fails <= 1
-
-
-class TestSmoothing:
-    def test_preserves_constants(self):
-        c = make_curve([1, 2, 3, 4], [0.3, 0.3, 0.3, 0.3])
-        sm = M.smooth_curve(c, bandwidth=2.0)
-        assert np.allclose(sm.values, 0.3, atol=1e-12)
-        assert sm.estimator.endswith("+smoothed")
-
-    def test_moves_crossing_hence_never_prescan(self):
-        c = make_curve([1, 2, 3, 4, 5], [0.9, 0.9, 0.26, 0.01, 0.01])
-        sm = M.smooth_curve(c, bandwidth=1.0)
-        assert not np.allclose(sm.values, c.values)
-
-    def test_bandwidth_validation(self):
-        with pytest.raises(ParameterError):
-            M.smooth_curve(make_curve([1], [0.1]), bandwidth=0.0)
 
 
 class TestGeometricGrid:
