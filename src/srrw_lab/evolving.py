@@ -16,7 +16,8 @@ arithmetic but not always in the last float bit (the sums run in a different
 order), so every representative within 1e-12 of the smallest is expanded to
 all its translates and these are evaluated again: the minimum and its
 smallest-mask witness are then the ones a sweep of all 2^|G| masks would
-report, bit for bit.  Chunks of 16384 masks keep float temporaries near 3 MB.
+report, bit for bit.  Chunks of 4096 masks keep each float temporary at
+4096 x |G| doubles (0.7 MB at |G| = 21), inside a 2 MB per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
 
 
 def _orbit_minima(
-    group: FiniteGroup, P: np.ndarray, lo: int, hi: int, score, by_size: bool, chunk: int = 16384
+    group: FiniteGroup, P: np.ndarray, lo: int, hi: int, score, by_size: bool, chunk: int = 4096
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minima of score(phi, psi) over every subset A with lo <= |A| <= hi.
 
@@ -283,12 +284,14 @@ def _orbit_minima(
         sizes, phi, psi = _chunk_phi_psi(masks, P)
         keys = key_of(sizes)
         for j, val in enumerate(score(phi, psi)):
-            for key in np.unique(keys):
-                sel = keys == key
-                v = val[sel].min()
-                w = masks[sel][val[sel] == v].min()
-                if v < best[j, key] or (v == best[j, key] and w < witness[j, key]):
-                    best[j, key], witness[j, key] = v, w
+            # per key: the least value, then the smallest mask attaining it
+            v = np.full(nkeys, np.inf)
+            np.minimum.at(v, keys, val)
+            hit = val == v[keys]
+            w = np.full(nkeys, np.iinfo(np.int64).max)
+            np.minimum.at(w, keys[hit], masks[hit])
+            better = (v < best[j]) | ((v == best[j]) & (w < witness[j]))
+            best[j, better], witness[j, better] = v[better], w[better]
     return best, witness
 
 
@@ -302,7 +305,7 @@ def check_exhaustive(group: FiniteGroup) -> None:
 
 
 def iso_profile(
-    group: FiniteGroup, mu: StepDistribution, mode: str = "exhaustive", chunk: int = 16384
+    group: FiniteGroup, mu: StepDistribution, mode: str = "exhaustive", chunk: int = 4096
 ) -> ProfileTable:
     """Isoperimetric profile Phi(r) and root profile psi(r), exactly.
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,8 +130,11 @@ def geometric_grid(n_max: int, points_per_decade: int = 40) -> np.ndarray:
         return head
     decades = math.log10(n_max / dense)
     count = max(2, int(math.ceil(decades * points_per_decade)))
-    tail = np.unique(np.round(np.geomspace(dense + 1, n_max, count)).astype(np.int64))
-    return np.unique(np.concatenate([head, tail, [n_max]]))
+    tail = np.round(np.geomspace(dense + 1, n_max, count)).astype(np.int64)
+    # the points are nondecreasing, so keeping each one above its predecessor
+    # dedupes them (without np.unique, which imports numpy.ma)
+    grid = np.concatenate([head, tail, [n_max]])
+    return grid[np.diff(grid, prepend=0) > 0]
 
 
 @dataclass
@@ -387,9 +389,13 @@ def _forest_chunks(
         return sums
 
     tasks = enumerate(ranges)
-    parallel = bool(threads) and threads > 1
-    with ThreadPoolExecutor(max_workers=threads if parallel else 1) as pool:
-        yield from (pool.map if parallel else map)(work, tasks)
+    if not threads or threads <= 1:
+        yield from map(work, tasks)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only threaded passes pay its import
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(work, tasks)
 
 
 def _forest_sums(

@@ -13,8 +13,8 @@ sequence, its forest, and there are only Bell(n) of those (203 at n = 6
 against 3 840 configurations, 21 147 at n = 9 against about 10^7).  So the
 weights are first summed per distinct sequence, and spins are integrated
 once per sequence.  On Z_5 with the lazy-cycle walk at alpha = 1/2 (2-core
-x86-64, BLAS at one thread) the endpoint law at n = 8 takes 0.6 s instead of
-62 s once per configuration, and n = 9 takes 5-7 s.
+x86-64, BLAS at one thread) the endpoint law at n = 8 takes 0.30 s (median of
+7 runs) instead of 62 s once per configuration, and n = 9 takes 3.0-4.0 s.
 """
 
 from __future__ import annotations
@@ -186,14 +186,15 @@ def exact_endpoint_distribution(
         big_roots = [r for r in range(1, n + 1) if sizes[r] >= 2]
         root_pos = {r: i for i, r in enumerate(big_roots)}
         ids, wts = combos(len(big_roots))
-        V = np.tile(delta, (ids.shape[0], 1))
+        rows = np.arange(ids.shape[0])[:, None]
+        V = np.repeat(delta[None, :], ids.shape[0], axis=0)
         for j in range(1, n + 1):
             root = int(labels[j - 1])
             pos = root_pos.get(root)
             if pos is None:
                 V = V @ P
             else:
-                V = np.take_along_axis(V, perm[ids[:, pos]], axis=1)
+                V = V[rows, perm[ids[:, pos]]]
         laws.append(weight * (wts @ V))
     # one correctly rounded sum per cell over the distinct forests
     return DistributionVector(group, np.array([math.fsum(c) for c in np.stack(laws, axis=1)]))

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +516,31 @@ class TestSections:
         run(parse_config(_small_config(tmp_path, "cutoff", output_dir=str(tmp_path / "c"))))
         run(parse_config(_small_config(tmp_path, "profiles", output_dir=str(tmp_path / "p"))))
         assert calls == ["hypercube_mixing_time", "hypercube_tv_curve", "iso_profile"]
+
+
+def test_serial_runs_import_neither_numpy_ma_nor_a_thread_pool(tmp_path):
+    # each import costs every process milliseconds that none of these runs needs
+    docs = [
+        _small_config(tmp_path, kind, threads=1, output_dir=str(tmp_path / kind))
+        for kind in ("cutoff", "oracle-check", "profiles")
+    ]
+    script = (
+        "import json, sys\n"
+        "from srrw_lab.config import parse_config\n"
+        "from srrw_lab.runner import run\n"
+        "for doc in json.loads(sys.argv[1]):\n"
+        "    run(parse_config(doc))\n"
+        "print(json.dumps([m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(config.__file__)))
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(docs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == []
+    assert sorted(os.listdir(tmp_path)) == ["cutoff", "oracle-check", "profiles"]
 
 
 class TestCli:

@@ -709,6 +709,20 @@ class TestGeometricGrid:
         assert g[0] == 1 and g[-1] == 5000
         assert (np.diff(g) > 0).all()
 
+    @pytest.mark.parametrize("ppd", [10, 40, 60])
+    def test_matches_the_unique_formulation(self, ppd):
+        def reference(n_max):
+            head = np.arange(1, min(16, n_max) + 1)
+            if n_max <= 16:
+                return head
+            count = max(2, int(math.ceil(math.log10(n_max / 16) * ppd)))
+            tail = np.unique(np.round(np.geomspace(17, n_max, count)).astype(np.int64))
+            return np.unique(np.concatenate([head, tail, [n_max]]))
+
+        for n_max in range(1, 3001):
+            got, ref = M.geometric_grid(n_max, ppd), reference(n_max)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
 
 @pytest.mark.slow
 class TestCycleNonMonotonicity:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +104,53 @@ class TestExactEndpoint:
             ends = W.sample_endpoints_direct(z3, mu, alpha, [6], R, 5)[0]
             emp = np.bincount(ends, minlength=3) / R
             assert D.tv_distance(emp, exact) < bound
+
+
+def reference_endpoint_law(group, mu, alpha, n):
+    """The endpoint law as first written: spins integrated with tile and take_along_axis."""
+    P = G.transition_matrix(group, mu)
+    support = np.array(mu.support, dtype=np.int64)
+    sup_probs = np.array([p for _, p in mu.items])
+    idx = np.arange(group.order)
+    perm = np.vstack(
+        [group.mul_vec(idx, np.full(group.order, group.inv(int(g)))) for g in support]
+    )
+    delta = np.zeros(group.order)
+    delta[group.identity] = 1.0
+    laws = []
+    for labels, weight in zip(*O._forest_weights(n, alpha)):
+        sizes = np.bincount(labels, minlength=n + 1)
+        big_roots = [r for r in range(1, n + 1) if sizes[r] >= 2]
+        B = len(big_roots)
+        combos = list(itertools.product(range(support.size), repeat=B))
+        ids = np.array(combos, dtype=np.int64).reshape(len(combos), B)
+        wts = np.prod(sup_probs[ids], axis=1) if B else np.ones(1)
+        V = np.tile(delta, (ids.shape[0], 1))
+        for root in labels.tolist():
+            if root in big_roots:
+                V = np.take_along_axis(V, perm[ids[:, big_roots.index(root)]], axis=1)
+            else:
+                V = V @ P
+        laws.append(weight * (wts @ V))
+    return np.array([math.fsum(c) for c in np.stack(laws, axis=1)])
+
+
+def pinned_law_cases():
+    s3 = G.make_group("symmetric", 3)
+    z5 = G.make_group("cyclic", 5)
+    return [
+        pytest.param(s3, G.StepDistribution(s3, {0: 0.3, 1: 0.45, 4: 0.25}), id="S3"),
+        pytest.param(z5, G.lazy_cycle_mu(z5), id="lazy-Z5"),
+    ]
+
+
+class TestEndpointLawBits:
+    @pytest.mark.parametrize("group,mu", pinned_law_cases())
+    @pytest.mark.parametrize("alpha", [0.0, 0.35, 0.5, 0.8])
+    def test_matches_the_reference_integration(self, group, mu, alpha):
+        for n in range(1, 7):
+            got = O.exact_endpoint_distribution(group, mu, alpha, n).probs
+            assert got.tobytes() == reference_endpoint_law(group, mu, alpha, n).tobytes()
 
 
 class TestSpinCap:
