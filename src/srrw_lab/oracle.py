@@ -1,20 +1,14 @@
 """Brute-force ground truth for small walk lengths.
 
-Everything here exhausts the (xi, u) sample space of the forest construction
-(2^(n-1) * (n-1)! configurations) and integrates cluster spins exactly, so it
-is an oracle for distributions and expectations that the Monte Carlo paths
-and closed forms are tested against.  Capacity is capped at n <= 9, i.e.
-about 10^7 configurations.
-
-One enumerator, `_blocks`, walks the space: one block per xi pattern, with
-the root labels of all u configurations at once.  The endpoint law and the
-cluster events depend on a configuration only through its root-label
-sequence, its forest, and there are only Bell(n) of those (203 at n = 6
-against 3 840 configurations, 21 147 at n = 9 against about 10^7).  So the
-weights are first summed per distinct sequence, and spins are integrated
-once per sequence.  On Z_5 with the lazy-cycle walk at alpha = 1/2 (2-core
-x86-64, BLAS at one thread) the endpoint law at n = 8 takes 0.30 s (median of
-7 runs) instead of 62 s once per configuration, and n = 9 takes 3.0-4.0 s.
+Everything here sums over every forest of the construction and integrates
+cluster spins exactly, so it is an oracle for the Monte Carlo paths and
+closed forms, capped at n <= 9.  The endpoint law and the cluster events
+depend on a configuration (xi, u) only through its root-label sequence,
+its forest; `_forest_weights` builds the Bell(n) forests and their weights
+directly (21 147 at n = 9, against 10^7 configurations), and spins are
+integrated once per forest.  On Z_5 with the lazy-cycle walk at alpha = 1/2
+(2-core x86-64, BLAS at one thread) the endpoint law takes 0.009 s at
+n = 6, 0.04 s at n = 7, 0.23 s at n = 8 and 1.0-1.4 s at n = 9.
 """
 
 from __future__ import annotations
@@ -33,6 +27,8 @@ from .special import _check_alpha
 
 ORACLE_N_CAP = 9
 SPIN_CAP = 100_000
+SPIN_BYTES_CAP = 1 << 30  # bytes ``exact_endpoint_distribution`` holds at once
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)  # forests on n <= ORACLE_N_CAP vertices
 
 
 def _check_n(n: int) -> int:
@@ -47,19 +43,29 @@ def _check_n(n: int) -> int:
 
 
 def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> None:
-    """Raise ``CapacityError`` if the spin enumeration at walk length n exceeds ``SPIN_CAP``.
+    """Raise ``CapacityError`` if the spin integration at walk length n is too big.
 
     The oracle enumerates a spin in supp mu for each cluster of size >= 2.
     At 0 < alpha < 1 the forest that pairs (1, 2), (3, 4), ... has nonzero
     weight and floor(n/2) such clusters, at alpha = 1 the forest is one
     cluster and at alpha = 0 every cluster is a singleton, so the bound is
-    reached and the check is exact.
+    reached and the count check against ``SPIN_CAP`` is exact.  The bytes
+    held at once, bounded by ``SPIN_BYTES_CAP``, are the transition matrix,
+    the largest law matrix with its gather index and result, and one law per
+    forest of nonzero weight (one at alpha in {0, 1}) with their stacked copy.
     """
     big = 0 if alpha == 0.0 or n < 2 else 1 if alpha == 1.0 else n // 2
     if (nsup := len(mu.support)) ** big > SPIN_CAP:
         raise CapacityError(
             f"the oracle's spin enumeration needs |support|^(clusters of size >= 2)"
             f" <= {SPIN_CAP}, got {nsup}**{big} at n = {n}, alpha = {alpha}"
+        )
+    forests = 1 if alpha in (0.0, 1.0) else BELL[n]
+    order = mu.group.order
+    if (nbytes := 8 * order * (order + 3 * nsup**big + 2 * forests)) > SPIN_BYTES_CAP:
+        raise CapacityError(
+            f"the oracle's spin integration holds {nbytes} bytes at n = {n},"
+            f" alpha = {alpha}, over the cap of {SPIN_BYTES_CAP}"
         )
 
 
@@ -69,55 +75,54 @@ class EnumeratedForest:
     weight: float
 
 
-def _blocks(n: int, alpha: float):
-    """(weight, xi, u, labels) for every xi pattern of nonzero weight.
-
-    xi runs in binary-reflected Gray-code order.  ``u`` is the (M, n-1)
-    matrix of all M = (n-1)! u configurations in mixed-radix counting order,
-    built once and shared by every block; ``labels`` holds their (M, n) root
-    labels and ``weight`` is the probability of each single configuration.
-    """
-    m = n - 1
-    configs = list(itertools.product(*[range(1, j) for j in range(2, n + 1)]))
-    u = np.array(configs, dtype=np.int32).reshape(len(configs), m)
+def _pattern_weights(n: int, alpha: float) -> list[float]:
+    """Probability of one (xi, u) configuration whose xi has k ones, for k = 0..n-1."""
     w_u = 1.0 / math.factorial(n - 1)
-    for code in range(1 << m):
-        gray = code ^ (code >> 1)
-        xi = np.array([(gray >> b) & 1 for b in range(m)], dtype=bool)
-        k = int(xi.sum())
-        w = (alpha**k) * ((1.0 - alpha) ** (m - k)) * w_u
-        if w == 0.0:
-            continue
-        yield w, xi, u, batch_root_labels(np.broadcast_to(xi, u.shape), u)
+    return [(alpha**k) * ((1.0 - alpha) ** (n - 1 - k)) * w_u for k in range(n)]
 
 
 def _forest_weights(n: int, alpha: float):
     """Distinct root-label sequences (rows, lexicographically sorted) and their weights.
 
-    The walk law and every cluster event depend on a configuration only
-    through its root labels, and there are Bell(n) distinct sequences.
+    Vertex j joins the cluster of root r with probability
+    alpha * |C_r| / (j-1), through |C_r| of its j-1 choices of u, or is a
+    fresh root with probability 1 - alpha, through any u.  So the Bell(n)
+    sequences grow one vertex at a time, a row's children appending its
+    roots in ascending order and then j, and each row's weight is its exact
+    count of configurations times the probability of one.
     """
-    # labels lie in 1..n, so base-(n+1) digits make a key that sorts like the row
-    place = (n + 1) ** np.arange(n - 1, -1, -1)
-    keys, seqs, weights = [], [], []
-    for w, _xi, _u, labels in _blocks(n, alpha):
-        key, first, count = np.unique(labels @ place, return_index=True, return_counts=True)
-        keys.append(key)
-        seqs.append(labels[first])
-        weights.append(w * count)
-    _, first, inverse = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
-    return np.concatenate(seqs)[first], np.bincount(inverse, weights=np.concatenate(weights))
+    seqs = np.ones((1, 1), dtype=np.int32)
+    count = np.ones(1, dtype=np.int64)  # configurations giving each sequence
+    for j in range(2, n + 1):
+        ways = (seqs[:, :, None] == np.arange(1, j + 1)).sum(axis=1)
+        ways[:, -1] = j - 1
+        row, col = np.nonzero(ways)
+        count = count[row] * ways[row, col]
+        seqs = np.column_stack([seqs[row], (col + 1).astype(np.int32)])
+    joins = np.count_nonzero(seqs != np.arange(1, n + 1), axis=1)
+    weights = np.array(_pattern_weights(n, alpha))[joins] * count
+    keep = weights != 0.0
+    return seqs[keep], weights[keep]
 
 
 def enumerate_forests(n: int, alpha: float):
-    """Every (xi, u) configuration exactly once, with its probability.
+    """Every (xi, u) configuration of nonzero probability exactly once, with it.
 
-    xi runs in binary-reflected Gray-code order (outer), u in mixed-radix
-    counting order (inner); the stream is never materialized.
+    xi in binary counting order, each with all u (mixed-radix order) labelled
+    at once: the raw sample space the forest weights are tested against.
     """
     n = _check_n(n)
     alpha = _check_alpha(alpha)
-    for w, xi, u, labels in _blocks(n, alpha):
+    m = n - 1
+    configs = list(itertools.product(*[range(1, j) for j in range(2, n + 1)]))
+    u = np.array(configs, dtype=np.int32).reshape(len(configs), m)
+    pattern_weights = _pattern_weights(n, alpha)
+    for code in range(1 << m):
+        xi = np.array([(code >> b) & 1 for b in range(m)], dtype=bool)
+        w = pattern_weights[int(xi.sum())]
+        if w == 0.0:
+            continue
+        labels = batch_root_labels(np.broadcast_to(xi, u.shape), u)
         for u_row, label_row in zip(u, labels):
             yield EnumeratedForest(
                 ForestPath(n=n, alpha=alpha, xi=xi, u=u_row, labels=label_row), w
@@ -126,9 +131,7 @@ def enumerate_forests(n: int, alpha: float):
 
 def enumeration_weight_sum(n: int, alpha: float) -> float:
     """Correctly rounded sum of all enumeration weights (should be 1)."""
-    n = _check_n(n)
-    alpha = _check_alpha(alpha)
-    return math.fsum(w * len(u) for w, _xi, u, _labels in _blocks(n, alpha))
+    return math.fsum(ef.weight for ef in enumerate_forests(n, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +144,12 @@ def exact_endpoint_distribution(
 ) -> DistributionVector:
     """P(S_n = .) as the exact mixture over forests and spins.
 
-    The law given the configuration depends only on its root-label sequence,
-    so spins are integrated once per distinct sequence, with the summed
-    weight of its configurations.  Spins of singleton clusters are
+    The law given the configuration depends only on its forest, so spins
+    are integrated once per forest.  Spins of singleton clusters are
     integrated analytically through P_mu; only non-singleton cluster roots
     are enumerated, at most |support|^(#big clusters) combinations per
-    forest, which ``check_spin_cap`` bounds by ``SPIN_CAP`` before any forest
-    is enumerated.
+    forest, which ``check_spin_cap`` bounds, in count and in bytes, before
+    any forest is enumerated.
     """
     if group.order > TABLE_CAP:
         raise CapacityError(f"oracle needs group order <= {TABLE_CAP}")
@@ -228,17 +230,14 @@ def exact_tv_curve(group: FiniteGroup, mu: StepDistribution, alpha: float, n_max
 
 
 def oracle_expected_isolated(n: int, alpha: float) -> float:
-    """E I(n) by exhausting the sample space (one batch per xi pattern)."""
+    """E I(n) as the weighted count of singleton clusters over the distinct forests."""
     n = _check_n(n)
     alpha = _check_alpha(alpha)
-    isolated, mass = [], []
-    for w, _xi, u, labels in _blocks(n, alpha):
-        # cluster sizes of all configurations at once: one bincount slot per (row, root)
-        slots = labels + (n + 1) * np.arange(len(u))[:, None]
-        isolated.append(w * np.count_nonzero(np.bincount(slots.ravel()) == 1))
-        mass.append(w * len(u))
+    seqs, weights = _forest_weights(n, alpha)
+    sizes = (seqs[:, :, None] == np.arange(1, n + 1)).sum(axis=1)
+    singletons = np.count_nonzero(sizes == 1, axis=1)
     # the total mass is 1 up to the rounding of the 1/(n-1)! every weight shares
-    return math.fsum(isolated) / math.fsum(mass)
+    return math.fsum(weights * singletons) / math.fsum(weights)
 
 
 # ---------------------------------------------------------------------------

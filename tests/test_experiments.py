@@ -262,6 +262,18 @@ class TestValidation:
             ),
             # a field this schema no longer has is reported, not ignored
             ("mixing-scan", {"smoothing_bandwidth": 1.0}, None, "smoothing_bandwidth"),
+            # the oracle's memory: 13^4 spins x 4096 floats per law matrix at n = 9
+            (
+                "oracle-check",
+                {
+                    "group": {"kind": "hypercube", "d": 12},
+                    "mu": {"type": "lazy-hypercube"},
+                    "alphas": [0.5],
+                    "n_max": 9,
+                },
+                None,
+                "n_max",
+            ),
         ],
     )
     def test_every_config_that_validates_can_run(

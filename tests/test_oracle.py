@@ -42,7 +42,9 @@ class TestEnumeration:
             seen.add(key)
         assert len(seen) == 2**3 * 6
 
-    @pytest.mark.parametrize("n, bell", enumerate([1, 2, 5, 15, 52, 203, 877, 4140], start=1))
+    @pytest.mark.parametrize(
+        "n, bell", enumerate([1, 2, 5, 15, 52, 203, 877, 4140, 21147], start=1)
+    )
     def test_distinct_forests_are_counted_by_bell_numbers(self, n, bell):
         seqs, weights = O._forest_weights(n, 0.5)
         assert seqs.shape == (bell, n)
@@ -51,13 +53,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
     def test_forest_weights_sum_the_configurations(self, alpha):
-        by_labels = {}
-        for ef in O.enumerate_forests(6, alpha):
-            by_labels.setdefault(tuple(ef.forest.labels.tolist()), []).append(ef.weight)
-        seqs, weights = O._forest_weights(6, alpha)
-        assert [tuple(row) for row in seqs.tolist()] == sorted(by_labels)
-        expect = [math.fsum(by_labels[tuple(row)]) for row in seqs.tolist()]
-        assert np.abs(weights - expect).max() < 1e-16
+        for n in (6, 7):
+            by_labels = {}
+            for ef in O.enumerate_forests(n, alpha):
+                by_labels.setdefault(tuple(ef.forest.labels.tolist()), []).append(ef.weight)
+            seqs, weights = O._forest_weights(n, alpha)
+            assert [tuple(row) for row in seqs.tolist()] == sorted(by_labels)
+            expect = [math.fsum(by_labels[tuple(row)]) for row in seqs.tolist()]
+            assert np.abs(weights - expect).max() < 1e-16
 
 
 class TestExactEndpoint:
@@ -162,11 +165,38 @@ class TestSpinCap:
         def enumerate_nothing(*args):
             raise AssertionError("the enumeration was entered")
 
-        monkeypatch.setattr(O, "_blocks", enumerate_nothing)
+        monkeypatch.setattr(O, "_forest_weights", enumerate_nothing)
         with pytest.raises(CapacityError, match=r"24\*\*4"):
             O.exact_endpoint_distribution(s4, mu, 0.5, 8)
         with pytest.raises(CapacityError):
             O.exact_tv_curve(s4, mu, 0.5, 8)
+
+    def test_memory_cap_raises_before_enumerating(self, monkeypatch):
+        z5 = G.make_group("cyclic", 5)
+        mu = G.lazy_cycle_mu(z5)
+
+        def enumerate_nothing(*args):
+            raise AssertionError("the enumeration was entered")
+
+        monkeypatch.setattr(O, "_forest_weights", enumerate_nothing)
+        monkeypatch.setattr(O, "SPIN_BYTES_CAP", 1000)
+        with pytest.raises(CapacityError, match="over the cap of 1000"):
+            O.exact_endpoint_distribution(z5, mu, 0.5, 4)
+        with pytest.raises(CapacityError, match="over the cap of 1000"):
+            O.exact_tv_curve(z5, mu, 0.5, 4)
+
+    def test_memory_bound_counts_the_forests_of_nonzero_weight(self, monkeypatch):
+        # Z_5, lazy cycle (3 steps), n = 4: transition matrix, 3^2 spins x 3, Bell(4) laws x 2
+        mu = G.lazy_cycle_mu(G.make_group("cyclic", 5))
+        monkeypatch.setattr(O, "SPIN_BYTES_CAP", 8 * 5 * (5 + 3 * 9 + 2 * 15))
+        assert O.check_spin_cap(mu, 0.5, 4) is None
+        monkeypatch.setattr(O, "SPIN_BYTES_CAP", 8 * 5 * (5 + 3 * 9 + 2 * 15) - 1)
+        with pytest.raises(CapacityError):
+            O.check_spin_cap(mu, 0.5, 4)
+        # at alpha = 0 and 1 a single forest has nonzero weight
+        monkeypatch.setattr(O, "SPIN_BYTES_CAP", 8 * 5 * (5 + 3 * 3 + 2))
+        O.check_spin_cap(mu, 1.0, 4)
+        O.check_spin_cap(mu, 0.0, 4)
 
     def test_bound_is_the_largest_number_of_big_clusters(self, monkeypatch):
         s4 = G.make_group("symmetric", 4)
@@ -182,6 +212,21 @@ class TestSpinCap:
         monkeypatch.setattr(O, "SPIN_CAP", 24**3 - 1)
         with pytest.raises(CapacityError):
             O.exact_endpoint_distribution(s4, mu, 0.5, 7)
+
+
+class TestNoConfigurationEnumeration:
+    def test_library_paths_never_label_configurations(self, monkeypatch):
+        # the library reads the Bell(n) forests only, never the (xi, u) space
+        def label_nothing(*args):
+            raise AssertionError("(xi, u) configurations were labelled")
+
+        monkeypatch.setattr(O, "batch_root_labels", label_nothing)
+        z5 = G.make_group("cyclic", 5)
+        O.exact_endpoint_distribution(z5, G.lazy_cycle_mu(z5), 0.5, 6)
+        O.oracle_expected_isolated(6, 0.5)
+        O.negative_correlation_check(0.5, 6, 2, 2)
+        with pytest.raises(AssertionError):
+            next(O.enumerate_forests(6, 0.5))
 
 
 class TestExactTvCurve:
