@@ -231,6 +231,7 @@ def validate_config(doc: dict) -> list[str]:
     mu = build("mu", build_mu, group, v["mu"]) if "mu" in v and group is not None else None
     name, est, grid = v.get("kind"), v.get("estimator"), v.get("grid")
     kind = KINDS.get(name, Kind())  # an unknown kind runs the config's estimator
+    run = kind.estimator or est  # the estimator the kind's section runs
     if kind.needs_grid and "grid" in v and grid is None:
         bad("grid", f"required for kind {name!r}")
     # the last grid point, which sizes the exact and endpoint estimators and forest-stats
@@ -245,7 +246,7 @@ def validate_config(doc: dict) -> list[str]:
             bad("sizes", f"must be a nonempty list of {rule}")
     if name == "oracle-check" and "n_max" in v and not 1 <= v["n_max"] <= ORACLE_N_CAP:
         bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
-    if (kind.estimator or est) == "exact":
+    if run == "exact":
         # the oracle's caps, for curves (to their last grid point) as for oracle-check
         n_field, n = ("grid", last) if kind.needs_grid else ("n_max", v.get("n_max"))
         if last is not None and last > ORACLE_N_CAP:
@@ -266,18 +267,18 @@ def validate_config(doc: dict) -> list[str]:
         if name == "profiles":
             build("group", check_exhaustive, group)
         # these estimators compute one fixed walk's curve and ignore mu otherwise
-        if est == "rao-blackwell":
+        if run == "rao-blackwell":
             if group.kind != "cyclic" or group.order % 2 == 0 or group.order < 3:
                 bad("estimator", "rao-blackwell needs an odd cyclic group of size >= 3")
             elif mu is not None and mu.items != G.simple_cycle_mu(group).items:
                 bad("mu", "rao-blackwell estimates the simple-cycle walk; mu must be simple-cycle")
-        if est == "hypercube-weight":
+        if run == "hypercube-weight":
             if group.kind != "hypercube" or getattr(group, "d", 0) > 1024:
                 bad("estimator", "hypercube-weight needs a hypercube group with d <= 1024")
             elif mu is not None and mu.items != G.lazy_hypercube_mu(group).items:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
-        if est == "endpoint" and not group.has_table:
+        if run == "endpoint" and not group.has_table:
             bad("estimator", f"endpoint sampling needs group order <= {G.TABLE_CAP}")
-        elif (kind.estimator or est) == "endpoint" and last is not None and "replicas" in v:
+        elif run == "endpoint" and last is not None and "replicas" in v:
             build("grid", check_step_table, group, v["replicas"], last)
     return problems

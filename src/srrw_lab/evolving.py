@@ -33,6 +33,7 @@ from .forest import ForestPath
 from .groups import (
     FiniteGroup,
     StepDistribution,
+    _product_set,
     gamma_gamma_inv_closure,
     transition_matrix,
 )
@@ -398,13 +399,8 @@ def psi_positivity_vs_generation(group: FiniteGroup, mu: StepDistribution) -> Ge
     witness_fixed = False
     if not positive and witness is not None:
         W = set_of(witness)
-        prod = {
-            group.mul(w, group.mul(a, group.inv(b)))
-            for w in W
-            for a in mu.support
-            for b in mu.support
-        }
-        witness_fixed = prod == set(W)
+        ggi = _product_set(group, mu.support, [group.inv(b) for b in mu.support])
+        witness_fixed = set(_product_set(group, W, ggi).tolist()) == W
     return GenerationReport(
         psi_half=psi_half,
         generates=generates,

@@ -1,9 +1,11 @@
 """Finite groups, step distributions, and the structural predicates on them.
 
 Elements are dense integer indices in ``[0, order)`` with the identity always
-at index 0.  Cyclic and hypercube groups use arithmetic/bitwise fast paths so
-they scale far beyond what a multiplication table could hold; small groups
-(order <= 4096) additionally cache a dense table for matrix work.
+at index 0.  Each family states its law once, in ``mul``, on two indices or
+two broadcasting index arrays (the hypercube's XOR stays exact on Python ints
+beyond d = 63).  ``table`` is that law on the index grid, for order <= 4096;
+symmetric groups that small multiply through it.  Transition matrices,
+conjugacy classes and subgroup closures are computed from ``mul`` on arrays.
 
 Canonical element notation (used by config files and CSV output):
 
@@ -31,22 +33,14 @@ LAMPLIGHTER_MAX_ORDER = 1 << 24
 PROB_ATOL = 1e-12
 
 
-def _rot_bits(x: int, s: int, width: int) -> int:
-    """Cyclic shift so that bit i of the result is bit (i - s) mod width of x."""
-    s %= width
-    if s == 0:
-        return x
-    mask = (1 << width) - 1
-    return ((x << s) | (x >> (width - s))) & mask
-
-
 class FiniteGroup:
     """A finite group on indices 0..order-1 with identity at index 0."""
 
     kind: str
     order: int
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
+        """The product a * b of two indices, or elementwise of broadcasting index arrays."""
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
@@ -66,25 +60,19 @@ class FiniteGroup:
     def has_table(self) -> bool:
         return self.order <= TABLE_CAP
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Dense multiplication table; only for order <= TABLE_CAP."""
+    def _index_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(column, row) of indices that broadcast to the order x order grid."""
         if not self.has_table:
             raise CapacityError(
                 f"multiplication table needs order <= {TABLE_CAP}, got {self.order}"
             )
-        n = self.order
-        t = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            for b in range(n):
-                t[a, b] = self.mul(a, b)
-        return t
+        idx = np.arange(self.order, dtype=np.int32)
+        return idx[:, None], idx
 
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of index arrays (broadcasting allowed)."""
-        if self.has_table:
-            return self.table[a, b]
-        raise CapacityError(f"no vectorized product for {self.kind} of order {self.order}")
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The law on the index grid, table[a, b] = a * b; only for order <= TABLE_CAP."""
+        return np.asarray(self.mul(*self._index_grid()), dtype=np.int32)
 
     def generators(self) -> list[int]:
         """A small generating set, used to accelerate orbit computations."""
@@ -123,9 +111,6 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a):
         return (-a) % self.order
 
-    def mul_vec(self, a, b):
-        return (np.asarray(a) + np.asarray(b)) % self.order
-
     def generators(self):
         return [1]
 
@@ -146,11 +131,6 @@ class HypercubeGroup(FiniteGroup):
 
     def inv(self, a):
         return a
-
-    def mul_vec(self, a, b):
-        if self.d > 63:
-            raise CapacityError("vectorized hypercube ops need d <= 63")
-        return np.asarray(a) ^ np.asarray(b)
 
     def generators(self):
         return [1 << k for k in range(self.d)]
@@ -174,7 +154,11 @@ class HypercubeGroup(FiniteGroup):
 
 
 class SymmetricGroup(FiniteGroup):
-    """S_m on points 1..m; products compose left factor first: (s*t)(i) = t(s(i))."""
+    """S_m on points 1..m; products compose left factor first: (s*t)(i) = t(s(i)).
+
+    Index a is the rank of its image array among all m! arrays in
+    lexicographic order, which is the order of their base-m codes.
+    """
 
     def __init__(self, m: int):
         if not 1 <= m <= SYMMETRIC_MAX_DEGREE:
@@ -186,27 +170,31 @@ class SymmetricGroup(FiniteGroup):
         self.perms = list(itertools.permutations(range(m)))  # lexicographic, id first
         self.order = len(self.perms)
         self._index = {p: i for i, p in enumerate(self.perms)}
+        self._images = np.array(self.perms, dtype=np.int64)
+        self._weights = m ** np.arange(m - 1, -1, -1)
+        self._codes = self._images @ self._weights  # ascending
 
     def mul(self, a, b):
-        pa, pb = self.perms[a], self.perms[b]
-        return self._index[tuple(pb[pa[i]] for i in range(self.m))]
+        return self.table[a, b] if self.has_table else self._compose(a, b)
+
+    def _compose(self, a, b):
+        # image i of a*b is b's image of a(i); the base-m code of the images ranks them
+        img = self._images.ravel()[np.asarray(b)[..., None] * self.m + self._images[a]]
+        return np.searchsorted(self._codes, img @ self._weights)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The composition on the index grid (``mul`` reads the table, so cannot build it)."""
+        return self._compose(*self._index_grid()).astype(np.int32)
 
     def inv(self, a):
-        pa = self.perms[a]
-        out = [0] * self.m
-        for i, j in enumerate(pa):
-            out[j] = i
-        return self._index[tuple(out)]
+        return self._index[tuple(np.argsort(self.perms[a]))]
 
     def generators(self):
         if self.m == 1:
             return []
-        swap = self.perm_index(tuple([1, 0] + list(range(2, self.m))))
-        cyc = self.perm_index(tuple(list(range(1, self.m)) + [0]))
+        swap, cyc = self.from_cycles((1, 2)), self.from_cycles(tuple(range(1, self.m + 1)))
         return [swap, cyc] if self.m > 2 else [swap]
-
-    def perm_index(self, perm: tuple) -> int:
-        return self._index[tuple(perm)]
 
     def from_cycles(self, *cycles) -> int:
         """Element from cycles of 1-based points, e.g. from_cycles((1,3,2))."""
@@ -280,23 +268,19 @@ class LamplighterGroup(FiniteGroup):
     def decode(self, a: int) -> tuple[int, int]:
         return divmod(a, self.L)
 
+    def _rot(self, lamps, s):
+        """Lamps moved s in [0, L) places: bit i of the result is bit (i - s) mod L."""
+        return ((lamps << s) | (lamps >> (self.L - s))) & ((1 << self.L) - 1)
+
     def mul(self, a, b):
         fa, ja = self.decode(a)
         fb, jb = self.decode(b)
-        lamps = fa ^ _rot_bits(fb, ja, self.L)
-        return self.encode(lamps, (ja + jb) % self.L)
+        return self.encode(fa ^ self._rot(fb, ja), (ja + jb) % self.L)
 
     def inv(self, a):
         fa, ja = self.decode(a)
-        return self.encode(_rot_bits(fa, -ja, self.L), (-ja) % self.L)
-
-    def mul_vec(self, a, b):
-        L = self.L
-        fa, ja = np.divmod(np.asarray(a, dtype=np.int64), L)
-        fb, jb = np.divmod(np.asarray(b, dtype=np.int64), L)
-        mask = (1 << L) - 1
-        rot = ((fb << ja) | (fb >> (L - ja))) & mask  # ja < L <= 19 so shifts are safe
-        return (fa ^ rot) * L + (ja + jb) % L
+        s = -ja % self.L
+        return self.encode(self._rot(fa, s), s)
 
     def generators(self):
         return [self.encode(1, 0), self.encode(0, 1)]
@@ -352,20 +336,13 @@ class TableGroup(FiniteGroup):
             raise ParameterError("associativity fails")
         self.kind = "table"
         self.order = n
-        self._table = t
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        return self._table
+        self.table = t
 
     def mul(self, a, b):
-        return int(self._table[a, b])
+        return self.table[a, b]
 
     def inv(self, a):
-        return int(np.nonzero(self._table[a] == 0)[0][0])
-
-    def mul_vec(self, a, b):
-        return self._table[a, b]
+        return int(np.nonzero(self.table[a] == 0)[0][0])
 
 
 def _size_param(kind: str, param) -> int:
@@ -399,8 +376,12 @@ class StepDistribution:
     """Probability measure on a group, stored sparsely on its support."""
 
     def __init__(self, group: FiniteGroup, items):
+        """``items``: a mapping or (element, mass) pairs; coinciding elements add their masses."""
         self.group = group
-        pairs = sorted((int(g), float(p)) for g, p in dict(items).items())
+        masses: dict[int, float] = {}
+        for g, p in items.items() if isinstance(items, dict) else items:
+            masses[int(g)] = masses.get(int(g), 0.0) + float(p)
+        pairs = sorted(masses.items())
         for g, p in pairs:
             if not 0 <= g < group.order:
                 raise DomainError(f"element {g} out of range")
@@ -411,24 +392,21 @@ class StepDistribution:
             raise DomainError(f"probabilities sum to {total}, not 1")
         # support membership is exact: strictly positive mass only
         self.items = tuple((g, p) for g, p in pairs if p > 0.0)
+        self._mass = dict(self.items)
 
     @property
     def support(self) -> tuple:
         return tuple(g for g, _ in self.items)
 
     def prob(self, g: int) -> float:
-        for h, p in self.items:
-            if h == g:
-                return p
-        return 0.0
+        return self._mass.get(g, 0.0)
 
     @cached_property
     def dense(self) -> np.ndarray:
         if not self.group.enumerable:
             raise CapacityError("dense vector needs an enumerable group")
         out = np.zeros(self.group.order)
-        for g, p in self.items:
-            out[g] = p
+        out[list(self._mass)] = list(self._mass.values())
         return out
 
     @staticmethod
@@ -439,17 +417,17 @@ class StepDistribution:
 
 
 def simple_cycle_mu(group: CyclicGroup) -> StepDistribution:
-    """mu(+1) = mu(-1) = 1/2 on a cycle."""
+    """mu(+1) = mu(-1) = 1/2 on a cycle; on Z_2 the two steps coincide."""
     if group.kind != "cyclic":
         raise DomainError("simple_cycle_mu needs a cyclic group")
-    return StepDistribution(group, {1: 0.5, group.order - 1: 0.5})
+    return StepDistribution(group, [(1, 0.5), (group.order - 1, 0.5)])
 
 
 def lazy_cycle_mu(group: CyclicGroup) -> StepDistribution:
-    """mu(0) = 1/2, mu(+1) = mu(-1) = 1/4 on a cycle."""
+    """mu(0) = 1/2, mu(+1) = mu(-1) = 1/4 on a cycle; on Z_2 the two steps coincide."""
     if group.kind != "cyclic":
         raise DomainError("lazy_cycle_mu needs a cyclic group")
-    return StepDistribution(group, {0: 0.5, 1: 0.25, group.order - 1: 0.25})
+    return StepDistribution(group, [(0, 0.5), (1, 0.25), (group.order - 1, 0.25)])
 
 
 def lazy_hypercube_mu(group: HypercubeGroup) -> StepDistribution:
@@ -470,15 +448,15 @@ def lamplighter_example_mu(group: LamplighterGroup) -> StepDistribution:
     """
     if group.kind != "lamplighter":
         raise DomainError("lamplighter_example_mu needs a lamplighter group")
-    items: dict[int, float] = {}
-    for g, p in (
-        (group.encode(0, 0), 0.5),
-        (group.encode(1, 0), 0.25),
-        (group.encode(0, 1), 0.125),
-        (group.encode(0, group.L - 1), 0.125),
-    ):
-        items[g] = items.get(g, 0.0) + p
-    return StepDistribution(group, items)
+    return StepDistribution(
+        group,
+        [
+            (group.encode(0, 0), 0.5),
+            (group.encode(1, 0), 0.25),
+            (group.encode(0, 1), 0.125),
+            (group.encode(0, group.L - 1), 0.125),
+        ],
+    )
 
 
 def uniform_mu(group: FiniteGroup) -> StepDistribution:
@@ -501,12 +479,10 @@ def transition_matrix(group: FiniteGroup, mu: StepDistribution) -> np.ndarray:
         raise CapacityError(
             f"transition matrix needs order <= {TABLE_CAP}, got {group.order}"
         )
-    n = group.order
-    P = np.zeros((n, n))
+    idx = np.arange(group.order)
+    P = np.zeros((group.order, group.order))
     for g, p in mu.items:
-        # column pattern of a deterministic right-step by g
-        for x in range(n):
-            P[x, group.mul(x, g)] += p
+        P[idx, group.mul(idx, g)] += p  # the column pattern of a right-step by g
     return P
 
 
@@ -573,48 +549,50 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     """Partition of the group into conjugacy classes (orbits of g -> x^-1 g x)."""
     if group.order > CONJUGACY_CAP:
         raise CapacityError(f"conjugacy classes need order <= {CONJUGACY_CAP}")
-    gens = group.generators()
-    gens = gens + [group.inv(g) for g in gens]
-    seen = [False] * group.order
-    classes = []
-    for start in range(group.order):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = group.mul(group.inv(g), group.mul(x, g))
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    frontier.append(y)
-        classes.append(sorted(orbit))
-    return classes
+    idx = np.arange(group.order)
+    # label each element by the least element of its orbit: pull minima along
+    # each conjugation x -> h^-1 x h by a generator h, and through the labels
+    label, prev = idx, None
+    while not np.array_equal(label, prev):
+        prev = label
+        for h in group.generators():
+            label = np.minimum(label, label[group.mul(group.inv(h), group.mul(idx, h))])
+        label = label[label]
+    members = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[members])) + 1
+    return [c.tolist() for c in np.split(members, cuts)]
 
 
 def subgroup_closure(group: FiniteGroup, elements) -> frozenset:
-    """Subgroup generated by ``elements`` (BFS over products and inverses)."""
+    """Subgroup generated by ``elements`` (BFS over right products by them)."""
     if not group.enumerable:
         raise CapacityError("subgroup closure needs an enumerable group")
-    gens = {int(g) for g in elements}
-    gens |= {group.inv(g) for g in gens}
-    members = {group.identity} | gens
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
+    # the group is finite, so products of the elements reach their inverses;
+    # no elements generate the trivial group, as the identity does
+    gens = {int(g) for g in elements} or {group.identity}
+    seen = np.zeros(group.order, dtype=bool)
+    frontier = np.array([group.identity])
+    seen[frontier] = True
+    while frontier.size:
+        # right-multiplication by g is one-to-one, so no frontier repeats an element
+        reached = []
         for g in gens:
-            y = group.mul(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return frozenset(members)
+            y = group.mul(frontier, g)
+            y = y[~seen[y]]
+            seen[y] = True
+            reached.append(y)
+        frontier = np.concatenate(reached)
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
-def _product_set(group, A, B):
-    return {group.mul(a, b) for a in A for b in B}
+def _product_set(group, A, B) -> np.ndarray:
+    """The distinct products a * b (a in A, b in B), ascending."""
+    if not group.enumerable:
+        raise CapacityError("product sets need an enumerable group")
+    A, hit = np.fromiter(A, dtype=np.int64), np.zeros(group.order, dtype=bool)
+    for b in B:
+        hit[group.mul(A, b)] = True
+    return np.flatnonzero(hit)
 
 
 def gamma_gamma_inv_closure(group: FiniteGroup, support) -> frozenset:
@@ -651,13 +629,13 @@ def distribution_predicates(group: FiniteGroup, mu: StepDistribution) -> Distrib
     support_union = True
     gens = group.generators()
     gens = gens + [group.inv(g) for g in gens]
-    for g, p in mu.items:
-        for h in gens:
-            conj = group.mul(group.inv(h), group.mul(g, h))
-            if abs(mu.prob(conj) - p) > PROB_ATOL:
-                class_function = False
-            if conj not in support:
-                support_union = False
+    elements = np.array(mu.support)
+    probs = np.array([p for _, p in mu.items])
+    for h in gens:
+        # the masses of the conjugates h^-1 g h of the support elements g
+        mass = mu.dense[group.mul(group.inv(h), group.mul(elements, h))]
+        class_function &= bool((np.abs(mass - probs) <= PROB_ATOL).all())
+        support_union &= bool((mass > 0.0).all())
 
     support_symmetric = {group.inv(g) for g in support} == support
     ggi = gamma_gamma_inv_closure(group, support)

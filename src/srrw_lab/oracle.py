@@ -162,9 +162,7 @@ def exact_endpoint_distribution(
     nsup = support.size
     idx = np.arange(group.order)
     # permutation realizing right-multiplication by each support element
-    perm = np.vstack(
-        [group.mul_vec(idx, np.full(group.order, group.inv(int(g)))) for g in support]
-    )
+    perm = group.mul(idx, np.array([group.inv(int(g)) for g in support])[:, None])
 
     laws = []
     delta = np.zeros(group.order)

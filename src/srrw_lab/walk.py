@@ -162,7 +162,7 @@ def sample_endpoints_direct(
                 replicate, u = choices_from_uniforms(rng.random(R), alpha, t)
                 fresh = sampler.draw(rng, R)
                 X[:, t] = np.where(replicate, X[rows, u], fresh)
-            S = group.mul_vec(S, X[:, t])
+            S = group.mul(S, X[:, t])
             if t == grid[gi]:
                 out[gi, start:stop] = S
                 gi += 1
@@ -221,7 +221,7 @@ def sample_endpoints_forest(
         X = spins[rows, labels]
         S = np.full(R, group.identity, dtype=np.int64)
         for t in range(n):
-            S = group.mul_vec(S, X[:, t])
+            S = group.mul(S, X[:, t])
         out[start:stop] = S
     return out
 
@@ -252,7 +252,7 @@ def conditional_kernel_product(
             perm = perm_cache.get(g)
             if perm is None:
                 # right-multiplication by g: new mass at y comes from y * g^-1
-                perm = group.mul_vec(idx, np.full(group.order, group.inv(g)))
+                perm = group.mul(idx, group.inv(g))
                 perm_cache[g] = perm
             v = v[perm]
         else:

@@ -214,6 +214,33 @@ class TestValidation:
         )
         assert [p.split(":")[0] for p in validate_config(doc)] == [field]
 
+    @pytest.mark.parametrize(
+        "kind, group, mu, estimator",
+        [
+            ("profiles", {"kind": "cyclic", "L": 4}, "uniform", "rao-blackwell"),
+            ("oracle-check", {"kind": "cyclic", "L": 5}, "lazy-cycle", "rao-blackwell"),
+            ("forest-stats", {"kind": "symmetric", "m": 7}, "uniform", "endpoint"),
+        ],
+    )
+    def test_rules_of_an_estimator_the_kind_never_runs_do_not_apply(
+        self, tmp_path, kind, group, mu, estimator
+    ):
+        # these kinds run their own estimator whatever the config's field says
+        doc = base_config(
+            tmp_path,
+            kind=kind,
+            group=group,
+            mu={"type": mu},
+            estimator=estimator,
+            alphas=[0.5],
+            n_max=2,
+            grid={"type": "explicit", "values": [1, 2]},
+        )
+        assert validate_config(doc) == []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == 0
+
     def test_explicit_mu_equal_to_the_estimated_walk_accepted(self, tmp_path):
         doc = base_config(
             tmp_path,
@@ -324,6 +351,16 @@ class TestRunner:
         summary = json.load(open(os.path.join(cfg.output_dir, "summary.json")))
         assert summary["kind"] == "oracle-check"
         assert not summary["guard_triggered"]
+
+    def test_lazy_cycle_on_z2_is_the_uniform_walk(self, tmp_path):
+        # +1 and -1 coincide on Z_2, so the lazy walk is {0: 1/2, 1: 1/2}
+        outputs = {}
+        for mu in ("lazy-cycle", "uniform"):
+            doc = base_config(tmp_path, mu={"type": mu}, output_dir=str(tmp_path / mu))
+            assert validate_config(doc) == []
+            run(parse_config(doc))
+            outputs[mu] = (tmp_path / mu / "oracle_check.csv").read_bytes()
+        assert outputs["lazy-cycle"] == outputs["uniform"]
 
     def test_tv_curve_deterministic_across_threads(self, tmp_path):
         def doc(i, threads):

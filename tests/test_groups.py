@@ -74,11 +74,118 @@ class TestGroupAxioms:
 
     @pytest.mark.parametrize("group", small_groups(), ids=lambda g: g.describe())
     def test_mul_vec_matches_scalar(self, group):
+        # mul on index arrays against the law stated on scalars in pure Python
+        law = stated_law(group)
         rng = np.random.default_rng(0)
         a = rng.integers(0, group.order, 200)
         b = rng.integers(0, group.order, 200)
-        vec = group.mul_vec(a, b)
-        assert all(int(v) == group.mul(int(x), int(y)) for v, x, y in zip(vec, a, b))
+        vec = group.mul(a, b)
+        assert all(int(v) == law(int(x), int(y)) for v, x, y in zip(vec, a, b))
+
+
+def dihedral5(a, b):
+    """D_5 on index s*5 + r (rotation r, reflection s): (r, s)(r', s') = (r +- r', s ^ s')."""
+    (s1, r1), (s2, r2) = divmod(a, 5), divmod(b, 5)
+    return (s1 ^ s2) * 5 + (r1 + (-r2 if s1 else r2)) % 5
+
+
+def stated_law(group):
+    """The group law of ``group`` stated in pure Python on index scalars, apart from ``mul``."""
+    if group.kind == "cyclic":
+        return lambda a, b: (a + b) % group.order
+    if group.kind == "hypercube":
+        return lambda a, b: a ^ b
+    if group.kind == "symmetric":
+        index = {p: i for i, p in enumerate(group.perms)}
+        perms = group.perms
+        return lambda a, b: index[tuple(perms[b][perms[a][i]] for i in range(group.m))]
+    if group.kind == "lamplighter":
+        L = group.L
+
+        def lamplighter(a, b):
+            # (f, j) * (h, k) = (phi, j + k), phi(i) = f(i) + h(i - j) mod 2
+            (fa, ja), (fb, jb) = divmod(a, L), divmod(b, L)
+            phi = sum((((fa >> i) & 1) ^ ((fb >> ((i - ja) % L)) & 1)) << i for i in range(L))
+            return phi * L + (ja + jb) % L
+
+        return lamplighter
+    return dihedral5
+
+
+def law_groups():
+    groups = [G.make_group("cyclic", L) for L in (2, 7, 64)]
+    groups += [G.make_group("hypercube", d) for d in (1, 6)]
+    groups += [G.make_group("symmetric", m) for m in (1, 3, 4, 5)]
+    groups += [G.make_group("lamplighter", L) for L in (2, 3, 5)]
+    cayley = [[dihedral5(a, b) for b in range(10)] for a in range(10)]
+    return groups + [G.make_group("table", np.array(cayley))]
+
+
+def law_mus(group):
+    """Uniform, a random full-support and (where the family has one) the builtin walk."""
+    w = np.random.default_rng(group.order).random(group.order)
+    mus = [G.uniform_mu(group), G.StepDistribution(group, dict(enumerate(w / w.sum())))]
+    builtin = {
+        "cyclic": G.lazy_cycle_mu,
+        "hypercube": G.lazy_hypercube_mu,
+        "lamplighter": G.lamplighter_example_mu,
+    }.get(group.kind)
+    return mus + ([builtin(group)] if builtin else [])
+
+
+class TestOneLaw:
+    """``mul``, ``table`` and ``transition_matrix`` against the law stated apart from them."""
+
+    @pytest.mark.parametrize("group", law_groups(), ids=lambda g: g.describe())
+    def test_mul_matches_stated_law(self, group):
+        law = stated_law(group)
+        rng = np.random.default_rng(1)
+        a = rng.integers(0, group.order, 300)
+        b = rng.integers(0, group.order, 300)
+        expect = [law(int(x), int(y)) for x, y in zip(a, b)]
+        assert [int(group.mul(int(x), int(y))) for x, y in zip(a, b)] == expect
+        assert group.mul(a, b).tolist() == expect
+        # broadcasting: a column of left factors against a row of right factors
+        grid = group.mul(a[:7, None], b[:5])
+        assert grid.tolist() == [[law(int(x), int(y)) for y in b[:5]] for x in a[:7]]
+
+    @pytest.mark.parametrize("group", law_groups(), ids=lambda g: g.describe())
+    def test_table_matches_double_loop(self, group):
+        law, n = stated_law(group), group.order
+        t = np.empty((n, n), dtype=np.int32)
+        for a in range(n):
+            for b in range(n):
+                t[a, b] = law(a, b)
+        assert group.table.dtype == np.int32 and group.table.tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("group", law_groups(), ids=lambda g: g.describe())
+    def test_transition_matrix_matches_double_loop(self, group):
+        law, n = stated_law(group), group.order
+        for mu in law_mus(group):
+            P = np.zeros((n, n))
+            for g, p in mu.items:
+                for x in range(n):
+                    P[x, law(x, g)] += p
+            assert G.transition_matrix(group, mu).tobytes() == P.tobytes()
+
+    @pytest.mark.parametrize("d", [64, 1024])
+    def test_hypercube_law_exact_on_python_ints(self, d):
+        h = G.make_group("hypercube", d)
+        top = 2 ** (d - 1)
+        assert h.mul(top, 1) == top + 1 and type(h.mul(top, 1)) is int
+        assert h.mul(2**1023, 1) == 2**1023 + 1
+        for x in (top, top + 1, 2**d - 1):
+            assert h.inv(x) == x and h.mul(x, h.inv(x)) == 0
+
+    def test_s7_mul_on_index_arrays(self):
+        s7 = G.make_group("symmetric", 7)
+        assert not s7.has_table
+        law = stated_law(s7)
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, s7.order, 300)
+        b = rng.integers(0, s7.order, 300)
+        assert s7.mul(a, b).tolist() == [law(int(x), int(y)) for x, y in zip(a, b)]
+        assert int(s7.mul(int(a[0]), int(b[0]))) == law(int(a[0]), int(b[0]))
 
 
 class TestMakeGroup:
@@ -160,6 +267,12 @@ class TestStepDistribution:
         z3 = G.make_group("cyclic", 3)
         mu = G.StepDistribution(z3, {0: 0.5, 1: 0.5, 2: 0.0})
         assert mu.support == (0, 1)
+
+    def test_z2_builtin_walks_merge_coinciding_steps(self):
+        # on Z_2, +1 and -1 are one element, which carries both masses
+        z2 = G.make_group("cyclic", 2)
+        assert G.lazy_cycle_mu(z2).items == ((0, 0.5), (1, 0.5))
+        assert G.simple_cycle_mu(z2).items == ((1, 1.0),)
 
     def test_from_names(self):
         h = G.make_group("hypercube", 2)
@@ -359,8 +472,8 @@ class TestRandomizedAxioms100k:
         a = rng.integers(0, hi, 100_000)
         b = rng.integers(0, hi, 100_000)
         c = rng.integers(0, hi, 100_000)
-        left = group.mul_vec(group.mul_vec(a, b), c)
-        right = group.mul_vec(a, group.mul_vec(b, c))
+        left = group.mul(group.mul(a, b), c)
+        right = group.mul(a, group.mul(b, c))
         assert np.array_equal(left, right)
-        e = group.mul_vec(a, np.array([group.inv(int(x)) for x in a[:100]] + [0] * (100_000 - 100)))
+        e = group.mul(a, np.array([group.inv(int(x)) for x in a[:100]] + [0] * (100_000 - 100)))
         assert (e[:100] == 0).all()

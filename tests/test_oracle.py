@@ -115,9 +115,7 @@ def reference_endpoint_law(group, mu, alpha, n):
     support = np.array(mu.support, dtype=np.int64)
     sup_probs = np.array([p for _, p in mu.items])
     idx = np.arange(group.order)
-    perm = np.vstack(
-        [group.mul_vec(idx, np.full(group.order, group.inv(int(g)))) for g in support]
-    )
+    perm = np.vstack([group.mul(idx, group.inv(int(g))) for g in support])
     delta = np.zeros(group.order)
     delta[group.identity] = 1.0
     laws = []

@@ -147,7 +147,7 @@ class TestConditionalKernelProduct:
         for j in range(1, f.n + 1):
             root = int(f.labels[j - 1])
             if root in spins:
-                perm = z3.mul_vec(idx, np.full(3, z3.inv(spins[root])))
+                perm = z3.mul(idx, z3.inv(spins[root]))
                 v = v[perm]
             else:
                 v = v @ P
