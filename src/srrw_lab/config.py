@@ -277,8 +277,6 @@ def validate_config(doc: dict) -> list[str]:
                 bad("estimator", "hypercube-weight needs a hypercube group with d <= 1024")
             elif mu is not None and mu.items != G.lazy_hypercube_mu(group).items:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
-        if run == "endpoint" and not group.has_table:
-            bad("estimator", f"endpoint sampling needs group order <= {G.TABLE_CAP}")
-        elif run == "endpoint" and last is not None and "replicas" in v:
+        if run == "endpoint" and last is not None and "replicas" in v:
             build("grid", check_step_table, group, v["replicas"], last)
     return problems

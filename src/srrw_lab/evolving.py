@@ -10,14 +10,20 @@ Exhaustive sweeps visit one subset per left-translation orbit.  The kernel
 P(x, y) = mu(x^-1 y) satisfies P(gx, gy) = P(x, y), so Phi(gA) = Phi(A) and
 psi(gA) = psi(A).  The representative of an orbit is the smallest mask that
 contains the identity among its translates a^-1 A (a in A); it is found by
-translating masks through two lookup tables of x -> g x per g, one for each
-half of the mask (ceil(|G|/2) <= 12 bits).  Translates agree in exact
-arithmetic but not always in the last float bit (the sums run in a different
-order), so every representative within 1e-12 of the smallest is expanded to
-all its translates and these are evaluated again: the minimum and its
-smallest-mask witness are then the ones a sweep of all 2^|G| masks would
-report, bit for bit.  Chunks of 4096 masks keep each float temporary at
-4096 x |G| doubles (0.7 MB at |G| = 21), inside a 2 MB per-core L2 cache.
+translating int32 masks through two lookup tables of x -> g x per g, one for
+each half of the mask (ceil(|G|/2) <= 12 bits).  Masks use bits below 24,
+so the table half that holds g^-1 sets bit 30 (``FLAG``) exactly when g A
+misses the identity, and the orbit test is the one compare A <= g A.
+Representatives are screened by cheaper formulas (``_chunk_screen``) that
+agree with the exact kernel to a few ulps; every one within 1e-12 of the
+smallest screened value is expanded to all its translates, and these go
+through the exact kernel ``_chunk_phi_psi``.  Only that kernel decides:
+translates, and subsets related by a symmetry of mu such as A and -A on a
+cycle, tie in exact arithmetic but not always in the last float bit, so the
+screened values could move a witness.  The minimum and its smallest-mask
+witness are then the ones a sweep of all 2^|G| masks would report, bit for
+bit.  Chunks of 4096 masks keep each float temporary at 4096 x |G| doubles
+(0.7 MB at |G| = 21), inside a 2 MB per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .streams import chunk_ranges
 
 EXHAUSTIVE_CAP = 24
 ORBIT_BLOCK = 1 << 16  # masks per block of the orbit-representative enumeration
+FLAG = 1 << 30  # marks a translate that misses the identity; masks use bits < EXHAUSTIVE_CAP
 
 
 def mask_of(elements) -> int:
@@ -218,20 +225,34 @@ class ProfileTable:
 
 
 def _translation_luts(group: FiniteGroup) -> np.ndarray:
-    """lut[g, h, v] is the mask of g * {w h + i : bit i of v}, w = ceil(|G|/2) bits."""
+    """lut[g, h, v] is the mask of g * {w h + i : bit i of v}, w = ceil(|G|/2) bits.
+
+    The half of lut[g] that holds g^-1 also sets ``FLAG`` where bit g^-1 of
+    v is clear, so a translate carries ``FLAG`` exactly when g A misses the
+    identity, that is when g^-1 is not in A.
+    """
     n = group.order
     w = (n + 1) // 2
-    values = np.arange(1 << w, dtype=np.int64)
-    lut = np.zeros((n, 2, 1 << w), dtype=np.int64)
+    values = np.arange(1 << w, dtype=np.int32)
+    lut = np.zeros((n, 2, 1 << w), dtype=np.int32)
     for x in range(n):
         bit = (values >> (x % w)) & 1
-        lut[:, x // w, :] |= bit[None, :] << group.table[:, x, None].astype(np.int64)
+        lut[:, x // w, :] |= bit[None, :] << group.table[:, x, None].astype(np.int32)
+    for g in range(n):
+        h = int(group.inv(g))
+        lut[g, h // w, ((values >> (h % w)) & 1) == 0] |= FLAG
     return lut
 
 
-def _translate(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
+def _flagged(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
+    """The translates g A, with ``FLAG`` set where g A misses the identity."""
     w = lut_g.shape[1].bit_length() - 1
-    return lut_g[0][masks & ((1 << w) - 1)] | lut_g[1][masks >> w]
+    return lut_g[0].take(masks & ((1 << w) - 1)) | lut_g[1].take(masks >> w)
+
+
+def _translate(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
+    """The translates g A."""
+    return _flagged(masks, lut_g) & (FLAG - 1)
 
 
 def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
@@ -239,16 +260,35 @@ def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
 
     A mask containing the identity (bit 0) is kept when it is <= every
     translate gA that also contains the identity, i.e. every a^-1 A, a in A.
+    A translate that misses it carries ``FLAG``, above every mask, so the
+    test is one compare.
     """
     n = lut.shape[0]
     for start, stop in chunk_ranges(1 << (n - 1), chunk):
-        masks = (np.arange(start, stop, dtype=np.int64) << 1) | 1
+        masks = (np.arange(start, stop, dtype=np.int32) << 1) | 1
         pops = np.bitwise_count(masks)
         masks = masks[(pops >= lo) & (pops <= hi)]
         for g in range(1, n):
-            t = _translate(masks, lut[g])
-            masks = masks[((t & 1) == 0) | (masks <= t)]
+            masks = masks[masks <= _flagged(masks, lut[g])]
         yield masks
+
+
+def _chunk_screen(masks: np.ndarray, P: np.ndarray):
+    """Sizes and phi, psi within a few ulps of ``_chunk_phi_psi``, in fewer passes.
+
+    psi sums the ascending loads times the weights sqrt(i) - sqrt(i-1),
+    i = n..1, instead of the differences of the descending loads.
+    """
+    n = P.shape[0]
+    roots = np.sqrt(np.arange(n, -1, -1, dtype=float))
+    le_bytes = masks.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)
+    X = np.unpackbits(le_bytes, axis=1, count=n, bitorder="little").astype(float)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    Q = X @ P
+    phi = (sizes - np.einsum("ij,ij->i", X, Q)) / sizes
+    Q.sort(axis=1)
+    psi = 1.0 - (Q @ (roots[:-1] - roots[1:])) / np.sqrt(sizes)
+    return sizes, phi, psi
 
 
 def _orbit_minima(
@@ -269,7 +309,7 @@ def _orbit_minima(
 
     reps = np.concatenate(list(_orbit_representatives(lut, lo, hi, ORBIT_BLOCK)))
     # an empty chunk still yields the (empty) objective arrays
-    parts = [_chunk_phi_psi(reps[a:b], P) for a, b in chunk_ranges(reps.size, chunk) or [(0, 0)]]
+    parts = [_chunk_screen(reps[a:b], P) for a, b in chunk_ranges(reps.size, chunk) or [(0, 0)]]
     sizes, phi, psi = (np.concatenate(col) for col in zip(*parts))
     keys = key_of(sizes)
     vals = np.stack(score(phi, psi))
@@ -278,10 +318,13 @@ def _orbit_minima(
         np.minimum.at(rep_min[j], keys, vals[j])
     near = reps[(vals <= rep_min[:, keys] + 1e-12).any(axis=0)]
 
+    # the exact kernel alone decides: translates of one orbit tie in exact
+    # arithmetic, so screened values could move a witness
     best = np.full_like(rep_min, np.inf)
     witness = np.zeros(rep_min.shape, dtype=np.int64)
     for start, stop in chunk_ranges(near.size, max(1, chunk // n)):
-        masks = np.concatenate([_translate(near[start:stop], lut[g]) for g in range(n)])
+        translates = [_translate(near[start:stop], lut[g]) for g in range(n)]
+        masks = np.concatenate(translates).astype(np.int64)  # np.minimum.at's fast path
         sizes, phi, psi = _chunk_phi_psi(masks, P)
         keys = key_of(sizes)
         for j, val in enumerate(score(phi, psi)):

@@ -6,9 +6,14 @@ closed forms, capped at n <= 9.  The endpoint law and the cluster events
 depend on a configuration (xi, u) only through its root-label sequence,
 its forest; `_forest_weights` builds the Bell(n) forests and their weights
 directly (21 147 at n = 9, against 10^7 configurations), and spins are
-integrated once per forest.  On Z_5 with the lazy-cycle walk at alpha = 1/2
-(2-core x86-64, BLAS at one thread) the endpoint law takes 0.009 s at
-n = 6, 0.04 s at n = 7, 0.23 s at n = 8 and 1.0-1.4 s at n = 9.
+integrated once per forest.  Forests with the same number B of clusters of
+size >= 2 share their |support|^B spin combinations, so the endpoint law
+walks them through the n vertices together, in batches of at most
+``BATCH_BYTES`` (or of one forest): one Python step per vertex and batch,
+not per vertex and forest.  On Z_5 with the lazy-cycle walk at alpha = 1/2
+(shared 2-core x86-64, BLAS at one thread) the endpoint law takes 1.4-2.8 ms
+at n = 6, 4-6 ms at n = 7, 23-37 ms at n = 8 and 0.16-0.26 s at n = 9,
+against 8.5-22 ms, 25-50 ms, 0.14-0.21 s and 0.9-1.3 s one forest at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .special import _check_alpha
 ORACLE_N_CAP = 9
 SPIN_CAP = 100_000
 SPIN_BYTES_CAP = 1 << 30  # bytes ``exact_endpoint_distribution`` holds at once
+BATCH_BYTES = 1 << 20  # a batch's stacked law matrices, gather index and result
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)  # forests on n <= ORACLE_N_CAP vertices
 
 
@@ -51,9 +57,17 @@ def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> None:
     cluster and at alpha = 0 every cluster is a singleton, so the bound is
     reached and the count check against ``SPIN_CAP`` is exact.  The bytes
     held at once, bounded by ``SPIN_BYTES_CAP``, are the transition matrix,
-    the largest law matrix with its gather index and result, and one law per
-    forest of nonzero weight (one at alpha in {0, 1}) with their stacked copy.
+    one law per forest of nonzero weight (one at alpha in {0, 1}) with their
+    stacked copy, and a batch of law matrices with their gather index and
+    result.  A batch holds at least the largest forest's three matrices,
+    which the check counts, and grows to ``BATCH_BYTES`` only where the cap
+    leaves that much room (``_batch_bytes``).
     """
+    _batch_bytes(mu, alpha, n)
+
+
+def _batch_bytes(mu: StepDistribution, alpha: float, n: int) -> int:
+    """The bytes one batch of forests may hold, once ``check_spin_cap``'s checks pass."""
     big = 0 if alpha == 0.0 or n < 2 else 1 if alpha == 1.0 else n // 2
     if (nsup := len(mu.support)) ** big > SPIN_CAP:
         raise CapacityError(
@@ -62,11 +76,13 @@ def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> None:
         )
     forests = 1 if alpha in (0.0, 1.0) else BELL[n]
     order = mu.group.order
-    if (nbytes := 8 * order * (order + 3 * nsup**big + 2 * forests)) > SPIN_BYTES_CAP:
+    fixed = 8 * order * (order + 2 * forests)
+    if (nbytes := fixed + 8 * order * 3 * nsup**big) > SPIN_BYTES_CAP:
         raise CapacityError(
             f"the oracle's spin integration holds {nbytes} bytes at n = {n},"
             f" alpha = {alpha}, over the cap of {SPIN_BYTES_CAP}"
         )
+    return min(BATCH_BYTES, SPIN_BYTES_CAP - fixed)
 
 
 @dataclass
@@ -147,57 +163,65 @@ def exact_endpoint_distribution(
     The law given the configuration depends only on its forest, so spins
     are integrated once per forest.  Spins of singleton clusters are
     integrated analytically through P_mu; only non-singleton cluster roots
-    are enumerated, at most |support|^(#big clusters) combinations per
-    forest, which ``check_spin_cap`` bounds, in count and in bytes, before
-    any forest is enumerated.
+    are enumerated, |support|^B combinations for a forest with B big
+    clusters.  Forests with the same B share their combinations, so they
+    are stacked into batches of at most ``_batch_bytes`` and walked through
+    the n vertices together: a stacked ``V @ P`` for the forests whose
+    vertex j is a singleton, one gather for the others.  ``check_spin_cap``
+    bounds the spins, in count and in bytes, before any forest is enumerated.
     """
     if group.order > TABLE_CAP:
         raise CapacityError(f"oracle needs group order <= {TABLE_CAP}")
     n = _check_n(n)
     alpha = _check_alpha(alpha)
-    check_spin_cap(mu, alpha, n)
+    budget = _batch_bytes(mu, alpha, n)
     P = transition_matrix(group, mu)
-    support = np.array(mu.support, dtype=np.int64)
     sup_probs = np.array([p for _, p in mu.items])
-    nsup = support.size
-    idx = np.arange(group.order)
-    # permutation realizing right-multiplication by each support element
-    perm = group.mul(idx, np.array([group.inv(int(g)) for g in support])[:, None])
+    nsup = sup_probs.size
+    order = group.order
+    # permutation realizing right-multiplication by each support element, as flat gather indices
+    inv = np.array([group.inv(int(g)) for g in mu.support])[:, None]
+    perm = group.mul(np.arange(order), inv).astype(np.intp)
 
+    seqs, weights = _forest_weights(n, alpha)
+    big = (seqs[:, :, None] == np.arange(1, n + 1)).sum(axis=1) >= 2
+    nbig = big.sum(axis=1)
+    # pos[f, j]: the rank of vertex j's root among forest f's big roots, -1 for a singleton
+    pos = np.take_along_axis(np.where(big, np.cumsum(big, axis=1) - 1, -1), seqs - 1, axis=1)
     laws = []
-    delta = np.zeros(group.order)
-    delta[group.identity] = 1.0
-
-    combo_cache: dict[int, tuple] = {}
-
-    def combos(B: int):
-        got = combo_cache.get(B)
-        if got is None:
-            ids = np.array(list(itertools.product(range(nsup), repeat=B)), dtype=np.int64)
-            if B == 0:
-                ids = ids.reshape(1, 0)
-            wts = np.prod(sup_probs[ids], axis=1) if B else np.ones(1)
-            got = (ids, wts)
-            combo_cache[B] = got
-        return got
-
-    for labels, weight in zip(*_forest_weights(n, alpha)):
-        sizes = np.bincount(labels, minlength=n + 1)
-        big_roots = [r for r in range(1, n + 1) if sizes[r] >= 2]
-        root_pos = {r: i for i, r in enumerate(big_roots)}
-        ids, wts = combos(len(big_roots))
-        rows = np.arange(ids.shape[0])[:, None]
-        V = np.repeat(delta[None, :], ids.shape[0], axis=0)
-        for j in range(1, n + 1):
-            root = int(labels[j - 1])
-            pos = root_pos.get(root)
-            if pos is None:
-                V = V @ P
-            else:
-                V = V[rows, perm[ids[:, pos]]]
-        laws.append(weight * (wts @ V))
+    for B in range(n // 2 + 1):
+        members = np.flatnonzero(nbig == B)
+        if members.size == 0:  # the spin caps bound only the B that occur
+            continue
+        combos = list(itertools.product(range(nsup), repeat=B))
+        ncombo = len(combos)
+        ids = np.array(combos, dtype=np.int64).reshape(ncombo, B)
+        wts = np.prod(sup_probs[ids], axis=1)
+        # offset of each (combination, cell) row inside one forest's law matrix
+        rows = np.arange(ncombo)[:, None] * order
+        step = max(1, budget // (24 * ncombo * order))
+        for start in range(0, members.size, step):
+            f = members[start : start + step]
+            V = np.zeros((f.size, ncombo, order))
+            V[:, :, group.identity] = 1.0
+            for j in range(n):
+                p = pos[f, j]
+                free = p < 0
+                if free.all():
+                    V = V @ P
+                    continue
+                if free.any():
+                    V[free] = V[free] @ P
+                s = np.flatnonzero(~free)
+                gather = perm[ids.T[p[s]]]
+                gather += rows + (s * (ncombo * order))[:, None, None]
+                if free.any():
+                    V[s] = V.take(gather)
+                else:
+                    V = V.take(gather)
+            laws.append(weights[f, None] * (wts @ V))
     # one correctly rounded sum per cell over the distinct forests
-    return DistributionVector(group, np.array([math.fsum(c) for c in np.stack(laws, axis=1)]))
+    return DistributionVector(group, np.array([math.fsum(c) for c in np.concatenate(laws).T]))
 
 
 def exact_tv_curve(group: FiniteGroup, mu: StepDistribution, alpha: float, n_max: int):

@@ -246,6 +246,7 @@ def brute_orbit_minima(group, P, lo, hi, score, by_size, chunk=65536):
 
 
 def orbit_sweep_cases():
+    z13 = G.make_group("cyclic", 13)
     z16 = G.make_group("cyclic", 16)
     z17 = G.make_group("cyclic", 17)
     z19 = G.make_group("cyclic", 19)
@@ -254,6 +255,8 @@ def orbit_sweep_cases():
     h4 = G.make_group("hypercube", 4)
     tab = G.make_group("table", G.make_group("symmetric", 3).table)
     return [
+        # A and its reflection -A tie in exact arithmetic but lie in different orbits
+        pytest.param(z13, G.lazy_cycle_mu(z13), id="lazy-Z13"),
         # the smallest mask attaining the least phi of size 6 lies in an orbit
         # whose representative evaluates a few ulps above another orbit's
         pytest.param(z16, G.StepDistribution(z16, {0: 0.4, 1: 0.2, 3: 0.4}), id="Z16"),
@@ -342,6 +345,21 @@ class TestOrbitSweep:
         # no representative is a translate of another one
         translates = np.stack([E._translate(reps, lut[g]) for g in range(n)], axis=1)
         assert ((translates == reps[:, None]) | ~np.isin(translates, reps)).all()
+
+    @pytest.mark.parametrize(
+        "group",
+        [G.make_group("cyclic", 8), G.make_group("symmetric", 3), G.make_group("lamplighter", 2)],
+        ids=["Z8", "S3", "lamplighter2"],
+    )
+    def test_flag_makes_the_orbit_test_one_compare(self, group):
+        n = group.order
+        lut = E._translation_luts(group)
+        masks = np.arange(1 << n, dtype=np.int32)
+        for g in range(n):
+            flagged = E._flagged(masks, lut[g])
+            t = E._translate(masks, lut[g])
+            assert ((flagged & E.FLAG) != 0).tolist() == ((t & 1) == 0).tolist()
+            assert (masks <= flagged).tolist() == (((t & 1) == 0) | (masks <= t)).tolist()
 
     def test_translation_tables(self):
         # every table width: 1, 3 and 11 bits, and 12 bits at the cap |G| = 24

@@ -175,6 +175,20 @@ class TestValidation:
         assert not os.path.exists(doc["output_dir"])
         assert validate_config(dict(doc, replicas=10_000)) == []
 
+    def test_endpoint_runs_on_groups_without_a_table(self, tmp_path):
+        # S_7 has order 5040 > groups.TABLE_CAP; mul multiplies its index arrays
+        doc = base_config(
+            tmp_path, kind="tv-curve", group={"kind": "symmetric", "m": 7},
+            mu={"type": "uniform"}, alphas=[0.5], estimator="endpoint", replicas=2000,
+            grid={"type": "explicit", "values": [1, 10, 50]},
+        )
+        assert validate_config(doc) == []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match=r"R=2000 < 100\*\|G\|=504000"):
+            assert cli.main(["run", "--config", str(path)]) == 0
+        assert os.path.exists(os.path.join(doc["output_dir"], "curves.csv"))
+
     def test_forest_stats_batch_capped_up_front(self, tmp_path):
         # 100 forests on 10^8 vertices would draw 80 GB of uniforms in one chunk
         doc = base_config(

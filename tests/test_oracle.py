@@ -145,6 +145,15 @@ def pinned_law_cases():
     ]
 
 
+def wider_law_cases():
+    h3 = G.make_group("hypercube", 3)
+    z7 = G.make_group("cyclic", 7)
+    return [
+        pytest.param(h3, G.lazy_hypercube_mu(h3), id="lazy-H3"),
+        pytest.param(z7, G.lazy_cycle_mu(z7), id="lazy-Z7"),
+    ]
+
+
 class TestEndpointLawBits:
     @pytest.mark.parametrize("group,mu", pinned_law_cases())
     @pytest.mark.parametrize("alpha", [0.0, 0.35, 0.5, 0.8])
@@ -152,6 +161,22 @@ class TestEndpointLawBits:
         for n in range(1, 7):
             got = O.exact_endpoint_distribution(group, mu, alpha, n).probs
             assert got.tobytes() == reference_endpoint_law(group, mu, alpha, n).tobytes()
+
+    @pytest.mark.parametrize("group,mu", wider_law_cases())
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+    def test_matches_the_reference_integration_to_n7(self, group, mu, alpha):
+        for n in range(1, 8):
+            got = O.exact_endpoint_distribution(group, mu, alpha, n).probs
+            assert got.tobytes() == reference_endpoint_law(group, mu, alpha, n).tobytes()
+
+    def test_one_forest_per_batch_gives_the_same_laws(self, monkeypatch):
+        cases = [p.values for p in pinned_law_cases() + wider_law_cases()]
+        args = [(g, mu, a, n) for g, mu in cases for a in (0.3, 0.5, 0.9) for n in range(1, 8)]
+        batched = [O.exact_endpoint_distribution(*a).probs.tobytes() for a in args]
+        monkeypatch.setattr(O, "BATCH_BYTES", 1)
+        assert O._batch_bytes(cases[0][1], 0.5, 7) == 1
+        for a, law in zip(args, batched):
+            assert O.exact_endpoint_distribution(*a).probs.tobytes() == law
 
 
 class TestSpinCap:
