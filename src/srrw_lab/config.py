@@ -21,10 +21,10 @@ from typing import Callable
 import numpy as np
 
 from . import groups as G
+from . import metrics
 from .errors import CapacityError, SchemaError
 from .evolving import check_exhaustive
 from .forest import check_batch
-from .metrics import geometric_grid
 from .oracle import ORACLE_N_CAP, check_spin_cap
 from .walk import check_step_table
 
@@ -186,7 +186,7 @@ def build_mu(group: G.FiniteGroup, spec: dict) -> G.StepDistribution:
 def build_grid(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.grid.get("type") == "explicit":
         return np.asarray(cfg.grid["values"], dtype=np.int64)
-    return geometric_grid(cfg.grid["n_max"], cfg.points_per_decade)
+    return metrics.geometric_grid(cfg.grid["n_max"], cfg.points_per_decade)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -242,7 +242,8 @@ def validate_config(doc: dict) -> list[str]:
         if est is not None and est != kind.estimator:
             bad("estimator", f"kind {name!r} runs the {kind.estimator!r} estimator only")
         size_ok, rule = kind.sizes
-        if "sizes" in v and not (v["sizes"] and all(map(size_ok, v["sizes"]))):
+        sizes_ok = "sizes" in v and v["sizes"] and all(map(size_ok, v["sizes"]))
+        if "sizes" in v and not sizes_ok:
             bad("sizes", f"must be a nonempty list of {rule}")
     if name == "oracle-check" and "n_max" in v and not 1 <= v["n_max"] <= ORACLE_N_CAP:
         bad("n_max", f"oracle check needs 1 <= n_max <= {ORACLE_N_CAP}")
@@ -279,4 +280,27 @@ def validate_config(doc: dict) -> list[str]:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if run == "endpoint" and last is not None and "replicas" in v:
             build("grid", check_step_table, group, v["replicas"], last)
+    if run in ("rao-blackwell", "hypercube-weight") and {"replicas", "threads"} <= set(v):
+        # the forest passes that always run: a curve's to its last grid point, a scan's
+        # first (with the checkpoint it keeps); _forest_chunks checks each doubling
+        cycle = run == "rao-blackwell"
+        passes = []
+        if kind.sizes is None and last is not None and (group is not None or not cycle):
+            passes = [("grid", group.order if cycle else 2, last, None)]
+        elif kind.sizes is not None and sizes_ok and "alphas" in v:
+            first = metrics.cycle_horizon0 if cycle else metrics.hypercube_horizon0
+            passes = [
+                ("sizes", size if cycle else 2, first(size, alpha), metrics.Checkpoint())
+                for size in v["sizes"]
+                for alpha in v["alphas"]
+            ]
+        chunk = metrics.CYCLE_CHUNK if cycle else metrics.HYPERCUBE_CHUNK
+        for pathstr, modulus, horizon, checkpoint in passes:
+            try:
+                metrics.check_forest_pass(
+                    horizon, modulus, v["replicas"], chunk, _threads(v["threads"]), checkpoint
+                )
+            except CapacityError as exc:
+                bad(pathstr, str(exc))
+                break
     return problems

@@ -7,11 +7,18 @@ root is the smallest label, and root labels never change as the forest
 grows.  Everything downstream (walk laws, Fourier coefficients, mixing
 estimates) consumes only root labels and cluster sizes, so forests are
 stored as flat arrays.
+
+The streaming evolution, ``evolve_size_histograms``, keeps per vertex slot
+the time of its cluster root (time-major) and per root slot the cluster size
+mod a modulus (replica-major, see ``EvolveState``).  It records the residue
+each step reads and advances the size histogram from those records only at
+grid times and at the end of each RNG block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -184,7 +191,9 @@ STREAM_LAYOUT = 2  # version of the draw rule and draw order; bumped when either
 RNG_BLOCK = 128  # steps drawn per RNG call in the evolution; sets memory only
 
 
-def choices_from_uniforms(U: np.ndarray, alpha: float, j) -> tuple[np.ndarray, np.ndarray]:
+def choices_from_uniforms(
+    U: np.ndarray, alpha: float, j, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Retention bits and parent choices of vertices ``j`` from one uniform each.
 
     ``xi = U < alpha`` and ``u = 1 + floor((U / alpha) * (j - 1))``, clamped to
@@ -192,17 +201,19 @@ def choices_from_uniforms(U: np.ndarray, alpha: float, j) -> tuple[np.ndarray, n
     ``xi``, ``U / alpha`` is uniform on [0, 1), so u is uniform on 1..j-1 up to
     a float bias of order j 2^-53; the clamp catches products that round up.
     A fresh vertex gets u = j - 1, which no forest reads.  At alpha = 0 every
-    vertex is fresh and nothing is divided.
+    vertex is fresh and nothing is divided.  ``out``, a bool and an intp array
+    shaped like ``U``, receives (xi, u) instead of new arrays.
     """
-    xi = U < alpha
+    xi, u = out or (np.empty(U.shape, dtype=bool), np.empty(U.shape, dtype=np.intp))
+    np.less(U, alpha, out=xi)
     if alpha > 0.0:
         with np.errstate(over="ignore"):  # U / alpha may overflow; the clamp bounds it
-            U /= alpha
-        U *= j - 1
+            np.divide(U, alpha, out=U)
+        np.multiply(U, j - 1, out=U)
         np.minimum(U, j - 2, out=U)
     else:
         U[...] = j - 2
-    u = U.astype(np.intp)
+    u[...] = U  # truncates, which is floor here
     u += 1
     return xi, u
 
@@ -285,15 +296,30 @@ def state_nbytes(count: int, horizon: int, modulus: int) -> int:
     return (horizon + 1) * count * per_slot
 
 
+def buffer_nbytes(count: int, modulus: int) -> int:
+    """Bytes ``evolve_size_histograms`` holds besides the state: histogram and buffers.
+
+    Per replica: the histogram, three index vectors, and per step of an RNG
+    block a uniform, a retention bit, a parent slot, the residues read and
+    written, and an index cell when the histogram is advanced.
+    """
+    per_step = 8 + 1 + 8 + 2 * np.dtype(_residue_dtype(modulus)).itemsize + 8
+    return count * (8 * modulus + 3 * 8 + RNG_BLOCK * per_step)
+
+
 @dataclass
 class EvolveState:
     """`count` forests grown to time ``t`` by ``evolve_size_histograms``.
 
-    Slot ``t' * count + r`` is vertex t' of replica r: ``root_time`` holds the
-    time of its cluster root, whose slot is ``root_time * count + r``, and
-    ``residue``, at root slots, the cluster size mod the modulus.  ``histo``
-    is the histogram at time t and ``rng`` the generator, positioned after
-    the uniforms of times 2..t.
+    ``root_time`` is time-major: slot ``t' * count + r`` holds the time of the
+    cluster root of vertex t' of replica r.  ``residue`` is replica-major,
+    shape (count, horizon + 1): ``residue[r, t']`` is, at a root's time t',
+    the size of that root's cluster mod the modulus, so a root's residue sits
+    at ``root_time + r * (horizon + 1)`` of the flat array.  ``histo`` is the
+    histogram at time t: a pass advances it at grid times and block ends
+    only, so it is current whenever ``collect`` sees it and when the pass
+    returns.  ``rng`` is the generator, positioned after the uniforms of
+    times 2..t.
     """
 
     t: int
@@ -303,10 +329,32 @@ class EvolveState:
     rng: np.random.Generator
 
 
-def _extended(a: np.ndarray, size: int, dtype) -> np.ndarray:
-    out = np.zeros(size, dtype=dtype)
-    out[: a.size] = a
+def _extended(a: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    out = np.zeros(shape, dtype=dtype)
+    out[tuple(map(slice, a.shape))] = a
     return out
+
+
+def _add_moves(histo: np.ndarray, read: np.ndarray, bumped: np.ndarray, xi: np.ndarray) -> None:
+    """Advance ``histo`` over steps that read root residues ``read`` and wrote ``bumped``.
+
+    The arrays have a row per step and a column per replica.  Each step
+    moves one cluster of its replica from residue s to s + 1; a fresh vertex
+    reads residue 0 at its own slot, so it also adds the residue-0 cluster it
+    moves.  At modulus 2, with c[r, s] the steps of replica r that read s,
+    histo[r] gains (c[r, 1] - c[r, 0], c[r, 0] - c[r, 1]).
+    """
+    count, modulus = histo.shape
+    steps = read.shape[0]
+    if modulus == 2:
+        down = steps - 2 * read.sum(axis=0)  # c[:, 0] - c[:, 1]
+        histo[:, 1] += down
+        histo[:, 0] -= down
+    elif modulus > 2:
+        rows = np.arange(0, count * modulus, modulus)
+        np.subtract.at(histo.reshape(-1), (read + rows).ravel(), 1)
+        np.add.at(histo.reshape(-1), (bumped + rows).ravel(), 1)
+    histo[:, 0] += steps - np.count_nonzero(xi, axis=0)
 
 
 def evolve_size_histograms(
@@ -333,65 +381,79 @@ def evolve_size_histograms(
     Passing it back as ``state``, with ``rng`` None, continues those forests
     on the generator the state holds, collecting only at grid times after
     ``state.t``; the state is updated in place.
+
+    A step gathers each replica's root time and root residue and bumps the
+    residue; the residues read are kept, and ``histo`` is advanced from them
+    (``_add_moves``) only at grid times and at the end of each RNG block.
+    The block's buffers are allocated once per call.
     """
     alpha = _check_alpha(alpha)
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[0] < 1 or np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be nonempty, strictly increasing, with min >= 1")
     horizon = int(grid[-1])
-    slots = (horizon + 1) * count
     new = state is None
     if new:
-        empty = np.empty(0, dtype=np.int8)
         histo = np.zeros((count, modulus), dtype=np.int64)
-        state = EvolveState(1, empty, empty, histo, rng)
+        state = EvolveState(1, np.empty(0, np.int8), np.empty((count, 0), np.int8), histo, rng)
     elif rng is not None or state.histo.shape != (count, modulus) or state.t > horizon:
         raise ParameterError(
             "a resumed evolution takes rng=None and the state's count and modulus,"
             " and cannot end before the state's time"
         )
-    state.root_time = _extended(state.root_time, slots, _time_dtype(horizon))
-    state.residue = _extended(state.residue, slots, _residue_dtype(modulus))
-    root_time, residue, histo = state.root_time, state.residue, state.histo
+    state.root_time = _extended(state.root_time, ((horizon + 1) * count,), _time_dtype(horizon))
+    state.residue = _extended(state.residue, (count, horizon + 1), _residue_dtype(modulus))
+    root_time, histo = state.root_time, state.histo
+    residue = state.residue.reshape(-1)
     succ = (np.arange(1, modulus + 1) % modulus).astype(residue.dtype)
-    histo_flat = histo.reshape(-1)
-    rows = np.arange(count, dtype=np.intp)
-    histo_rows = rows * modulus
+    # the residue after one more vertex: a lookup, or for modulus 2 a cheaper flip
+    bump = partial(np.bitwise_xor, 1) if modulus == 2 else succ.take
     grid_pos = {int(t): i for i, t in enumerate(grid) if new or t > state.t}
     if new:
         root_time[count : 2 * count] = 1
-        residue[count : 2 * count] = 1 % modulus
+        state.residue[:, 1] = 1 % modulus
         histo[:, 1 % modulus] += 1
         if 1 in grid_pos:
             collect(grid_pos[1], 1, histo)
+    # block buffers: uniforms, retention bits, parent slots, residues read and written
+    shape = (min(RNG_BLOCK, horizon - state.t), count)
+    U, xi, parent = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.intp)
+    read, bumped = np.empty(shape, dtype=residue.dtype), np.empty(shape, dtype=residue.dtype)
+    own = np.arange(count, 2 * count, dtype=np.intp)  # replica r's slot one time on
+    row_start = np.arange(0, count * (horizon + 1), horizon + 1)  # replica r's residue row
+    root = np.empty(count, dtype=np.intp)
     t = state.t + 1
     while t <= horizon:
-        t_hi = min(t + RNG_BLOCK, horizon + 1)
-        times = np.arange(t, t_hi, dtype=np.intp)[:, None]
-        xi_blk, u_blk = choices_from_uniforms(state.rng.random((t_hi - t, count)), alpha, times)
-        # a retained vertex reads its parent's slot; a fresh one, whose u is
-        # t - 1, reads its own, which holds its own time and residue 0: a root
-        # of size 0
-        u_blk += ~xi_blk
-        u_blk *= count
-        u_blk += rows
-        root_time[t * count : t_hi * count].reshape(-1, count)[:] = times
-        xi_int = xi_blk.astype(np.int64)
-        for i in range(t_hi - t):
-            tt = t + i
-            root_t = root_time.take(u_blk[i])
-            root_time[tt * count : (tt + 1) * count] = root_t
-            root = root_t.astype(np.intp)  # the root slots, in intp for three index ops
-            root *= count
-            root += rows
-            r_old = residue.take(root)
-            r_new = succ.take(r_old)
-            residue[root] = r_new
-            # a fresh root's slot held residue 0, so -xi leaves its row alone
-            np.subtract.at(histo_flat, histo_rows + r_old, xi_int[i])
-            np.add.at(histo_flat, histo_rows + r_new, 1)
-            if tt in grid_pos:
-                collect(grid_pos[tt], tt, histo)
-        t = t_hi
+        steps = min(RNG_BLOCK, horizon + 1 - t)
+        times = np.arange(t, t + steps)[:, None]
+        U_b, xi_b, parent_b = U[:steps], xi[:steps], parent[:steps]
+        read_b, bumped_b = read[:steps], bumped[:steps]
+        state.rng.random(out=U_b)
+        # the times go in as float here and as root times below, so that no
+        # broadcast casts per element
+        choices_from_uniforms(U_b, alpha, times.astype(float), out=(xi_b, parent_b))
+        # a retained vertex reads its parent's slot, (u * count + r); a fresh
+        # one, whose u is t - 1, reads its own, which holds its own time and
+        # residue 0: a root of size 0
+        parent_b -= xi_b
+        parent_b *= count
+        parent_b += own
+        block_rows = root_time[t * count : (t + steps) * count].reshape(steps, count)
+        block_rows[:] = times.astype(root_time.dtype)
+        done = 0  # the block's steps already in histo
+        for i in range(steps):
+            root_t = root_time[(t + i) * count : (t + i + 1) * count]
+            root_time.take(parent_b[i], out=root_t)
+            np.add(root_t, row_start, out=root)
+            residue.take(root, out=read_b[i])
+            bump(read_b[i], out=bumped_b[i])
+            residue[root] = bumped_b[i]
+            if t + i in grid_pos:
+                _add_moves(histo, *(a[done : i + 1] for a in (read_b, bumped_b, xi_b)))
+                done = i + 1
+                collect(grid_pos[t + i], t + i, histo)
+        if done < steps:
+            _add_moves(histo, read_b[done:], bumped_b[done:], xi_b[done:])
+        t += steps
     state.t = horizon
     return state

@@ -32,8 +32,9 @@ import numpy as np
 
 from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
-from .forest import evolve_size_histograms, state_nbytes
+from .forest import buffer_nbytes, evolve_size_histograms, state_nbytes
 from .groups import TABLE_CAP, FiniteGroup, StepDistribution, transition_matrix
+from .special import cutoff_constant
 from .streams import chunk_ranges, stream
 
 # ---------------------------------------------------------------------------
@@ -330,6 +331,44 @@ class _CycleTables:
 
 
 STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between doublings
+FOREST_BYTES_CAP = 1 << 30  # bytes a forest pass may hold: its workers' and checkpoint's states
+CYCLE_CHUNK = 512  # replicas per chunk of the cycle estimator's forest pass
+HYPERCUBE_CHUNK = 2048  # of the hypercube estimator's
+
+
+def _states_nbytes(horizon: int, modulus: int, replicas: int, chunk: int) -> int:
+    """Bytes of every chunk's forest state at `horizon`."""
+    ranges = chunk_ranges(replicas, chunk)
+    return sum(state_nbytes(stop - start, horizon, modulus) for start, stop in ranges)
+
+
+def check_forest_pass(
+    horizon: int, modulus: int, replicas: int, chunk: int, threads: int, checkpoint=None
+) -> None:
+    """Raise ``CapacityError`` if a forest pass to `horizon` may hold over ``FOREST_BYTES_CAP``.
+
+    Each of its workers grows one chunk of min(replicas, chunk) forests at a
+    time, holding their state (``state_nbytes`` at the horizon) and their
+    histogram and buffers (``buffer_nbytes``).  A pass given a `checkpoint`
+    also holds states outside its workers: those the checkpoint brought,
+    until their chunks start, and its own once done, if they fit in
+    ``STATE_BUDGET``.  A chunk's new state is larger than its old one, so
+    these never exceed the larger of the two sums.
+    """
+    count = min(replicas, chunk)
+    workers = min(threads or 1, -(-replicas // chunk))
+    nbytes = workers * (state_nbytes(count, horizon, modulus) + buffer_nbytes(count, modulus))
+    if checkpoint is not None:
+        brought = sum(
+            s.root_time.nbytes + s.residue.nbytes for s in checkpoint.states if s is not None
+        )
+        kept = _states_nbytes(horizon, modulus, replicas, chunk)
+        nbytes += max(brought, kept if kept <= STATE_BUDGET else 0)
+    if nbytes > FOREST_BYTES_CAP:
+        raise CapacityError(
+            f"a forest pass to n = {horizon} may hold {nbytes} bytes"
+            f" ({workers} x {count} forests at a time), over the cap of {FOREST_BYTES_CAP}"
+        )
 
 
 @dataclass
@@ -364,8 +403,9 @@ def _forest_chunks(
     states = (checkpoint and checkpoint.states) or [None] * len(ranges)
     if states[0] is not None and grid[0] <= states[0].t:
         raise ParameterError("a resumed pass collects only after its checkpoint's time")
-    keep = checkpoint is not None and STATE_BUDGET >= sum(
-        state_nbytes(stop - start, int(grid[-1]), modulus) for start, stop in ranges
+    check_forest_pass(int(grid[-1]), modulus, replicas, chunk, threads, checkpoint)
+    keep = checkpoint is not None and (
+        _states_nbytes(int(grid[-1]), modulus, replicas, chunk) <= STATE_BUDGET
     )
     if checkpoint is not None:
         checkpoint.states = [None] * len(ranges) if keep else []
@@ -462,7 +502,7 @@ def rao_blackwell_cycle_curve(
     grid,
     replicas: int,
     master_seed: int,
-    chunk: int = 512,
+    chunk: int = CYCLE_CHUNK,
     threads: int = 1,
     checkpoint: Checkpoint | None = None,
 ) -> DistanceCurve:
@@ -539,7 +579,7 @@ def hypercube_tv_curve(
     grid,
     replicas: int,
     master_seed: int,
-    chunk: int = 2048,
+    chunk: int = HYPERCUBE_CHUNK,
     threads: int = 1,
     checkpoint: Checkpoint | None = None,
 ) -> DistanceCurve:
@@ -598,6 +638,21 @@ class MixingRun:
 MAX_DOUBLINGS = 3  # horizon doublings a scan may make while its guard fires
 
 
+def cycle_horizon0(L: int, alpha: float) -> int:
+    """The first horizon of a cycle scan; the retry loop doubles it while the guard fires."""
+    if alpha > 0.5:
+        return max(128, int(1.5 * L ** (1.0 / alpha)))
+    if alpha == 0.5:
+        return max(128, int(0.8 * L * L / math.log(L)))
+    return max(128, int(0.45 * L * L))
+
+
+def hypercube_horizon0(d: int, alpha: float) -> int:
+    """The first horizon of a hypercube scan."""
+    c = 1.2 if alpha == 0.0 else cutoff_constant(alpha)
+    return max(64, int(c * d * (math.log(d) + 4.0)))
+
+
 def _scan_with_retries(build_curve, epsilon, horizon0, points_per_decade, curves=None):
     """Scan a curve at `epsilon`, doubling the horizon while the guard fires.
 
@@ -649,7 +704,7 @@ def cycle_mixing_time(
     master_seed: int,
     horizon0: int,
     points_per_decade: int = 40,
-    chunk: int = 512,
+    chunk: int = CYCLE_CHUNK,
     threads: int = 1,
     curves: dict | None = None,
 ) -> MixingRun:
@@ -670,7 +725,7 @@ def hypercube_mixing_time(
     master_seed: int,
     horizon0: int,
     points_per_decade: int = 40,
-    chunk: int = 2048,
+    chunk: int = HYPERCUBE_CHUNK,
     threads: int = 1,
     curves: dict | None = None,
 ) -> MixingRun:

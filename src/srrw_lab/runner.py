@@ -81,21 +81,6 @@ def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
         )
 
 
-def _cycle_horizon0(L: int, alpha: float) -> int:
-    # the guard-retry loop doubles these if the tail is not yet quiet
-    if alpha > 0.5:
-        return max(128, int(1.5 * L ** (1.0 / alpha)))
-    if alpha == 0.5:
-        return max(128, int(0.8 * L * L / math.log(L)))
-    return max(128, int(0.45 * L * L))
-
-
-def _hypercube_horizon0(d: int, alpha: float) -> int:
-    if alpha == 0.0:
-        return max(64, int(1.2 * d * (math.log(d) + 4.0)))
-    return max(64, int(cutoff_constant(alpha) * d * (math.log(d) + 4.0)))
-
-
 def _curve_section(cfg: ExperimentConfig, group, mu, scan: bool):
     """``tv-curve`` (scan=False) and ``mixing-scan`` (scan=True)."""
     grid = build_grid(cfg)
@@ -144,14 +129,14 @@ class _ScalingStudy:
 
 _CYCLE_STUDY = _ScalingStudy(
     "cycle_mixing_time",
-    _cycle_horizon0,
+    metrics.cycle_horizon0,
     lambda L: float(L * L),
     "loglog_slopes",
     _loglog_slopes,
 )
 _HYPERCUBE_STUDY = _ScalingStudy(
     "hypercube_mixing_time",
-    _hypercube_horizon0,
+    metrics.hypercube_horizon0,
     lambda d: d * math.log(d),
     "cutoff_constants",
     _cutoff_constants,

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -53,6 +54,30 @@ class TestValidation:
     def test_presets_all_validate(self):
         for name in preset_names():
             assert validate_config(preset_config(name)) == []
+
+    def test_benchmark_workloads_all_validate(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for build in (*workloads.WORKLOADS.values(), *workloads.REDUCED.values()):
+            for doc in workloads.configs("w", 1, str(tmp_path), build):
+                assert validate_config(doc) == []
+
+    def test_planned_cutoff_scans_validate(self, tmp_path):
+        # the first pass of each scan fits the forest cap; at d = 1024, alpha = 0.9 it
+        # holds 782 MiB and keeps no checkpoint. A doubling past the cap is refused
+        # when it is reached.
+        doc = preset_config("cutoff-desk")
+        doc.update(sizes=[256, 512, 1024], alphas=[0.25, 0.5, 0.75, 0.9], replicas=4096)
+        doc.update(threads=1, output_dir=str(tmp_path))
+        assert validate_config(doc) == []
+
+    def test_forest_cap_is_checked_beside_unrelated_problems(self, tmp_path):
+        doc = preset_config("fig1-cycle-desk")
+        doc.update(grid={"type": "geometric", "n_max": 10**8}, seed=-1, bogus=1)
+        problems = [p.split(":")[0] for p in validate_config(doc)]
+        assert sorted(problems) == ["bogus", "grid", "seed"]
 
     def test_bad_schema_version(self, tmp_path):
         problems = validate_config(base_config(tmp_path, schema_version=2))
@@ -314,6 +339,21 @@ class TestValidation:
                 },
                 None,
                 "n_max",
+            ),
+            # the forest pass's memory: fig1-cycle-desk to n = 10^8 would hold 256 GB
+            # per chunk
+            (
+                "tv-curve",
+                {
+                    "group": {"kind": "cyclic", "L": 101},
+                    "mu": {"type": "simple-cycle"},
+                    "alphas": [0.0, 0.5, 0.75, 0.9],
+                    "grid": {"type": "geometric", "n_max": 10**8},
+                    "replicas": 20000,
+                    "estimator": "rao-blackwell",
+                },
+                None,
+                "grid",
             ),
         ],
     )

@@ -231,7 +231,92 @@ def reference_evolve(alpha, grid, modulus, count, rng, collect):
             collect(grid_pos[tt], tt, histo)
 
 
+def ufunc_at_evolve(alpha, grid, modulus, count, rng, collect):
+    """The per-step form of ``evolve_size_histograms`` it replaced, as a reference.
+
+    The same draws in blocks of 128 steps; the state time-major (slot
+    t * count + r for both root times and residues), and the histogram moved
+    at every step by one ``np.subtract.at`` and one ``np.add.at``.  Returns
+    (histo, root_time, residue).
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    horizon = int(grid[-1])
+    slots = (horizon + 1) * count
+    root_time = np.zeros(slots, dtype=np.int32)
+    residue = np.zeros(slots, dtype=np.int64)
+    histo = np.zeros((count, modulus), dtype=np.int64)
+    succ = np.arange(1, modulus + 1) % modulus
+    histo_flat = histo.reshape(-1)
+    rows = np.arange(count, dtype=np.intp)
+    histo_rows = rows * modulus
+    grid_pos = {int(t): i for i, t in enumerate(grid)}
+    root_time[count : 2 * count] = 1
+    residue[count : 2 * count] = 1 % modulus
+    histo[:, 1 % modulus] += 1
+    if 1 in grid_pos:
+        collect(grid_pos[1], 1, histo)
+    t = 2
+    while t <= horizon:
+        t_hi = min(t + 128, horizon + 1)
+        times = np.arange(t, t_hi, dtype=np.intp)[:, None]
+        xi_blk, u_blk = F.choices_from_uniforms(rng.random((t_hi - t, count)), alpha, times)
+        u_blk += ~xi_blk
+        u_blk *= count
+        u_blk += rows
+        root_time[t * count : t_hi * count].reshape(-1, count)[:] = times
+        xi_int = xi_blk.astype(np.int64)
+        for i in range(t_hi - t):
+            tt = t + i
+            root_t = root_time.take(u_blk[i])
+            root_time[tt * count : (tt + 1) * count] = root_t
+            root = root_t.astype(np.intp) * count + rows
+            r_old = residue.take(root)
+            r_new = succ.take(r_old)
+            residue[root] = r_new
+            np.subtract.at(histo_flat, histo_rows + r_old, xi_int[i])
+            np.add.at(histo_flat, histo_rows + r_new, 1)
+            if tt in grid_pos:
+                collect(grid_pos[tt], tt, histo)
+        t = t_hi
+    return histo, root_time, residue
+
+
 class TestEvolveHistograms:
+    GRID = [1, 2, 3, 5, 8, 40, 127, 128, 129, 200, 301]
+
+    @pytest.mark.parametrize("modulus", [1, 2, 3, 66, 300])
+    @pytest.mark.parametrize("alpha", [0.0, 0.55, 0.9])
+    @pytest.mark.parametrize("count", [1, 6, 513])
+    def test_matches_the_per_step_ufunc_at_loop(self, modulus, alpha, count, monkeypatch):
+        seed = 7 * modulus + count
+        want = []
+        histo, root_time, residue = ufunc_at_evolve(
+            alpha, self.GRID, modulus, count, stream(seed, 0),
+            lambda gi, t, h: want.append((gi, t, h.copy())),
+        )
+        rng = stream(seed, 0)
+        rng.random((self.GRID[-1] - 1, count))
+        position = rng.random()
+        # one pass, and passes resumed after grid points on both sides of 128
+        for block in (1, 7, 128):
+            monkeypatch.setattr(F, "RNG_BLOCK", block)
+            for cuts in ([], [7], [6, 8], [9, 10]):
+                got, state = [], None
+                for cut in [*cuts, len(self.GRID)]:
+                    state = F.evolve_size_histograms(
+                        alpha, self.GRID[:cut], modulus, count,
+                        None if state else stream(seed, 0),
+                        lambda gi, t, h: got.append((gi, t, h.copy())), state,
+                    )
+                assert [(gi, t) for gi, t, _ in got] == [(gi, t) for gi, t, _ in want]
+                for (_, t, a), (_, _, b) in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (block, cuts, t)
+                assert np.array_equal(state.histo, histo)
+                assert np.array_equal(state.root_time, root_time)
+                # residues replica-major, the reference's time-major
+                assert np.array_equal(state.residue, residue.reshape(-1, count).T)
+                assert state.rng.random() == position
+
     # grid points on both sides of the first two RNG block boundaries
     BLOCK_TIMES = (1, 2, F.RNG_BLOCK, F.RNG_BLOCK + 1, F.RNG_BLOCK + 2, 2 * F.RNG_BLOCK + 6)
 
@@ -336,24 +421,26 @@ class TestDrawRule:
         assert np.array_equal(xi, want_xi) and np.array_equal(u, want_u)
         assert u.dtype == np.int32
 
-    @pytest.mark.parametrize("modulus", [2, 66])
+    @pytest.mark.parametrize("modulus", [1, 2, 3, 66])
     def test_evolved_histograms_match_forests_rebuilt_from_the_draws(self, modulus):
         # the same (xi, u), taken time-major from the stream, through forest_from_choices
-        alpha, count, grid = 0.55, 6, [1, 2, 9, 40, 333]
-        got = {}
-        F.evolve_size_histograms(
-            alpha, grid, modulus, count, stream(4, 0),
-            lambda gi, t, h: got.__setitem__(t, h.copy()),
-        )
+        count, grid = 6, [1, 2, 9, 40, 333]
         horizon = grid[-1]
         times = np.arange(2, horizon + 1)[:, None]
-        xi, u = F.choices_from_uniforms(stream(4, 0).random((horizon - 1, count)), alpha, times)
-        for r in range(count):
-            forest = F.forest_from_choices(xi[:, r], u[:, r], alpha)
-            for t in grid:
-                sizes = forest.cluster_sizes_at(t)
-                want = np.bincount(sizes[sizes > 0] % modulus, minlength=modulus)
-                assert np.array_equal(got[t][r], want), (r, t)
+        for alpha in (0.0, 0.55):
+            got = {}
+            F.evolve_size_histograms(
+                alpha, grid, modulus, count, stream(4, 0),
+                lambda gi, t, h: got.__setitem__(t, h.copy()),
+            )
+            U = stream(4, 0).random((horizon - 1, count))
+            xi, u = F.choices_from_uniforms(U, alpha, times)
+            for r in range(count):
+                forest = F.forest_from_choices(xi[:, r], u[:, r], alpha)
+                for t in grid:
+                    sizes = forest.cluster_sizes_at(t)
+                    want = np.bincount(sizes[sizes > 0] % modulus, minlength=modulus)
+                    assert np.array_equal(got[t][r], want), (alpha, r, t)
 
 
 class TestResumableEvolution:

@@ -329,6 +329,20 @@ class TestRaoBlackwell:
             nbytes = state.root_time.nbytes + state.residue.nbytes
             assert nbytes == F.state_nbytes(count, 30, 101)
 
+    def test_forest_pass_over_the_cap_raises_before_evolving(self, monkeypatch):
+        # 50 replicas in chunks of 20 on 2 threads: 2 workers, each growing 20 forests to n = 30
+        need = 2 * (F.state_nbytes(20, 30, 101) + F.buffer_nbytes(20, 101))
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
+        M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
+        monkeypatch.setattr(M, "evolve_size_histograms", lambda *a: pytest.fail("evolve entered"))
+        with pytest.raises(CapacityError, match=f"hold {need} bytes"):
+            next(M._forest_chunks(0.5, [1, 7, 30], 101, 50, 4, 20, 2, lambda h: (h.sum(0),)))
+        with pytest.raises(CapacityError):
+            M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
+        # one thread holds one chunk's forests at a time
+        M.check_forest_pass(30, 101, 50, 20, 1)
+
     def test_stderr_zero_when_every_replica_has_the_same_forest(self):
         # alpha = 0: every cluster is a singleton, so every replica has one phi
         grid = [1, 2, 3, 4, 5, 6, 7, 40, 300]
@@ -626,6 +640,37 @@ class TestResumedScans:
             one_pass = M.hypercube_tv_curve(8, 0.5, grid, 50, 3, chunk=20)
             assert np.array_equal(curve.values, one_pass.values)
             assert np.array_equal(curve.stderrs, one_pass.stderrs)
+
+    def test_a_doubling_over_the_cap_raises_before_it_evolves(self, monkeypatch):
+        # 300 replicas in one chunk: the first pass to 16 fits the cap with the
+        # checkpoint it keeps, the doubling to 32 does not
+        need = 2 * F.state_nbytes(300, 16, 2) + F.buffer_nbytes(300, 2)
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
+        horizons = []
+        original = M.evolve_size_histograms
+
+        def spy(alpha, grid, *args):
+            horizons.append(int(grid[-1]))
+            return original(alpha, grid, *args)
+
+        monkeypatch.setattr(M, "evolve_size_histograms", spy)
+        with pytest.raises(CapacityError, match="n = 32 may hold"):
+            M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16)
+        assert horizons == [16]
+
+    def test_the_cap_counts_the_states_a_checkpoint_brings(self, monkeypatch):
+        # three chunks' states at t = 10; the pass to 40 keeps none of its own
+        checkpoint = M.Checkpoint()
+        M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, chunk=20, checkpoint=checkpoint)
+        monkeypatch.setattr(M, "STATE_BUDGET", 0)
+        brought = sum(F.state_nbytes(count, 10, 2) for count in (20, 20, 10))
+        need = F.state_nbytes(20, 40, 2) + F.buffer_nbytes(20, 2) + brought
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
+        M.check_forest_pass(40, 2, 50, 20, 1, checkpoint)
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
+        with pytest.raises(CapacityError, match=f"hold {need} bytes"):
+            M.hypercube_tv_curve(8, 0.5, [20, 40], 50, 3, chunk=20, checkpoint=checkpoint)
+        assert len(checkpoint.states) == 3  # refused before it started a chunk
 
     def test_resumed_pass_needs_an_extended_grid(self):
         checkpoint = M.Checkpoint()
