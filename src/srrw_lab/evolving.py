@@ -24,6 +24,17 @@ screened values could move a witness.  The minimum and its smallest-mask
 witness are then the ones a sweep of all 2^|G| masks would report, bit for
 bit.  Chunks of 4096 masks keep each float temporary at 4096 x |G| doubles
 (0.7 MB at |G| = 21), inside a 2 MB per-core L2 cache.
+
+Buffers live per sweep, not per block or chunk: the representative pass
+fills block-sized mask halves, table lookups and flags in place, and both
+kernels fill one chunk of indicators X and loads Q (``_Work``).  Fresh
+temporaries of 0.1-0.7 MB per block, per g and per chunk let glibc's malloc
+trim the heap top each time more than its trim threshold was free, and the
+next pass faulted the pages back in, so a sweep's first call in a process
+ran about 40% slower than later calls.  What is still allocated per pass is
+the masks that survive each test (boolean indexing takes no ``out=``), one
+uint8 unpacking of a chunk's bits and the exact stage's small per-mask
+vectors.
 """
 
 from __future__ import annotations
@@ -172,24 +183,63 @@ def root_profile_psi(W, P_mu: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_phi_psi(masks: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bottleneck ratio and root profile for a chunk of subset masks."""
-    n = P.shape[0]
-    le_bytes = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    X = np.unpackbits(le_bytes, axis=1, count=n, bitorder="little").astype(float)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    Q = X @ P
-    inside = (X * Q).sum(axis=1)
-    phi = (sizes - inside) / sizes
+class _Work:
+    """Buffers of one sweep, allocated once and filled in place, and the steps
+    both kernels share.
+
+    X and Q hold the 0/1 indicators and the loads of a chunk of masks; sizes,
+    phi, psi and sqrt_sizes hold one value per mask.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.X = np.empty((rows, n))
+        self.Q = np.empty((rows, n))
+        self.sizes = np.empty(rows, dtype=np.int64)
+        self.phi, self.psi, self.sqrt_sizes = np.empty((3, rows))
+
+    def loads(self, masks: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill the indicators X, the sizes and the loads Q = X P of masks; return X and Q."""
+        m, size = masks.size, masks.dtype.itemsize
+        X, Q = self.X[:m], self.Q[:m]
+        le_bytes = masks.astype(f"<i{size}", copy=False).view(np.uint8).reshape(-1, size)
+        np.copyto(X, np.unpackbits(le_bytes, axis=1, count=X.shape[1], bitorder="little"))
+        np.bitwise_count(masks, out=self.sizes[:m])
+        np.matmul(X, P, out=Q)
+        return X, Q
+
+    def ratios(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sizes, phi and psi of the chunk's m masks.
+
+        phi and psi must hold the load inside A and E sqrt|W_1|; they become
+        (|A| - inside) / |A| and 1 - E sqrt|W_1| / sqrt|A|.
+        """
+        sizes, phi, psi = self.sizes[:m], self.phi[:m], self.psi[:m]
+        np.subtract(sizes, phi, out=phi)
+        np.divide(phi, sizes, out=phi)
+        np.divide(psi, np.sqrt(sizes, out=self.sqrt_sizes[:m]), out=psi)
+        np.subtract(1.0, psi, out=psi)
+        return sizes, phi, psi
+
+
+def _chunk_phi_psi(masks: np.ndarray, P: np.ndarray, work: _Work | None = None):
+    """Bottleneck ratio and root profile for a chunk of subset masks.
+
+    Returns (sizes, phi, psi) as views into ``work`` (fresh buffers if None).
+    """
+    m, n = masks.size, P.shape[0]
+    if work is None:
+        work = _Work(m, n)
+    X, Q = work.loads(masks, P)
+    np.multiply(X, Q, out=X)
+    X.sum(axis=1, out=work.phi[:m])  # the load inside A
     # psi: E sqrt|W_1| sums (q_i - q_{i+1}) sqrt(i) over the loads q_1 >= ... >= q_n, q_{n+1} = 0
     Q.sort(axis=1)
     qs = Q[:, ::-1]
-    steps = np.empty_like(Q)
-    np.subtract(qs[:, :-1], qs[:, 1:], out=steps[:, :-1])
-    steps[:, -1] = qs[:, -1]
-    steps *= np.sqrt(np.arange(1, n + 1, dtype=float))
-    psi = 1.0 - steps.sum(axis=1) / np.sqrt(sizes)
-    return sizes, phi, psi
+    np.subtract(qs[:, :-1], qs[:, 1:], out=X[:, :-1])
+    X[:, -1] = qs[:, -1]
+    X *= np.sqrt(np.arange(1, n + 1, dtype=float))
+    X.sum(axis=1, out=work.psi[:m])
+    return work.ratios(m)
 
 
 @dataclass
@@ -227,68 +277,98 @@ class ProfileTable:
 def _translation_luts(group: FiniteGroup) -> np.ndarray:
     """lut[g, h, v] is the mask of g * {w h + i : bit i of v}, w = ceil(|G|/2) bits.
 
-    The half of lut[g] that holds g^-1 also sets ``FLAG`` where bit g^-1 of
-    v is clear, so a translate carries ``FLAG`` exactly when g A misses the
-    identity, that is when g^-1 is not in A.
+    Built by doubling: lut[g, h, v + 2^i] = lut[g, h, v] | lut[g, h, 2^i] for
+    v < 2^i, one vectorised level per bit.  The half of lut[g] that holds g^-1
+    also sets ``FLAG`` where bit g^-1 of v is clear, so a translate carries
+    ``FLAG`` exactly when g A misses the identity, that is when g^-1 is not in
+    A.  That half is the one whose full entry holds the identity, and there
+    bit g^-1 of v is clear exactly when lut[g, h, v] misses the identity.
     """
     n = group.order
     w = (n + 1) // 2
-    values = np.arange(1 << w, dtype=np.int32)
+    x = np.arange(n)
     lut = np.zeros((n, 2, 1 << w), dtype=np.int32)
-    for x in range(n):
-        bit = (values >> (x % w)) & 1
-        lut[:, x // w, :] |= bit[None, :] << group.table[:, x, None].astype(np.int32)
-    for g in range(n):
-        h = int(group.inv(g))
-        lut[g, h // w, ((values >> (h % w)) & 1) == 0] |= FLAG
+    lut[:, x // w, 1 << (x % w)] = np.left_shift(1, group.table, dtype=np.int32)
+    for i in range(w):
+        lut[:, :, 1 << i : 2 << i] = lut[:, :, : 1 << i] | lut[:, :, 1 << i, None]
+    # FLAG where bit 0 (the identity) is in the full entry but not in v's
+    missing = lut ^ lut[:, :, -1:]
+    missing &= 1
+    missing *= FLAG
+    lut |= missing
     return lut
 
 
-def _flagged(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
-    """The translates g A, with ``FLAG`` set where g A misses the identity."""
+def _flagged(masks: np.ndarray, lut_g: np.ndarray, half=None, out=None) -> np.ndarray:
+    """The translates g A, with ``FLAG`` set where g A misses the identity.
+
+    ``half`` (intp, one row) and ``out`` (int32, two rows) of at least
+    masks.size entries are buffers to fill instead of fresh arrays; the
+    translates land in out[0].  ``take`` needs intp indices, or it casts a
+    copy of them.  Masks lie below 2^|G|, so each half indexes its table in
+    range and ``mode="wrap"`` wraps nothing; it lets ``take`` write into
+    ``out``, where the default mode fills a copy and writes it back, and it
+    ran faster than ``mode="clip"``.
+    """
+    k = masks.size
     w = lut_g.shape[1].bit_length() - 1
-    return lut_g[0].take(masks & ((1 << w) - 1)) | lut_g[1].take(masks >> w)
+    half = np.empty(k, dtype=np.intp) if half is None else half[:k]
+    low, high = np.empty((2, k), dtype=np.int32) if out is None else out[:, :k]
+    np.bitwise_and(masks, (1 << w) - 1, out=half)
+    lut_g[0].take(half, out=low, mode="wrap")
+    np.right_shift(masks, w, out=half)
+    lut_g[1].take(half, out=high, mode="wrap")
+    return np.bitwise_or(low, high, out=low)
 
 
-def _translate(masks: np.ndarray, lut_g: np.ndarray) -> np.ndarray:
-    """The translates g A."""
-    return _flagged(masks, lut_g) & (FLAG - 1)
+def _translate(masks: np.ndarray, lut_g: np.ndarray, half=None, out=None, into=None) -> np.ndarray:
+    """The translates g A, written into ``into`` if given; buffers as ``_flagged``."""
+    return np.bitwise_and(_flagged(masks, lut_g, half, out), FLAG - 1, out=into)
 
 
-def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, chunk: int):
-    """Chunks of one mask per translation orbit of subsets with lo <= |A| <= hi.
+def _orbit_representatives(lut: np.ndarray, lo: int, hi: int, block: int):
+    """Blocks of one mask per translation orbit of subsets with lo <= |A| <= hi.
 
     A mask containing the identity (bit 0) is kept when it is <= every
     translate gA that also contains the identity, i.e. every a^-1 A, a in A.
     A translate that misses it carries ``FLAG``, above every mask, so the
-    test is one compare.
+    test is one compare.  Every pass fills buffers allocated once per call;
+    only the masks that pass a test are a fresh array, so each yielded block
+    is the caller's to keep.
     """
     n = lut.shape[0]
-    for start, stop in chunk_ranges(1 << (n - 1), chunk):
-        masks = (np.arange(start, stop, dtype=np.int32) << 1) | 1
-        pops = np.bitwise_count(masks)
-        masks = masks[(pops >= lo) & (pops <= hi)]
+    size = min(block, 1 << (n - 1))
+    odd = (np.arange(size, dtype=np.int32) << 1) | 1  # the block's masks
+    pops = np.empty(size, dtype=np.uint8)
+    keep = np.empty(size, dtype=bool)
+    half = np.empty(size, dtype=np.intp)
+    out = np.empty((2, size), dtype=np.int32)
+    for start, stop in chunk_ranges(1 << (n - 1), block):
+        m = stop - start
+        # lo <= |A| <= hi as one compare: |A| - lo wraps above hi - lo in uint8
+        np.subtract(np.bitwise_count(odd[:m], out=pops[:m]), lo, out=pops[:m])
+        masks = odd[:m][np.less_equal(pops[:m], hi - lo, out=keep[:m])]
+        odd += size << 1  # the next block's masks
         for g in range(1, n):
-            masks = masks[masks <= _flagged(masks, lut[g])]
+            k = masks.size
+            masks = masks[np.less_equal(masks, _flagged(masks, lut[g], half, out), out=keep[:k])]
         yield masks
 
 
-def _chunk_screen(masks: np.ndarray, P: np.ndarray):
+def _chunk_screen(masks: np.ndarray, P: np.ndarray, work: _Work):
     """Sizes and phi, psi within a few ulps of ``_chunk_phi_psi``, in fewer passes.
 
     psi sums the ascending loads times the weights sqrt(i) - sqrt(i-1),
-    i = n..1, instead of the differences of the descending loads.
+    i = n..1, instead of the differences of the descending loads.  Returns
+    views into ``work``.
     """
-    n = P.shape[0]
+    m, n = masks.size, P.shape[0]
     roots = np.sqrt(np.arange(n, -1, -1, dtype=float))
-    le_bytes = masks.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)
-    X = np.unpackbits(le_bytes, axis=1, count=n, bitorder="little").astype(float)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    Q = X @ P
-    phi = (sizes - np.einsum("ij,ij->i", X, Q)) / sizes
+    X, Q = work.loads(masks, P)
+    np.einsum("ij,ij->i", X, Q, out=work.phi[:m])
     Q.sort(axis=1)
-    psi = 1.0 - (Q @ (roots[:-1] - roots[1:])) / np.sqrt(sizes)
-    return sizes, phi, psi
+    np.matmul(Q, roots[:-1] - roots[1:], out=work.psi[:m])
+    return work.ratios(m)
 
 
 def _orbit_minima(
@@ -304,29 +384,39 @@ def _orbit_minima(
     """
     n = group.order
     lut = _translation_luts(group)
-    key_of = (lambda sizes: sizes) if by_size else (lambda sizes: np.zeros_like(sizes))
     nkeys = hi + 1 if by_size else 1
-
     reps = np.concatenate(list(_orbit_representatives(lut, lo, hi, ORBIT_BLOCK)))
-    # an empty chunk still yields the (empty) objective arrays
-    parts = [_chunk_screen(reps[a:b], P) for a, b in chunk_ranges(reps.size, chunk) or [(0, 0)]]
-    sizes, phi, psi = (np.concatenate(col) for col in zip(*parts))
-    keys = key_of(sizes)
-    vals = np.stack(score(phi, psi))
-    rep_min = np.full((vals.shape[0], nkeys), np.inf)
-    for j in range(vals.shape[0]):
-        np.minimum.at(rep_min[j], keys, vals[j])
-    near = reps[(vals <= rep_min[:, keys] + 1e-12).any(axis=0)]
+
+    batch = max(1, chunk // n)  # representatives whose translates fill a chunk
+    work = _Work(max(chunk, batch * n), n)
+    keys = np.zeros(reps.size, dtype=np.int64)
+    objectives = len(score(np.empty(0), np.empty(0)))
+    vals = np.empty((objectives, reps.size))
+    for start, stop in chunk_ranges(reps.size, chunk):
+        sizes, phi, psi = _chunk_screen(reps[start:stop], P, work)
+        if by_size:
+            keys[start:stop] = sizes
+        vals[:, start:stop] = score(phi, psi)
+    rep_min = np.full((objectives, nkeys), np.inf)
+    near = np.zeros(reps.size, dtype=bool)
+    for j, val in enumerate(vals):
+        np.minimum.at(rep_min[j], keys, val)
+        near |= val <= (rep_min[j] + 1e-12)[keys]
+    near = reps[near]
 
     # the exact kernel alone decides: translates of one orbit tie in exact
     # arithmetic, so screened values could move a witness
     best = np.full_like(rep_min, np.inf)
     witness = np.zeros(rep_min.shape, dtype=np.int64)
-    for start, stop in chunk_ranges(near.size, max(1, chunk // n)):
-        translates = [_translate(near[start:stop], lut[g]) for g in range(n)]
-        masks = np.concatenate(translates).astype(np.int64)  # np.minimum.at's fast path
-        sizes, phi, psi = _chunk_phi_psi(masks, P)
-        keys = key_of(sizes)
+    translates = np.empty(batch * n, dtype=np.int64)  # np.minimum.at's fast path
+    half, out = np.empty(batch, dtype=np.intp), np.empty((2, batch), dtype=np.int32)
+    for start, stop in chunk_ranges(near.size, batch):
+        k = stop - start
+        masks = translates[: k * n]
+        for g in range(n):
+            _translate(near[start:stop], lut[g], half, out, masks[g * k : (g + 1) * k])
+        sizes, phi, psi = _chunk_phi_psi(masks, P, work)
+        keys = sizes if by_size else np.zeros_like(sizes)
         for j, val in enumerate(score(phi, psi)):
             # per key: the least value, then the smallest mask attaining it
             v = np.full(nkeys, np.inf)

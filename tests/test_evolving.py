@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -245,6 +249,21 @@ def brute_orbit_minima(group, P, lo, hi, score, by_size, chunk=65536):
     return best, witness
 
 
+def loop_translation_luts(group):
+    """The tables as first built: one pass per element x, then ``FLAG`` by boolean assignment."""
+    n = group.order
+    w = (n + 1) // 2
+    values = np.arange(1 << w, dtype=np.int32)
+    lut = np.zeros((n, 2, 1 << w), dtype=np.int32)
+    for x in range(n):
+        bit = (values >> (x % w)) & 1
+        lut[:, x // w, :] |= bit[None, :] << group.table[:, x, None].astype(np.int32)
+    for g in range(n):
+        h = int(group.inv(g))
+        lut[g, h // w, ((values >> (h % w)) & 1) == 0] |= E.FLAG
+    return lut
+
+
 def orbit_sweep_cases():
     z13 = G.make_group("cyclic", 13)
     z16 = G.make_group("cyclic", 16)
@@ -376,6 +395,7 @@ class TestOrbitSweep:
             n = group.order
             lut = E._translation_luts(group)
             assert lut.shape == (n, 2, 1 << (n + 1) // 2)
+            assert lut.tobytes() == loop_translation_luts(group).tobytes()  # FLAG too
             if n <= 5:
                 masks = np.arange(1 << n, dtype=np.int64)
             else:
@@ -385,6 +405,111 @@ class TestOrbitSweep:
                 got = E._translate(masks, lut[g])
                 expect = [E.mask_of(group.mul(g, x) for x in E.set_of(int(m))) for m in masks]
                 assert got.tolist() == expect
+
+
+def block_cases():
+    z13 = G.make_group("cyclic", 13)
+    s3 = G.make_group("symmetric", 3)
+    lam = G.make_group("lamplighter", 2)
+    tab = G.make_group("table", G.make_group("symmetric", 3).table)
+    return [
+        pytest.param(z13, G.lazy_cycle_mu(z13), id="lazy-Z13"),
+        pytest.param(s3, G.StepDistribution(s3, {0: 0.3, 1: 0.45, 4: 0.25}), id="S3"),
+        pytest.param(lam, G.uniform_mu(lam), id="lamplighter2-uniform"),
+        pytest.param(tab, G.StepDistribution(tab, {0: 0.1, 2: 0.6, 3: 0.3}), id="table"),
+    ]
+
+
+def sweep_kinds(n):
+    """(lo, hi, score, by_size) as the profile, the psi-phi and the generation checks pass them."""
+    return [
+        (1, n // 2, lambda phi, psi: (phi, psi), True),
+        (1, n - 1, lambda phi, psi: (psi - 0.3 * phi**2,), False),
+        (1, n // 2, lambda phi, psi: (psi,), False),
+    ]
+
+
+def _sweep_bits(result):
+    """A profile table or a check value as JSON-comparable bits."""
+    if isinstance(result, E.ProfileTable):
+        phi, psi = result.phi.tobytes().hex(), result.psi.tobytes().hex()
+        return [phi, psi, result.phi_witness, result.psi_witness]
+    return np.float64(result).tobytes().hex()
+
+
+FRESH_SWEEP = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from srrw_lab import evolving as E, groups as G\n"
+    "kind, size, probs, sweep = json.loads(sys.argv[1])\n"
+    "group = G.make_group(kind, size)\n"
+    "r = getattr(E, sweep)(group, G.StepDistribution(group, [(int(x), p) for x, p in probs]))\n"
+    "bits = ([r.phi.tobytes().hex(), r.psi.tobytes().hex(), r.phi_witness, r.psi_witness]\n"
+    "        if sweep == 'iso_profile' else np.float64(r).tobytes().hex())\n"
+    "print(json.dumps(bits))\n"
+)
+
+
+def fresh_sweep_bits(kind, size, mu, sweep):
+    """``_sweep_bits`` of ``sweep`` run as the first sweep of a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    probs = [(int(x), mu.prob(x)) for x in mu.support]
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_SWEEP, json.dumps([kind, size, probs, sweep])],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+class TestBufferedSweep:
+    @pytest.mark.parametrize(
+        "block,chunk", [(1, 4096), (7, 5), (4096, 1), (E.ORBIT_BLOCK, 5), (E.ORBIT_BLOCK, 4096)]
+    )
+    @pytest.mark.parametrize("group,mu", block_cases())
+    def test_minima_do_not_depend_on_block_or_chunk(self, group, mu, block, chunk, monkeypatch):
+        n = group.order
+        P = G.transition_matrix(group, mu)
+        refs = [brute_orbit_minima(group, P, *kind) for kind in sweep_kinds(n)]
+        monkeypatch.setattr(E, "ORBIT_BLOCK", block)
+        for kind, (ref_best, ref_witness) in zip(sweep_kinds(n), refs):
+            best, witness = E._orbit_minima(group, P, *kind, chunk=chunk)
+            assert best.tobytes() == ref_best.tobytes()
+            assert witness.tolist() == ref_witness.tolist()
+
+    def test_blocks_are_the_callers_to_keep(self):
+        # 2^12 identity-holding masks in blocks of 7: the last block holds one mask
+        z13 = G.make_group("cyclic", 13)
+        lut = E._translation_luts(z13)
+        held, copies = [], []
+        for block in E._orbit_representatives(lut, 1, 6, 7):
+            held.append(block)
+            copies.append(block.copy())
+        assert len(held) == -(-(1 << 12) // 7)
+        assert any(block.size == 0 for block in held)  # blocks without a representative
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(held, copies))
+        whole = np.concatenate(list(E._orbit_representatives(lut, 1, 6, 1 << 12)))
+        assert np.concatenate(held).tobytes() == whole.tobytes()
+
+    def test_no_state_leaks_between_sweeps(self):
+        z21 = G.make_group("cyclic", 21)
+        s4 = G.make_group("symmetric", 4)
+        z21_case = ("cyclic", 21, z21, G.lazy_cycle_mu(z21))
+        s4_case = ("symmetric", 4, s4, G.StepDistribution(s4, {0: 0.1, 5: 0.3, 7: 0.2, 17: 0.4}))
+        # Z21, then S4, then Z21 again in this process; the last sweep keys all sizes as one
+        runs = [
+            (z21_case, "iso_profile"),
+            (s4_case, "iso_profile"),
+            (z21_case, "iso_profile"),
+            (z21_case, "psi_phi_inequality_check"),
+        ]
+        fresh = {}
+        for (kind, size, group, mu), sweep in runs:
+            if (kind, sweep) not in fresh:
+                fresh[kind, sweep] = fresh_sweep_bits(kind, size, mu, sweep)
+        for (kind, _, group, mu), sweep in runs:
+            assert _sweep_bits(getattr(E, sweep)(group, mu)) == fresh[kind, sweep]
 
 
 def phi_psi_cases():
