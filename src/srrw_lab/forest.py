@@ -12,13 +12,13 @@ The streaming evolution, ``evolve_size_histograms``, keeps per vertex slot
 the time of its cluster root (time-major) and per root slot the cluster size
 mod a modulus (replica-major, see ``EvolveState``).  It records the residue
 each step reads and advances the size histogram from those records only at
-grid times and at the end of each RNG block.
+grid times and at the end of each RNG block.  A step allocates nothing, and
+a block is short enough for its buffers to stay in a per-core L2 cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -188,7 +188,7 @@ def expected_isolated_exact(n: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 STREAM_LAYOUT = 2  # version of the draw rule and draw order; bumped when either changes
-RNG_BLOCK = 128  # steps drawn per RNG call in the evolution; sets memory only
+RNG_BLOCK = 32  # steps drawn per RNG call in the evolution; sets memory only
 
 
 def choices_from_uniforms(
@@ -296,15 +296,26 @@ def state_nbytes(count: int, horizon: int, modulus: int) -> int:
     return (horizon + 1) * count * per_slot
 
 
-def buffer_nbytes(count: int, modulus: int) -> int:
+def buffer_nbytes(count: int, horizon: int, modulus: int) -> int:
     """Bytes ``evolve_size_histograms`` holds besides the state: histogram and buffers.
 
-    Per replica: the histogram, three index vectors, and per step of an RNG
-    block a uniform, a retention bit, a parent slot, the residues read and
-    written, and an index cell when the histogram is advanced.
+    Per replica: the histogram; two index vectors; the gathered root time;
+    an int16 tally for advancing the histogram; at modulus 2 the new
+    residue, and otherwise an index cell for the successor lookup and the
+    replica's histogram row offset; and per step of an RNG block a uniform,
+    a retention bit, a parent slot, the residue read and, above modulus 2,
+    the residue written.  The pass allocates nothing else that grows with
+    `count`.
     """
-    per_step = 8 + 1 + 8 + 2 * np.dtype(_residue_dtype(modulus)).itemsize + 8
-    return count * (8 * modulus + 3 * 8 + RNG_BLOCK * per_step)
+    residue = np.dtype(_residue_dtype(modulus)).itemsize
+    per_step = 8 + 1 + 8 + residue
+    per_replica = 8 * modulus + 2 * 8 + np.dtype(_time_dtype(horizon)).itemsize + 2
+    if modulus == 2:
+        per_replica += residue
+    else:
+        per_replica += 2 * 8
+        per_step += residue
+    return count * (per_replica + RNG_BLOCK * per_step)
 
 
 @dataclass
@@ -335,26 +346,36 @@ def _extended(a: np.ndarray, shape: tuple, dtype) -> np.ndarray:
     return out
 
 
-def _add_moves(histo: np.ndarray, read: np.ndarray, bumped: np.ndarray, xi: np.ndarray) -> None:
+def _add_moves(histo, read, xi, tally, bumped=None, cells=None, offsets=None) -> None:
     """Advance ``histo`` over steps that read root residues ``read`` and wrote ``bumped``.
 
     The arrays have a row per step and a column per replica.  Each step
     moves one cluster of its replica from residue s to s + 1; a fresh vertex
     reads residue 0 at its own slot, so it also adds the residue-0 cluster it
     moves.  At modulus 2, with c[r, s] the steps of replica r that read s,
-    histo[r] gains (c[r, 1] - c[r, 0], c[r, 0] - c[r, 1]).
+    histo[r] gains (c[r, 1] - c[r, 0], c[r, 0] - c[r, 1]), and ``bumped`` is
+    not read.  Above, ``cells`` (intp, shaped like ``read``) receives the
+    flat histogram cells ``read + offsets`` and ``bumped + offsets``.  The
+    per-replica sums go into the int16 ``tally``: they are at most the
+    number of steps.
     """
-    count, modulus = histo.shape
+    modulus = histo.shape[1]
     steps = read.shape[0]
     if modulus == 2:
-        down = steps - 2 * read.sum(axis=0)  # c[:, 0] - c[:, 1]
-        histo[:, 1] += down
-        histo[:, 0] -= down
+        np.sum(read, axis=0, dtype=np.int16, out=tally)  # c[:, 1]
+        tally *= -2
+        tally += steps  # c[:, 0] - c[:, 1]
+        histo[:, 1] += tally
+        histo[:, 0] -= tally
     elif modulus > 2:
-        rows = np.arange(0, count * modulus, modulus)
-        np.subtract.at(histo.reshape(-1), (read + rows).ravel(), 1)
-        np.add.at(histo.reshape(-1), (bumped + rows).ravel(), 1)
-    histo[:, 0] += steps - np.count_nonzero(xi, axis=0)
+        flat = histo.reshape(-1)
+        np.add(read, offsets, out=cells)
+        np.subtract.at(flat, cells.reshape(-1), 1)
+        np.add(bumped, offsets, out=cells)
+        np.add.at(flat, cells.reshape(-1), 1)
+    np.sum(xi, axis=0, dtype=np.int16, out=tally)
+    np.subtract(steps, tally, out=tally)
+    histo[:, 0] += tally
 
 
 def evolve_size_histograms(
@@ -385,7 +406,12 @@ def evolve_size_histograms(
     A step gathers each replica's root time and root residue and bumps the
     residue; the residues read are kept, and ``histo`` is advanced from them
     (``_add_moves``) only at grid times and at the end of each RNG block.
-    The block's buffers are allocated once per call.
+    The buffers (``buffer_nbytes``) are allocated once per call, and a step
+    fills them in place: its gathers write to buffers apart from their
+    source arrays, in numpy's ``wrap`` mode, and take intp indices, so
+    numpy neither copies ``out`` nor casts the indices.  Blocks are
+    ``RNG_BLOCK`` = 32 steps: at 2048 replicas one block's buffers take
+    about 1.2 MB, which a 2 MB per-core L2 cache holds.
     """
     alpha = _check_alpha(alpha)
     grid = np.asarray(grid, dtype=np.int64)
@@ -405,9 +431,7 @@ def evolve_size_histograms(
     state.residue = _extended(state.residue, (count, horizon + 1), _residue_dtype(modulus))
     root_time, histo = state.root_time, state.histo
     residue = state.residue.reshape(-1)
-    succ = (np.arange(1, modulus + 1) % modulus).astype(residue.dtype)
-    # the residue after one more vertex: a lookup, or for modulus 2 a cheaper flip
-    bump = partial(np.bitwise_xor, 1) if modulus == 2 else succ.take
+    flip = modulus == 2  # the residue after one more vertex: a bit flip, else a lookup
     grid_pos = {int(t): i for i, t in enumerate(grid) if new or t > state.t}
     if new:
         root_time[count : 2 * count] = 1
@@ -415,19 +439,35 @@ def evolve_size_histograms(
         histo[:, 1 % modulus] += 1
         if 1 in grid_pos:
             collect(grid_pos[1], 1, histo)
-    # block buffers: uniforms, retention bits, parent slots, residues read and written
+    # block buffers: uniforms, retention bits, parent slots, residues read and,
+    # above modulus 2, written
     shape = (min(RNG_BLOCK, horizon - state.t), count)
     U, xi, parent = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.intp)
-    read, bumped = np.empty(shape, dtype=residue.dtype), np.empty(shape, dtype=residue.dtype)
+    read = np.empty(shape, dtype=residue.dtype)
+    bumped = None if flip else np.empty(shape, dtype=residue.dtype)
     own = np.arange(count, 2 * count, dtype=np.intp)  # replica r's slot one time on
     row_start = np.arange(0, count * (horizon + 1), horizon + 1)  # replica r's residue row
-    root = np.empty(count, dtype=np.intp)
+    root_t = np.empty(count, dtype=root_time.dtype)
+    tally = np.empty(count, dtype=np.int16)
+    if flip:
+        new_res = np.empty(count, dtype=residue.dtype)
+    else:
+        succ = (np.arange(1, modulus + 1) % modulus).astype(residue.dtype)
+        cell = np.empty(count, dtype=np.intp)
+        offsets = np.arange(0, count * modulus, modulus)  # replica r's histogram row
+
+    def advance(lo, hi):
+        # histo over the block's steps lo..hi-1; their spent parent rows hold the cells
+        if flip:
+            _add_moves(histo, read[lo:hi], xi[lo:hi], tally)
+        else:
+            _add_moves(histo, read[lo:hi], xi[lo:hi], tally, bumped[lo:hi], parent[lo:hi], offsets)
+
     t = state.t + 1
     while t <= horizon:
         steps = min(RNG_BLOCK, horizon + 1 - t)
         times = np.arange(t, t + steps)[:, None]
         U_b, xi_b, parent_b = U[:steps], xi[:steps], parent[:steps]
-        read_b, bumped_b = read[:steps], bumped[:steps]
         state.rng.random(out=U_b)
         # the times go in as float here and as root times below, so that no
         # broadcast casts per element
@@ -442,18 +482,28 @@ def evolve_size_histograms(
         block_rows[:] = times.astype(root_time.dtype)
         done = 0  # the block's steps already in histo
         for i in range(steps):
-            root_t = root_time[(t + i) * count : (t + i + 1) * count]
-            root_time.take(parent_b[i], out=root_t)
-            np.add(root_t, row_start, out=root)
-            residue.take(root, out=read_b[i])
-            bump(read_b[i], out=bumped_b[i])
-            residue[root] = bumped_b[i]
+            # the gathers write into buffers apart from their source, and
+            # wrap (a no-op on these in-range indices) so that numpy fills
+            # `out` directly; the spent parent row becomes the root's slot
+            root = parent_b[i]
+            root_time.take(root, out=root_t, mode="wrap")
+            block_rows[i] = root_t
+            root[...] = root_t
+            root += row_start
+            residue.take(root, out=read[i], mode="wrap")
+            if flip:
+                np.bitwise_xor(read[i], 1, out=new_res)
+                residue[root] = new_res
+            else:
+                cell[...] = read[i]  # take would cast narrower indices to a fresh intp copy
+                succ.take(cell, out=bumped[i], mode="wrap")
+                residue[root] = bumped[i]
             if t + i in grid_pos:
-                _add_moves(histo, *(a[done : i + 1] for a in (read_b, bumped_b, xi_b)))
+                advance(done, i + 1)
                 done = i + 1
                 collect(grid_pos[t + i], t + i, histo)
         if done < steps:
-            _add_moves(histo, read_b[done:], bumped_b[done:], xi_b[done:])
+            advance(done, steps)
         t += steps
     state.t = horizon
     return state

@@ -357,7 +357,8 @@ def check_forest_pass(
     """
     count = min(replicas, chunk)
     workers = min(threads or 1, -(-replicas // chunk))
-    nbytes = workers * (state_nbytes(count, horizon, modulus) + buffer_nbytes(count, modulus))
+    per_worker = state_nbytes(count, horizon, modulus) + buffer_nbytes(count, horizon, modulus)
+    nbytes = workers * per_worker
     if checkpoint is not None:
         brought = sum(
             s.root_time.nbytes + s.residue.nbytes for s in checkpoint.states if s is not None
@@ -551,19 +552,19 @@ def hypercube_weight_chain_table(d: int, m_max: int) -> np.ndarray:
 
     Row m of the (m_max+1, d+1) matrix is the law after m steps.  One step
     from weight w: stay with probability 1/2, w -> w+1 with probability
-    (d-w)/(2d), w -> w-1 with probability w/(2d).
+    (d-w)/(2d), w -> w-1 with probability w/(2d).  Rows are filled in place.
     """
     ws = np.arange(d + 1, dtype=float)
     up = (d - ws) / (2.0 * d)
     down = ws / (2.0 * d)
     table = np.zeros((m_max + 1, d + 1))
     table[0, 0] = 1.0
+    flow = np.empty(d)
     for m in range(1, m_max + 1):
-        q = table[m - 1]
-        nxt = 0.5 * q.copy()
-        nxt[1:] += q[:-1] * up[:-1]
-        nxt[:-1] += q[1:] * down[1:]
-        table[m] = nxt
+        q, nxt = table[m - 1], table[m]
+        np.multiply(q, 0.5, out=nxt)
+        nxt[1:] += np.multiply(q[:-1], up[:-1], out=flow)
+        nxt[:-1] += np.multiply(q[1:], down[1:], out=flow)
     return table
 
 
@@ -589,7 +590,9 @@ def hypercube_tv_curve(
     on N_J(n) = m the endpoint is the lazy walk after m steps, and the law of
     the walk is invariant under coordinate permutations, so TV reduces to the
     Hamming-weight marginal.  The categories of ``_mixture_tv`` are the
-    observed odd-cluster counts m, with laws q_m.  Works up to d = 1024.
+    observed odd-cluster counts m, with laws q_m; the weight-chain table
+    stops at the largest count observed at any grid point, at most the
+    horizon (reached at alpha = 0, where N_J(n) = n).  Works up to d = 1024.
     """
     if d < 1 or d > 1024:
         raise ParameterError("hypercube estimator supports 1 <= d <= 1024")
@@ -600,7 +603,7 @@ def hypercube_tv_curve(
         lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
         checkpoint,
     )
-    qtable = hypercube_weight_chain_table(d, horizon + 1)
+    qtable = hypercube_weight_chain_table(d, int(np.flatnonzero(counts.any(axis=0))[-1]))
     pi = hypercube_stationary_weights(d)
     values = np.empty(grid.size)
     stderrs = np.zeros(grid.size)

@@ -298,7 +298,7 @@ class TestEvolveHistograms:
         rng.random((self.GRID[-1] - 1, count))
         position = rng.random()
         # one pass, and passes resumed after grid points on both sides of 128
-        for block in (1, 7, 128):
+        for block in (1, 7, 32, 128):
             monkeypatch.setattr(F, "RNG_BLOCK", block)
             for cuts in ([], [7], [6, 8], [9, 10]):
                 got, state = [], None
@@ -484,13 +484,45 @@ class TestResumableEvolution:
     @pytest.mark.parametrize("modulus", [2, 66])
     def test_rng_block_sets_memory_only(self, modulus, monkeypatch):
         seen = {}
-        for block in (1, 7, 128, 512):
+        for block in (1, 7, 32, 128, 512):
             monkeypatch.setattr(F, "RNG_BLOCK", block)
             got, _ = self._run(0.5, modulus, 11, 8, [self.GRID])
             seen[block] = got
-        for block in (7, 128, 512):
+        for block in (7, 32, 128, 512):
             assert [t for _, t, _ in seen[block]] == self.GRID
             assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(seen[1], seen[block]))
+
+    @pytest.mark.parametrize("modulus", [2, 66])
+    def test_a_resumed_pass_allocates_only_its_state_and_buffers(self, modulus):
+        # tracemalloc's peak over a resumed pass from t = 10 to 110, at two
+        # counts: per replica it grows by exactly the new state plus
+        # buffer_nbytes less the histogram the state brings.  A step that
+        # allocated even one byte per replica (a gather copying its `out`, a
+        # cast of its indices) would add the difference of the counts, 8192
+        # bytes.  numpy's cast buffers are shrunk to 16 elements, so that
+        # they cannot hide such a copy under the peak; what does not grow
+        # with the count stays under 64 KiB.
+        import tracemalloc
+
+        excess = []
+        bufsize = np.setbufsize(16)
+        try:
+            for count in (8192, 16384):
+                _, state = self._run(0.5, modulus, count, 5, [[10]])
+                tracemalloc.start()
+                try:
+                    F.evolve_size_histograms(
+                        0.5, [20, 33, 50, 75, 110], modulus, count, None, lambda *a: None, state
+                    )
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                held = F.state_nbytes(count, 110, modulus) + F.buffer_nbytes(count, 110, modulus)
+                excess.append(peak - (held - state.histo.nbytes))
+        finally:
+            np.setbufsize(bufsize)
+        assert 0 <= excess[0] < 64 << 10
+        assert abs(excess[1] - excess[0]) < 1024
 
     def test_resume_checks_its_arguments(self):
         _, state = self._run(0.5, 2, 3, 0, [[5]])

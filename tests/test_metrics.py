@@ -331,7 +331,7 @@ class TestRaoBlackwell:
 
     def test_forest_pass_over_the_cap_raises_before_evolving(self, monkeypatch):
         # 50 replicas in chunks of 20 on 2 threads: 2 workers, each growing 20 forests to n = 30
-        need = 2 * (F.state_nbytes(20, 30, 101) + F.buffer_nbytes(20, 101))
+        need = 2 * (F.state_nbytes(20, 30, 101) + F.buffer_nbytes(20, 30, 101))
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
@@ -390,6 +390,19 @@ class TestWeightChain:
         table = M.hypercube_weight_chain_table(17, 400)
         assert np.abs(table.sum(axis=1) - 1.0).max() < 1e-14
         assert table.min() >= 0.0
+
+    def test_rows_follow_the_one_step_recursion_bit_for_bit(self):
+        # each row is 0.5 q, then + q_{w-1} up_{w-1}, then + q_{w+1} down_{w+1}
+        d = 9
+        table = M.hypercube_weight_chain_table(d, 50)
+        ws = np.arange(d + 1, dtype=float)
+        up, down = (d - ws) / (2.0 * d), ws / (2.0 * d)
+        for m in range(1, 51):
+            q = table[m - 1]
+            want = 0.5 * q
+            want[1:] += q[:-1] * up[:-1]
+            want[:-1] += q[1:] * down[1:]
+            assert table[m].tobytes() == want.tobytes()
 
     def test_long_run_reaches_binomial(self):
         d = 12
@@ -459,6 +472,26 @@ class TestHypercubeEstimator:
                 assert curve.stderrs[i] == pytest.approx(ref, rel=1e-8, abs=0)
                 compared += 1
         assert compared >= 15
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_table_up_to_the_largest_count_gives_the_full_tables_bytes(self, alpha, monkeypatch):
+        # the curve builds the table only up to the largest observed N_J; at
+        # alpha = 0, N_J(n) = n, so that is the horizon
+        d, grid = 16, M.geometric_grid(300, 20)
+        heights = []
+        table = M.hypercube_weight_chain_table
+
+        def spy(d, m_max):
+            heights.append(m_max)
+            return table(d, m_max)
+
+        monkeypatch.setattr(M, "hypercube_weight_chain_table", spy)
+        curve = M.hypercube_tv_curve(d, alpha, grid, 300, 8)
+        monkeypatch.setattr(M, "hypercube_weight_chain_table", lambda d, m: table(d, 301))
+        full = M.hypercube_tv_curve(d, alpha, grid, 300, 8)
+        assert curve.values.tobytes() == full.values.tobytes()
+        assert curve.stderrs.tobytes() == full.stderrs.tobytes()
+        assert heights[0] <= 300 and (heights[0] == 300) == (alpha == 0.0)
 
     def test_stderr_zero_when_every_replica_has_one_odd_count(self):
         # alpha = 0: every cluster is a singleton, so N_J(n) = n in every replica
@@ -644,7 +677,7 @@ class TestResumedScans:
     def test_a_doubling_over_the_cap_raises_before_it_evolves(self, monkeypatch):
         # 300 replicas in one chunk: the first pass to 16 fits the cap with the
         # checkpoint it keeps, the doubling to 32 does not
-        need = 2 * F.state_nbytes(300, 16, 2) + F.buffer_nbytes(300, 2)
+        need = 2 * F.state_nbytes(300, 16, 2) + F.buffer_nbytes(300, 16, 2)
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         horizons = []
         original = M.evolve_size_histograms
@@ -664,7 +697,7 @@ class TestResumedScans:
         M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, chunk=20, checkpoint=checkpoint)
         monkeypatch.setattr(M, "STATE_BUDGET", 0)
         brought = sum(F.state_nbytes(count, 10, 2) for count in (20, 20, 10))
-        need = F.state_nbytes(20, 40, 2) + F.buffer_nbytes(20, 2) + brought
+        need = F.state_nbytes(20, 40, 2) + F.buffer_nbytes(20, 40, 2) + brought
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         M.check_forest_pass(40, 2, 50, 20, 1, checkpoint)
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
