@@ -191,30 +191,39 @@ STREAM_LAYOUT = 2  # version of the draw rule and draw order; bumped when either
 RNG_BLOCK = 32  # steps drawn per RNG call in the evolution; sets memory only
 
 
-def choices_from_uniforms(
-    U: np.ndarray, alpha: float, j, out=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Retention bits and parent choices of vertices ``j`` from one uniform each.
+def _parent_offsets(U: np.ndarray, alpha: float, j, xi: np.ndarray, v: np.ndarray) -> None:
+    """Fill ``xi`` and ``v = u - xi`` of ``choices_from_uniforms``, overwriting ``U``.
 
-    ``xi = U < alpha`` and ``u = 1 + floor((U / alpha) * (j - 1))``, clamped to
-    ``j - 1``; ``j`` broadcasts against ``U``, and ``U`` is overwritten.  Given
-    ``xi``, ``U / alpha`` is uniform on [0, 1), so u is uniform on 1..j-1 up to
-    a float bias of order j 2^-53; the clamp catches products that round up.
-    A fresh vertex gets u = j - 1, which no forest reads.  At alpha = 0 every
-    vertex is fresh and nothing is divided.  ``out``, a bool and an intp array
-    shaped like ``U``, receives (xi, u) instead of new arrays.
+    v = floor(min((U / alpha) * (j - 1), j - 1)): u - 1 for a retained
+    vertex and j - 1 for a fresh one.
     """
-    xi, u = out or (np.empty(U.shape, dtype=bool), np.empty(U.shape, dtype=np.intp))
     np.less(U, alpha, out=xi)
     if alpha > 0.0:
         with np.errstate(over="ignore"):  # U / alpha may overflow; the clamp bounds it
             np.divide(U, alpha, out=U)
-        np.multiply(U, j - 1, out=U)
-        np.minimum(U, j - 2, out=U)
+            np.multiply(U, j - 1, out=U)
+        np.minimum(U, j - 1, out=U)
     else:
-        U[...] = j - 2
-    u[...] = U  # truncates, which is floor here
-    u += 1
+        U[...] = j - 1
+    v[...] = U  # truncates, which is floor here
+
+
+def choices_from_uniforms(U: np.ndarray, alpha: float, j) -> tuple[np.ndarray, np.ndarray]:
+    """Retention bits and parent choices of vertices ``j`` from one uniform each.
+
+    ``xi = U < alpha`` and ``u = 1 + floor((U / alpha) * (j - 1))``; ``j``
+    broadcasts against ``U``, and ``U`` is overwritten.  Given ``xi``,
+    ``U / alpha`` is uniform on [0, 1), so u is uniform on 1..j-1 up to a
+    float bias of order j 2^-53.  The product is clamped at j - 1, which
+    never binds for a retained vertex: U < alpha gives fl(U / alpha) <=
+    1 - 2^-53, so fl(fl(U / alpha) * (j - 1)) < j - 1.  The clamp maps only
+    fresh vertices, and U / alpha overflowing at tiny alpha, to j - 1; a
+    fresh vertex gets u = j - 1, which no forest reads.  At alpha = 0 every
+    vertex is fresh and nothing is divided.
+    """
+    xi, u = np.empty(U.shape, dtype=bool), np.empty(U.shape, dtype=np.intp)
+    _parent_offsets(U, alpha, j, xi, u)
+    u += xi
     return xi, u
 
 
@@ -292,7 +301,8 @@ def _residue_dtype(modulus: int):
 def state_nbytes(count: int, horizon: int, modulus: int) -> int:
     """Bytes of the root times and residues of `count` forests grown to `horizon`."""
     per_slot = np.dtype(_time_dtype(horizon)).itemsize
-    per_slot += np.dtype(_residue_dtype(modulus)).itemsize
+    if modulus != 2:
+        per_slot += np.dtype(_residue_dtype(modulus)).itemsize
     return (horizon + 1) * count * per_slot
 
 
@@ -300,18 +310,19 @@ def buffer_nbytes(count: int, horizon: int, modulus: int) -> int:
     """Bytes ``evolve_size_histograms`` holds besides the state: histogram and buffers.
 
     Per replica: the histogram; two index vectors; the gathered root time;
-    an int16 tally for advancing the histogram; at modulus 2 the new
-    residue, and otherwise an index cell for the successor lookup and the
-    replica's histogram row offset; and per step of an RNG block a uniform,
-    a retention bit, a parent slot, the residue read and, above modulus 2,
-    the residue written.  The pass allocates nothing else that grows with
-    `count`.
+    an int16 tally for advancing the histogram; at modulus 2 the signed
+    root slot read, and otherwise an index cell for the successor lookup
+    and the replica's histogram row offset; and per step of an RNG block a
+    uniform, a retention bit, a parent slot, the parity or residue read and,
+    above modulus 2, the residue written.  The pass allocates nothing else
+    that grows with `count`.
     """
+    time = np.dtype(_time_dtype(horizon)).itemsize
     residue = np.dtype(_residue_dtype(modulus)).itemsize
     per_step = 8 + 1 + 8 + residue
-    per_replica = 8 * modulus + 2 * 8 + np.dtype(_time_dtype(horizon)).itemsize + 2
+    per_replica = 8 * modulus + 2 * 8 + time + 2
     if modulus == 2:
-        per_replica += residue
+        per_replica += time
     else:
         per_replica += 2 * 8
         per_step += residue
@@ -323,14 +334,15 @@ class EvolveState:
     """`count` forests grown to time ``t`` by ``evolve_size_histograms``.
 
     ``root_time`` is time-major: slot ``t' * count + r`` holds the time of the
-    cluster root of vertex t' of replica r.  ``residue`` is replica-major,
-    shape (count, horizon + 1): ``residue[r, t']`` is, at a root's time t',
-    the size of that root's cluster mod the modulus, so a root's residue sits
-    at ``root_time + r * (horizon + 1)`` of the flat array.  ``histo`` is the
-    histogram at time t: a pass advances it at grid times and block ends
-    only, so it is current whenever ``collect`` sees it and when the pass
-    returns.  ``rng`` is the generator, positioned after the uniforms of
-    times 2..t.
+    cluster root of vertex t' of replica r.  At modulus 2 a root's own slot
+    holds minus its time while its cluster has odd size, and ``residue`` is
+    empty.  Above, ``residue`` is replica-major, shape (count, horizon + 1):
+    ``residue[r, t']`` is, at a root's time t', the size of that root's
+    cluster mod the modulus, so a root's residue sits at ``root_time + r *
+    (horizon + 1)`` of the flat array.  ``histo`` is the histogram at time
+    t: a pass advances it at grid times and block ends only, so it is
+    current whenever ``collect`` sees it and when the pass returns.  ``rng``
+    is the generator, positioned after the uniforms of times 2..t.
     """
 
     t: int
@@ -362,7 +374,7 @@ def _add_moves(histo, read, xi, tally, bumped=None, cells=None, offsets=None) ->
     modulus = histo.shape[1]
     steps = read.shape[0]
     if modulus == 2:
-        np.sum(read, axis=0, dtype=np.int16, out=tally)  # c[:, 1]
+        np.add.reduce(read, axis=0, dtype=np.int16, out=tally)  # c[:, 1]
         tally *= -2
         tally += steps  # c[:, 0] - c[:, 1]
         histo[:, 1] += tally
@@ -373,7 +385,7 @@ def _add_moves(histo, read, xi, tally, bumped=None, cells=None, offsets=None) ->
         np.subtract.at(flat, cells.reshape(-1), 1)
         np.add(bumped, offsets, out=cells)
         np.add.at(flat, cells.reshape(-1), 1)
-    np.sum(xi, axis=0, dtype=np.int16, out=tally)
+    np.add.reduce(xi, axis=0, dtype=np.int16, out=tally)
     np.subtract(steps, tally, out=tally)
     histo[:, 0] += tally
 
@@ -404,14 +416,16 @@ def evolve_size_histograms(
     ``state.t``; the state is updated in place.
 
     A step gathers each replica's root time and root residue and bumps the
-    residue; the residues read are kept, and ``histo`` is advanced from them
-    (``_add_moves``) only at grid times and at the end of each RNG block.
-    The buffers (``buffer_nbytes``) are allocated once per call, and a step
-    fills them in place: its gathers write to buffers apart from their
-    source arrays, in numpy's ``wrap`` mode, and take intp indices, so
-    numpy neither copies ``out`` nor casts the indices.  Blocks are
-    ``RNG_BLOCK`` = 32 steps: at 2048 replicas one block's buffers take
-    about 1.2 MB, which a 2 MB per-core L2 cache holds.
+    residue; at modulus 2 the residue is the sign of the root's own
+    root-time slot, read as slot < 0 and bumped by negation.  The residues
+    read are kept, and ``histo`` is advanced from them (``_add_moves``) only
+    at grid times and at the end of each RNG block.  The buffers
+    (``buffer_nbytes``) are allocated once per call, and a step fills them
+    in place: its gathers write to buffers apart from their source arrays,
+    in numpy's ``wrap`` mode, and take intp indices, so numpy neither
+    copies ``out`` nor casts the indices.  Blocks are ``RNG_BLOCK`` = 32
+    steps: at 2048 replicas one block's buffers take about 1.2 MB, which a
+    2 MB per-core L2 cache holds.
     """
     alpha = _check_alpha(alpha)
     grid = np.asarray(grid, dtype=np.int64)
@@ -427,15 +441,17 @@ def evolve_size_histograms(
             "a resumed evolution takes rng=None and the state's count and modulus,"
             " and cannot end before the state's time"
         )
+    flip = modulus == 2  # the residue is the root slot's sign, else a lookup in `residue`
     state.root_time = _extended(state.root_time, ((horizon + 1) * count,), _time_dtype(horizon))
-    state.residue = _extended(state.residue, (count, horizon + 1), _residue_dtype(modulus))
+    if not flip:
+        state.residue = _extended(state.residue, (count, horizon + 1), _residue_dtype(modulus))
     root_time, histo = state.root_time, state.histo
     residue = state.residue.reshape(-1)
-    flip = modulus == 2  # the residue after one more vertex: a bit flip, else a lookup
     grid_pos = {int(t): i for i, t in enumerate(grid) if new or t > state.t}
     if new:
-        root_time[count : 2 * count] = 1
-        state.residue[:, 1] = 1 % modulus
+        root_time[count : 2 * count] = -1 if flip else 1
+        if not flip:
+            state.residue[:, 1] = 1 % modulus
         histo[:, 1 % modulus] += 1
         if 1 in grid_pos:
             collect(grid_pos[1], 1, histo)
@@ -443,15 +459,16 @@ def evolve_size_histograms(
     # above modulus 2, written
     shape = (min(RNG_BLOCK, horizon - state.t), count)
     U, xi, parent = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.intp)
-    read = np.empty(shape, dtype=residue.dtype)
+    read = np.empty(shape, dtype=bool if flip else residue.dtype)
     bumped = None if flip else np.empty(shape, dtype=residue.dtype)
     own = np.arange(count, 2 * count, dtype=np.intp)  # replica r's slot one time on
-    row_start = np.arange(0, count * (horizon + 1), horizon + 1)  # replica r's residue row
     root_t = np.empty(count, dtype=root_time.dtype)
     tally = np.empty(count, dtype=np.int16)
     if flip:
-        new_res = np.empty(count, dtype=residue.dtype)
+        rows = np.arange(count, dtype=np.intp)
+        held = np.empty(count, dtype=root_time.dtype)
     else:
+        row_start = np.arange(0, count * (horizon + 1), horizon + 1)  # replica r's residue row
         succ = (np.arange(1, modulus + 1) % modulus).astype(residue.dtype)
         cell = np.empty(count, dtype=np.intp)
         offsets = np.arange(0, count * modulus, modulus)  # replica r's histogram row
@@ -470,12 +487,10 @@ def evolve_size_histograms(
         U_b, xi_b, parent_b = U[:steps], xi[:steps], parent[:steps]
         state.rng.random(out=U_b)
         # the times go in as float here and as root times below, so that no
-        # broadcast casts per element
-        choices_from_uniforms(U_b, alpha, times.astype(float), out=(xi_b, parent_b))
-        # a retained vertex reads its parent's slot, (u * count + r); a fresh
-        # one, whose u is t - 1, reads its own, which holds its own time and
-        # residue 0: a root of size 0
-        parent_b -= xi_b
+        # broadcast casts per element.  A retained vertex reads its parent's
+        # slot, (u * count + r); a fresh one, whose offset is t - 1, reads its
+        # own, which holds its own time and residue 0: a root of size 0
+        _parent_offsets(U_b, alpha, times.astype(float), xi_b, parent_b)
         parent_b *= count
         parent_b += own
         block_rows = root_time[t * count : (t + steps) * count].reshape(steps, count)
@@ -487,14 +502,20 @@ def evolve_size_histograms(
             # `out` directly; the spent parent row becomes the root's slot
             root = parent_b[i]
             root_time.take(root, out=root_t, mode="wrap")
+            if flip:
+                np.abs(root_t, out=root_t)
             block_rows[i] = root_t
             root[...] = root_t
-            root += row_start
-            residue.take(root, out=read[i], mode="wrap")
             if flip:
-                np.bitwise_xor(read[i], 1, out=new_res)
-                residue[root] = new_res
+                root *= count
+                root += rows
+                root_time.take(root, out=held, mode="wrap")
+                np.less(held, 0, out=read[i])
+                np.negative(held, out=held)
+                root_time[root] = held
             else:
+                root += row_start
+                residue.take(root, out=read[i], mode="wrap")
                 cell[...] = read[i]  # take would cast narrower indices to a fresh intp copy
                 succ.take(cell, out=bumped[i], mode="wrap")
                 residue[root] = bumped[i]

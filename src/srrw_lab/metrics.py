@@ -547,24 +547,31 @@ def rao_blackwell_cycle_curve(
 # ---------------------------------------------------------------------------
 
 
-def hypercube_weight_chain_table(d: int, m_max: int) -> np.ndarray:
+def hypercube_weight_chain_table(d: int, m_max: int, rows=None) -> np.ndarray:
     """Weight laws q_0..q_{m_max} of the lazy coordinate-flip walk from weight 0.
 
-    Row m of the (m_max+1, d+1) matrix is the law after m steps.  One step
-    from weight w: stay with probability 1/2, w -> w+1 with probability
-    (d-w)/(2d), w -> w-1 with probability w/(2d).  Rows are filled in place.
+    Row m of the (m_max+1, d+1) matrix is the law after m steps; given
+    `rows`, ascending step counts in 0..m_max, only those rows are returned.
+    One step from weight w: stay with probability 1/2, w -> w+1 with
+    probability (d-w)/(2d), w -> w-1 with probability w/(2d).  The
+    recursion holds two rows at a time.
     """
     ws = np.arange(d + 1, dtype=float)
     up = (d - ws) / (2.0 * d)
     down = ws / (2.0 * d)
-    table = np.zeros((m_max + 1, d + 1))
-    table[0, 0] = 1.0
-    flow = np.empty(d)
-    for m in range(1, m_max + 1):
-        q, nxt = table[m - 1], table[m]
-        np.multiply(q, 0.5, out=nxt)
-        nxt[1:] += np.multiply(q[:-1], up[:-1], out=flow)
-        nxt[:-1] += np.multiply(q[1:], down[1:], out=flow)
+    rows = range(m_max + 1) if rows is None else np.asarray(rows).tolist()
+    table = np.empty((len(rows), d + 1))
+    q, nxt, flow = np.zeros(d + 1), np.empty(d + 1), np.empty(d)
+    q[0] = 1.0
+    m = 0
+    for k, want in enumerate(rows):
+        for m in range(m + 1, want + 1):
+            np.multiply(q, 0.5, out=nxt)
+            nxt[1:] += np.multiply(q[:-1], up[:-1], out=flow)
+            nxt[:-1] += np.multiply(q[1:], down[1:], out=flow)
+            q, nxt = nxt, q
+        m = want
+        table[k] = q
     return table
 
 
@@ -591,8 +598,9 @@ def hypercube_tv_curve(
     the walk is invariant under coordinate permutations, so TV reduces to the
     Hamming-weight marginal.  The categories of ``_mixture_tv`` are the
     observed odd-cluster counts m, with laws q_m; the weight-chain table
-    stops at the largest count observed at any grid point, at most the
-    horizon (reached at alpha = 0, where N_J(n) = n).  Works up to d = 1024.
+    keeps the rows of the counts observed at some grid point, the largest at
+    most the horizon (reached at alpha = 0, where N_J(n) = n).  Works up to
+    d = 1024.
     """
     if d < 1 or d > 1024:
         raise ParameterError("hypercube estimator supports 1 <= d <= 1024")
@@ -603,7 +611,8 @@ def hypercube_tv_curve(
         lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
         checkpoint,
     )
-    qtable = hypercube_weight_chain_table(d, int(np.flatnonzero(counts.any(axis=0))[-1]))
+    observed = np.flatnonzero(counts.any(axis=0))
+    qtable = hypercube_weight_chain_table(d, int(observed[-1]), observed)
     pi = hypercube_stationary_weights(d)
     values = np.empty(grid.size)
     stderrs = np.zeros(grid.size)
@@ -612,7 +621,7 @@ def hypercube_tv_curve(
         # the observed N_J only, whatever the horizon
         nz = np.nonzero(counts[i])[0]
         w = counts[i, nz] / replicas
-        q = qtable[nz]
+        q = qtable[np.searchsorted(observed, nz)]
         values[i], stderrs[i] = _mixture_tv(w, w @ q - pi, lambda grad: q @ grad, replicas)
     return DistanceCurve(
         group_desc=f"hypercube(d={d})",

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srrw_lab import forest as F
 from srrw_lab import special as sp
@@ -312,9 +314,16 @@ class TestEvolveHistograms:
                 for (_, t, a), (_, _, b) in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (block, cuts, t)
                 assert np.array_equal(state.histo, histo)
-                assert np.array_equal(state.root_time, root_time)
-                # residues replica-major, the reference's time-major
-                assert np.array_equal(state.residue, residue.reshape(-1, count).T)
+                if modulus == 2:
+                    # each root's parity is the sign of its own root-time slot
+                    assert np.array_equal(np.abs(state.root_time), root_time)
+                    is_root = root_time == np.arange(root_time.size) // count
+                    assert np.array_equal(state.root_time[is_root] < 0, residue[is_root] == 1)
+                    assert (state.root_time[~is_root] > 0).all() and state.residue.size == 0
+                else:
+                    assert np.array_equal(state.root_time, root_time)
+                    # residues replica-major, the reference's time-major
+                    assert np.array_equal(state.residue, residue.reshape(-1, count).T)
                 assert state.rng.random() == position
 
     # grid points on both sides of the first two RNG block boundaries
@@ -386,6 +395,29 @@ class TestDrawRule:
         assert xi.tolist() == [True, True, False, alpha == 1.0]
         assert ((1 <= u) & (u <= t - 1)).all()
         assert u[1] == 1
+
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(2, 2**31),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_clamp_binds_only_for_fresh_vertices(self, alpha, frac, j):
+        # U < alpha gives fl(U / alpha) <= 1 - 2^-53, so the product stays
+        # below j - 1 and a retained vertex keeps floor(product); U >= alpha
+        # gives a product >= j - 1, which the clamp maps to j - 1
+        pred = math.nextafter(alpha, 0.0)
+        retained = [pred, max(math.nextafter(pred, 0.0), 0.0), min(frac * alpha, pred)]
+        fresh = [alpha, max(frac, alpha)]
+        for U in retained:
+            assert U < alpha and (U / alpha) * (j - 1) < j - 1
+        for U in fresh:
+            assert (U / alpha) * (j - 1) >= j - 1
+        U = np.array(retained + fresh)
+        want = np.floor((U[:3] / alpha) * (j - 1)).astype(np.intp) + 1
+        xi, u = F.choices_from_uniforms(U, alpha, j)
+        assert xi.tolist() == [True] * 3 + [False] * 2
+        assert u[:3].tolist() == want.tolist() and u[3:].tolist() == [j - 1] * 2
 
     def test_alpha_zero_is_all_fresh_and_silent(self):
         with warnings.catch_warnings():
@@ -473,13 +505,16 @@ class TestResumableEvolution:
         assert s1.rng.random() == s2.rng.random()
 
     def test_resume_across_the_wider_root_time_type(self):
-        # root times are int16 below t = 2**15 and int32 from there on
-        one, s1 = self._run(0.4, 6, 2, 5, [[30_000, 40_000]])
-        split, s2 = self._run(0.4, 6, 2, 5, [[30_000], [30_000, 40_000]])
-        assert [t for _, t, _ in split] == [30_000, 40_000]
-        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(split, one))
-        assert s1.root_time.dtype == s2.root_time.dtype == np.int32
-        assert np.array_equal(s1.root_time, s2.root_time)
+        # root times are int16 below t = 2**15 and int32 from there on; at
+        # modulus 2 the negative slots of odd roots survive the widening
+        for modulus in (2, 6):
+            one, s1 = self._run(0.4, modulus, 2, 5, [[30_000, 40_000]])
+            split, s2 = self._run(0.4, modulus, 2, 5, [[30_000], [30_000, 40_000]])
+            assert [t for _, t, _ in split] == [30_000, 40_000]
+            assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(split, one))
+            assert s1.root_time.dtype == s2.root_time.dtype == np.int32
+            assert np.array_equal(s1.root_time, s2.root_time)
+            assert (s2.root_time[: 30_001 * 2] < 0).any() == (modulus == 2)
 
     @pytest.mark.parametrize("modulus", [2, 66])
     def test_rng_block_sets_memory_only(self, modulus, monkeypatch):
@@ -539,3 +574,8 @@ class TestResumableEvolution:
         assert F.state_nbytes(10, 100, 66) == 101 * 10 * 3
         assert F.state_nbytes(10, 100, 300) == 101 * 10 * 4
         assert F.state_nbytes(10, 2**15, 300) == (2**15 + 1) * 10 * 6
+        # at modulus 2 a root's parity is the sign of its root time: no residues
+        _, state = self._run(0.5, 2, 10, 0, [[100]])
+        assert F.state_nbytes(10, 100, 2) == state.root_time.nbytes + state.residue.nbytes
+        assert F.state_nbytes(10, 100, 2) == 101 * 10 * 2
+        assert F.state_nbytes(10, 2**15, 2) == (2**15 + 1) * 10 * 4

@@ -404,6 +404,12 @@ class TestWeightChain:
             want[:-1] += q[1:] * down[1:]
             assert table[m].tobytes() == want.tobytes()
 
+    def test_kept_rows_are_the_full_tables_rows(self):
+        table = M.hypercube_weight_chain_table(11, 60)
+        for rows in ([0], [60], [0, 1, 2], [3, 17, 18, 59], np.arange(0, 61, 7)):
+            kept = M.hypercube_weight_chain_table(11, int(np.max(rows)), rows)
+            assert kept.tobytes() == table[rows].tobytes()
+
     def test_long_run_reaches_binomial(self):
         d = 12
         m = int(10 * d * math.log(d))
@@ -478,20 +484,25 @@ class TestHypercubeEstimator:
         # the curve builds the table only up to the largest observed N_J; at
         # alpha = 0, N_J(n) = n, so that is the horizon
         d, grid = 16, M.geometric_grid(300, 20)
-        heights = []
+        heights, kept = [], []
         table = M.hypercube_weight_chain_table
 
-        def spy(d, m_max):
+        def spy(d, m_max, rows):
             heights.append(m_max)
-            return table(d, m_max)
+            kept.append(rows)
+            return table(d, m_max, rows)
 
         monkeypatch.setattr(M, "hypercube_weight_chain_table", spy)
         curve = M.hypercube_tv_curve(d, alpha, grid, 300, 8)
-        monkeypatch.setattr(M, "hypercube_weight_chain_table", lambda d, m: table(d, 301))
+        # the full table's rows of the same counts
+        monkeypatch.setattr(
+            M, "hypercube_weight_chain_table", lambda d, m, rows: table(d, 301)[rows]
+        )
         full = M.hypercube_tv_curve(d, alpha, grid, 300, 8)
         assert curve.values.tobytes() == full.values.tobytes()
         assert curve.stderrs.tobytes() == full.stderrs.tobytes()
         assert heights[0] <= 300 and (heights[0] == 300) == (alpha == 0.0)
+        assert kept[0][-1] == heights[0] and np.all(np.diff(kept[0]) > 0)
 
     def test_stderr_zero_when_every_replica_has_one_odd_count(self):
         # alpha = 0: every cluster is a singleton, so N_J(n) = n in every replica
@@ -673,6 +684,15 @@ class TestResumedScans:
             one_pass = M.hypercube_tv_curve(8, 0.5, grid, 50, 3, chunk=20)
             assert np.array_equal(curve.values, one_pass.values)
             assert np.array_equal(curve.stderrs, one_pass.stderrs)
+
+    def test_paper_scale_hypercube_states_are_kept_at_the_first_doubling(self):
+        # d = 1024, alpha = 1/2, R = 4096: at 2 bytes a slot the states at the
+        # first doubled horizon take 237 MB, under STATE_BUDGET, so the next
+        # doubling resumes them (at 3 bytes a slot they took 356 MB, over it)
+        horizon = 2 * M.hypercube_horizon0(1024, 0.5)
+        nbytes = M._states_nbytes(horizon, 2, 4096, M.HYPERCUBE_CHUNK)
+        assert horizon == 28_976 and nbytes == 2 * 2048 * (horizon + 1) * 2
+        assert nbytes <= M.STATE_BUDGET < nbytes * 3 // 2
 
     def test_a_doubling_over_the_cap_raises_before_it_evolves(self, monkeypatch):
         # 300 replicas in one chunk: the first pass to 16 fits the cap with the
