@@ -13,7 +13,8 @@ the time of its cluster root (time-major) and per root slot the cluster size
 mod a modulus (replica-major, see ``EvolveState``).  It records the residue
 each step reads and advances the size histogram from those records only at
 grid times and at the end of each RNG block.  A step allocates nothing, and
-a block is short enough for its buffers to stay in a per-core L2 cache.
+a block is short enough for its buffers to stay in a per-core L2 cache.  A
+resumed pass owns the state it is given and grows its root times in place.
 """
 
 from __future__ import annotations
@@ -342,7 +343,8 @@ class EvolveState:
     (horizon + 1)`` of the flat array.  ``histo`` is the histogram at time
     t: a pass advances it at grid times and block ends only, so it is
     current whenever ``collect`` sees it and when the pass returns.  ``rng``
-    is the generator, positioned after the uniforms of times 2..t.
+    is the generator, positioned after the uniforms of times 2..t.  A pass
+    that resumes the state owns it: nothing else may reference its root times.
     """
 
     t: int
@@ -413,7 +415,12 @@ def evolve_size_histograms(
     and a run to 2h is a run to h continued.  Returns the state at max(grid).
     Passing it back as ``state``, with ``rng`` None, continues those forests
     on the generator the state holds, collecting only at grid times after
-    ``state.t``; the state is updated in place.
+    ``state.t``; the state is updated in place.  Its root times grow in
+    place (``ndarray.resize``, a realloc) unless they widen from int16 to
+    int32 at t = 2**15, and a state whose root times something else
+    references, such as a view, is refused with ``ParameterError`` before
+    any draw.  Above modulus 2 the replica-major residues are copied into
+    their longer rows.
 
     A step gathers each replica's root time and root residue and bumps the
     residue; at modulus 2 the residue is the sign of the root's own
@@ -442,7 +449,14 @@ def evolve_size_histograms(
             " and cannot end before the state's time"
         )
     flip = modulus == 2  # the residue is the root slot's sign, else a lookup in `residue`
-    state.root_time = _extended(state.root_time, ((horizon + 1) * count,), _time_dtype(horizon))
+    slots, time_dtype = (horizon + 1) * count, _time_dtype(horizon)
+    if state.root_time.dtype != time_dtype:  # a new state, or int16 -> int32 at t = 2**15
+        state.root_time = _extended(state.root_time, (slots,), time_dtype)
+    else:
+        try:  # realloc in place: no copy of the old slots beside them
+            state.root_time.resize(slots)
+        except ValueError as err:
+            raise ParameterError("a resumed state's root times are referenced elsewhere") from err
     if not flip:
         state.residue = _extended(state.residue, (count, horizon + 1), _residue_dtype(modulus))
     root_time, histo = state.root_time, state.histo

@@ -353,7 +353,10 @@ def check_forest_pass(
     also holds states outside its workers: those the checkpoint brought,
     until their chunks start, and its own once done, if they fit in
     ``STATE_BUDGET``.  A chunk's new state is larger than its old one, so
-    these never exceed the larger of the two sums.
+    these never exceed the larger of the two sums.  A resumed chunk grows
+    its root times in place unless they widen to int32, so there its old
+    root times are counted twice, in the brought sum and inside its new
+    state; the bound stays conservative.
     """
     count = min(replicas, chunk)
     workers = min(threads or 1, -(-replicas // chunk))

@@ -559,6 +559,78 @@ class TestResumableEvolution:
         assert 0 <= excess[0] < 64 << 10
         assert abs(excess[1] - excess[0]) < 1024
 
+    @pytest.mark.parametrize("modulus", [2, 66])
+    @pytest.mark.parametrize("start,stop", [(10, 110), (1000, 1100)])
+    def test_a_resumed_pass_grows_its_root_times_in_place(self, modulus, start, stop):
+        # traced from before the first pass, so that the old state counts: a
+        # resumed pass's peak rises by at most the state's growth, its
+        # buffers less the histogram the state brings, and at modulus 66 the
+        # residues, which are still copied.  A copy of the root times beside
+        # the old ones adds 2 * (start + 1) bytes per replica, which at
+        # start = 1000 no buffer covers
+        import tracemalloc
+
+        bufsize = np.setbufsize(16)  # numpy's cast buffers, as above
+        try:
+            for count in (8192, 16384):
+                tracemalloc.start()
+                try:
+                    _, state = self._run(0.5, modulus, count, 5, [[start]])
+                    old = state.root_time.nbytes + state.residue.nbytes
+                    copied = state.residue.nbytes
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    F.evolve_size_histograms(
+                        0.5, [stop], modulus, count, None, lambda *a: None, state
+                    )
+                    rise = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                grown = F.state_nbytes(count, stop, modulus) - old
+                held = grown + F.buffer_nbytes(count, stop, modulus) - state.histo.nbytes + copied
+                assert rise - held < 64 << 10
+        finally:
+            np.setbufsize(bufsize)
+
+    def test_a_widening_resume_stays_under_the_pass_bound(self, monkeypatch):
+        # int16 -> int32 at t = 2**15 is the one resume that copies its root
+        # times.  The pass's traced peak plus the state it brought, held
+        # throughout (an overcount), stays under what check_forest_pass counts
+        import re
+        import tracemalloc
+
+        from srrw_lab import metrics as M
+
+        count = 64
+        _, state = self._run(0.4, 2, count, 5, [[30_000]])
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", 0)
+        with pytest.raises(CapacityError) as err:
+            M.check_forest_pass(40_000, 2, count, count, 1, M.Checkpoint([state]))
+        bound = int(re.search(r"hold (\d+) bytes", str(err.value))[1])
+        brought = state.root_time.nbytes
+        tracemalloc.start()
+        try:
+            F.evolve_size_histograms(0.4, [40_000], 2, count, None, lambda *a: None, state)
+            peak = tracemalloc.get_traced_memory()[1] + brought
+        finally:
+            tracemalloc.stop()
+        assert state.root_time.dtype == np.int32 and peak < bound
+
+    @pytest.mark.parametrize("modulus", [2, 66])
+    def test_a_state_grows_in_place_or_is_refused_before_any_draw(self, modulus):
+        _, state = self._run(0.5, modulus, 3, 0, [[5]])
+        view = state.root_time[:3]
+        rng_state, root_time = state.rng.bit_generator.state, state.root_time.copy()
+        with pytest.raises(ParameterError, match="referenced elsewhere"):
+            F.evolve_size_histograms(0.5, [9], modulus, 3, None, lambda *a: None, state)
+        assert state.t == 5 and state.rng.bit_generator.state == rng_state
+        assert np.array_equal(state.root_time, root_time)
+        del view  # then the same array grows, as one pass would have grown it
+        ident = id(state.root_time)
+        _, one = self._run(0.5, modulus, 3, 0, [[9]])
+        F.evolve_size_histograms(0.5, [9], modulus, 3, None, lambda *a: None, state)
+        assert id(state.root_time) == ident and np.array_equal(state.root_time, one.root_time)
+
     def test_resume_checks_its_arguments(self):
         _, state = self._run(0.5, 2, 3, 0, [[5]])
         with pytest.raises(ParameterError):  # the state holds its own generator
