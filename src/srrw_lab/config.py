@@ -24,7 +24,6 @@ from . import groups as G
 from . import metrics
 from .errors import CapacityError, SchemaError
 from .evolving import check_exhaustive
-from .forest import check_batch
 from .oracle import ORACLE_N_CAP, check_spin_cap
 from .walk import check_step_table
 
@@ -262,8 +261,6 @@ def validate_config(doc: dict) -> list[str]:
                     bad(n_field, str(exc))
                     break
 
-    if name == "forest-stats" and last is not None and "replicas" in v:
-        build("grid", check_batch, last, v["replicas"])
     if group is not None:
         if name == "profiles":
             build("group", check_exhaustive, group)
@@ -280,13 +277,16 @@ def validate_config(doc: dict) -> list[str]:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if run == "endpoint" and last is not None and "replicas" in v:
             build("grid", check_step_table, group, v["replicas"], last)
-    if run in ("rao-blackwell", "hypercube-weight") and {"replicas", "threads"} <= set(v):
-        # the forest passes that always run: a curve's to its last grid point, a scan's
+    forest_pass = run in ("rao-blackwell", "hypercube-weight", "forest-mc")
+    if forest_pass and {"replicas", "threads"} <= set(v):
+        # the forest passes that always run: a curve's or forest-stats' to its last grid
+        # point (forest-stats' at modulus last + 1, which no cluster reaches), a scan's
         # first (with the checkpoint it keeps); _forest_chunks checks each doubling
-        cycle = run == "rao-blackwell"
+        cycle, hypercube = run == "rao-blackwell", run == "hypercube-weight"
         passes = []
         if kind.sizes is None and last is not None and (group is not None or not cycle):
-            passes = [("grid", group.order if cycle else 2, last, None)]
+            modulus = group.order if cycle else 2 if hypercube else last + 1
+            passes = [("grid", modulus, last, None)]
         elif kind.sizes is not None and sizes_ok and "alphas" in v:
             first = metrics.cycle_horizon0 if cycle else metrics.hypercube_horizon0
             passes = [
@@ -294,7 +294,7 @@ def validate_config(doc: dict) -> list[str]:
                 for size in v["sizes"]
                 for alpha in v["alphas"]
             ]
-        chunk = metrics.CYCLE_CHUNK if cycle else metrics.HYPERCUBE_CHUNK
+        chunk = metrics.HYPERCUBE_CHUNK if hypercube else metrics.CYCLE_CHUNK
         for pathstr, modulus, horizon, checkpoint in passes:
             try:
                 metrics.check_forest_pass(

@@ -25,9 +25,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import special
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .special import _check_alpha
-from .streams import chunk_ranges, stream
 
 
 # ---------------------------------------------------------------------------
@@ -239,53 +238,6 @@ def sample_batch_choices(n: int, alpha: float, count: int, rng: np.random.Genera
     return xi, u.astype(np.int32)
 
 
-BATCH_CAP = 1 << 30  # bytes of one chunk's uniforms in ``sample_cluster_size_counts``
-BATCH_CHUNK = 100
-
-
-def check_batch(n: int, replicas: int, chunk: int = BATCH_CHUNK) -> None:
-    """Raise ``CapacityError`` if a chunk of ``sample_cluster_size_counts`` is too big.
-
-    A chunk draws min(replicas, chunk) forests' n - 1 float64 uniforms, in at
-    most ``BATCH_CAP`` bytes; the chunk's choices and labels bring its peak to
-    21-25 bytes per (replica, vertex) slot (tracemalloc, n = 10^4 to 10^5).
-    """
-    if (nbytes := min(replicas, chunk) * (n - 1) * 8) > BATCH_CAP:
-        raise CapacityError(
-            f"forest statistics at n = {n} draw {nbytes} bytes of uniforms per chunk,"
-            f" over the cap of {BATCH_CAP}"
-        )
-
-
-def sample_cluster_size_counts(
-    n: int,
-    alpha: float,
-    replicas: int,
-    master_seed: int,
-    k_max: int,
-    chunk: int = BATCH_CHUNK,
-):
-    """Per-replica (N_1..N_k_max, odd-cluster count) at time n.
-
-    Returns (counts, odd) with counts of shape (replicas, k_max) and odd of
-    shape (replicas,).  Chunk ci of the replicas draws from RNG stream ci.
-    """
-    alpha = _check_alpha(alpha)
-    check_batch(n, replicas, chunk)
-    counts = np.zeros((replicas, k_max), dtype=np.int64)
-    odd = np.zeros(replicas, dtype=np.int64)
-    for ci, (start, stop) in enumerate(chunk_ranges(replicas, chunk)):
-        rng = stream(master_seed, ci)
-        labels = batch_root_labels(*sample_batch_choices(n, alpha, stop - start, rng))
-        for r in range(stop - start):
-            sizes = np.bincount(labels[r])
-            live = sizes[sizes > 0]
-            ks = np.bincount(live, minlength=k_max + 1)
-            counts[start + r] = ks[1 : k_max + 1]
-            odd[start + r] = int((live % 2 == 1).sum())
-    return counts, odd
-
-
 # ---------------------------------------------------------------------------
 # Streaming evolution: cluster-size histograms (mod M) along a time grid
 # ---------------------------------------------------------------------------
@@ -315,19 +267,19 @@ def buffer_nbytes(count: int, horizon: int, modulus: int) -> int:
     root slot read, and otherwise an index cell for the successor lookup
     and the replica's histogram row offset; and per step of an RNG block a
     uniform, a retention bit, a parent slot, the parity or residue read and,
-    above modulus 2, the residue written.  The pass allocates nothing else
-    that grows with `count`.
+    above modulus 2, the residue written.  Above modulus 2 the pass also
+    holds the successor table, one residue per residue.  It allocates
+    nothing else that grows with `count` or `modulus`.
     """
     time = np.dtype(_time_dtype(horizon)).itemsize
     residue = np.dtype(_residue_dtype(modulus)).itemsize
     per_step = 8 + 1 + 8 + residue
     per_replica = 8 * modulus + 2 * 8 + time + 2
     if modulus == 2:
-        per_replica += time
-    else:
-        per_replica += 2 * 8
-        per_step += residue
-    return count * (per_replica + RNG_BLOCK * per_step)
+        return count * (per_replica + time + RNG_BLOCK * per_step)
+    per_replica += 2 * 8
+    per_step += residue
+    return count * (per_replica + RNG_BLOCK * per_step) + modulus * residue
 
 
 @dataclass
@@ -483,7 +435,9 @@ def evolve_size_histograms(
         held = np.empty(count, dtype=root_time.dtype)
     else:
         row_start = np.arange(0, count * (horizon + 1), horizon + 1)  # replica r's residue row
-        succ = (np.arange(1, modulus + 1) % modulus).astype(residue.dtype)
+        succ = np.arange(modulus, dtype=residue.dtype)  # s -> s + 1 mod the modulus
+        succ[:-1] += 1
+        succ[-1] = 0
         cell = np.empty(count, dtype=np.intp)
         offsets = np.arange(0, count * modulus, modulus)  # replica r's histogram row
 

@@ -1,14 +1,16 @@
 """Distance curves, Monte Carlo estimators, spectral quantities, and
 mixing-time extraction.
 
-Both forest-pass estimators (the cycle curve and the hypercube curve) are
-views over one pass, ``_forest_chunks``: it grows the percolated forests in
-replica chunks, hands each grid time's cluster-size histogram to the
-estimator's ``terms``, sums the returned terms into per-grid arrays of the
-chunk and yields the chunks' arrays in chunk order.  ``_forest_sums`` adds
-them up in that order; ``_forest_moments`` also merges the chunks' centred
-second moments pairwise, for the cycle curve.  The estimator then reduces
-those sums to values and delta-method stderrs.
+The forest-pass estimators (the cycle curve, the hypercube curve and the
+cluster-size counts) are views over one pass, ``_forest_chunks``: it grows
+the percolated forests in replica chunks, hands each grid time's
+cluster-size histogram to the estimator's ``terms``, stores the returned
+terms in per-grid arrays of the chunk and yields the chunks' arrays in
+chunk order.  ``_forest_sums`` adds them up in that order;
+``_forest_moments`` also merges the chunks' centred second moments
+pairwise, for the cycle curve.  The curves then reduce those sums to values
+and delta-method stderrs; ``cluster_size_counts`` keeps its terms per
+replica.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
@@ -392,15 +394,16 @@ class Checkpoint:
 def _forest_chunks(
     alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
 ):
-    """Each replica chunk's per-grid sums of ``terms(histo)``, in chunk order.
+    """Each replica chunk's per-grid ``terms(histo)``, in chunk order.
 
     Every estimator is a view over this one pass.  Replicas evolve in chunks
     (chunk ci on RNG stream ci); at each grid time ``terms`` maps the chunk's
-    cluster-size histogram mod `modulus` to a tuple of arrays, already summed
-    over the chunk's replicas.  Yields, per chunk of ``chunk_ranges(replicas,
-    chunk)``, one array per term, indexed by grid position first.  Chunks come
-    in chunk-index order for every thread count.  A pass that resumes
-    ``checkpoint`` needs a grid that starts after the states' time.
+    cluster-size histogram mod `modulus` to a tuple of arrays, summed over
+    the chunk's replicas or one row per replica.  Yields, per chunk of
+    ``chunk_ranges(replicas, chunk)``, one array per term, indexed by grid
+    position first.  Chunks come in chunk-index order for every thread
+    count.  A pass that resumes ``checkpoint`` needs a grid that starts
+    after the states' time.
     """
     grid = np.asarray(grid, dtype=np.int64)
     ranges = chunk_ranges(replicas, chunk)
@@ -636,6 +639,32 @@ def hypercube_tv_curve(
         values=values,
         stderrs=stderrs,
     )
+
+
+# ---------------------------------------------------------------------------
+# Cluster-size statistics
+# ---------------------------------------------------------------------------
+
+
+def cluster_size_counts(alpha, grid, replicas, master_seed, k_max, threads=1):
+    """Per-replica cluster counts N_1..N_k_max and odd-cluster counts at each grid time.
+
+    Returns (counts, odd) of shapes (grid, replicas, k_max) and (grid,
+    replicas).  The pass runs at modulus max(grid) + 1, which no cluster
+    reaches, so its residue histogram is the exact size histogram; each
+    chunk's per-replica rows go to its replicas' slots.
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    chunks = _forest_chunks(
+        alpha, grid, int(grid[-1]) + 1, replicas, master_seed, CYCLE_CHUNK, threads,
+        lambda histo: (histo[:, 1 : k_max + 1], histo[:, 1::2].sum(axis=1)),
+    )
+    counts = np.zeros((grid.size, replicas, k_max), dtype=np.int64)  # sizes past max(grid): 0
+    odd = np.empty((grid.size, replicas), dtype=np.int64)
+    for (start, stop), (c, o) in zip(chunk_ranges(replicas, CYCLE_CHUNK), chunks):
+        counts[:, start:stop, : c.shape[2]] = c
+        odd[:, start:stop] = o
+    return counts, odd
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import metrics, oracle
 from .config import KINDS, ExperimentConfig, build_grid, build_group, build_mu
 from .dist import write_csv
 from .evolving import iso_profile
-from .forest import STREAM_LAYOUT, sample_cluster_size_counts
+from .forest import STREAM_LAYOUT
 from .special import cutoff_constant
 from .walk import sample_endpoints_direct
 
@@ -193,14 +193,16 @@ def _forest_stats_section(cfg: ExperimentConfig, group, mu):
     k_max = 10
     rows = []
     for ai, alpha in enumerate(cfg.alphas):
+        seed = cfg.seed + SECTION_SEED_STRIDE * ai
+        counts, odd = metrics.cluster_size_counts(
+            alpha, grid, cfg.replicas, seed, k_max, threads=cfg.threads
+        )
         for ni, n in enumerate(grid):
-            seed = cfg.seed + SECTION_SEED_STRIDE * ai + 31 * (ni + 1)
-            counts, odd = sample_cluster_size_counts(int(n), alpha, cfg.replicas, seed, k_max)
             head = [seed, _estimator(cfg), int(n), f"{alpha:.17g}"]
             for r in range(cfg.replicas):
                 for k in range(1, k_max + 1):
-                    rows.append(head + [r, k, int(counts[r, k - 1])])
-                rows.append(head + [r, "odd", int(odd[r])])
+                    rows.append(head + [r, k, int(counts[ni, r, k - 1])])
+                rows.append(head + [r, "odd", int(odd[ni, r])])
     fields = ("seed", "estimator", "n", "alpha", "replica", "k", "count")
     return [("cluster_stats.csv", fields, rows)], {}, False
 

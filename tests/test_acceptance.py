@@ -75,7 +75,7 @@ def test_a3_expected_isolated_formula():
     mc_ok = True
     n, R = 10_000, 10_000
     for alpha in (0.3, 0.5, 0.9):
-        counts = F.sample_cluster_size_counts(n, alpha, R, 301, k_max=1, chunk=2000)[0][:, 0]
+        counts = M.cluster_size_counts(alpha, [n], R, 301, k_max=1)[0][0, :, 0]
         se = counts.std(ddof=1) / math.sqrt(R)
         dev = abs(counts.mean() - F.expected_isolated_exact(n, alpha))
         mc_ok &= dev < 4 * se
@@ -88,7 +88,8 @@ def test_a3_expected_isolated_formula():
 
 def test_a4_cluster_size_densities():
     n, R, alpha = 100_000, 200, 0.5
-    counts, odd = F.sample_cluster_size_counts(n, alpha, R, master_seed=41, k_max=5)
+    counts, odd = M.cluster_size_counts(alpha, [n], R, master_seed=41, k_max=5)
+    counts, odd = counts[0], odd[0]
     means = counts.mean(axis=0) / n
     worst_k = max(abs(means[k - 1] - sp.theta_k(alpha, k)) for k in range(1, 6))
     odd_dev = abs(odd.mean() / n - 0.3864)

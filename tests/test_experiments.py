@@ -215,20 +215,20 @@ class TestValidation:
         assert os.path.exists(os.path.join(doc["output_dir"], "curves.csv"))
 
     def test_forest_stats_batch_capped_up_front(self, tmp_path):
-        # 100 forests on 10^8 vertices would draw 80 GB of uniforms in one chunk
+        # 100 forests grown to 10^8 at modulus 10^8 + 1 would hold 160 GB in one chunk
         doc = base_config(
             tmp_path, kind="forest-stats", alphas=[0.5], replicas=100,
             grid={"type": "explicit", "values": [10**8]},
         )
         problems = validate_config(doc)
         assert [p.split(":")[0] for p in problems] == ["grid"]
-        assert str(forest.BATCH_CAP) in problems[0]
+        assert str(metrics.FOREST_BYTES_CAP) in problems[0]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert cli.main(["run", "--config", str(path)]) == 2
         assert not os.path.exists(doc["output_dir"])
-        assert validate_config(dict(doc, grid={"n_max": 10**6})) == []
+        assert validate_config(dict(doc, grid={"n_max": 10**5})) == []
 
     @pytest.mark.parametrize(
         "kind, group, mu, estimator, field",
@@ -417,26 +417,30 @@ class TestRunner:
         assert outputs["lazy-cycle"] == outputs["uniform"]
 
     def test_tv_curve_deterministic_across_threads(self, tmp_path):
-        def doc(i, threads):
-            return base_config(
-                tmp_path,
-                kind="tv-curve",
-                group={"kind": "cyclic", "L": 5},
-                mu={"type": "simple-cycle"},
-                alphas=[0.5],
-                grid={"type": "geometric", "n_max": 40},
-                replicas=600,
-                estimator="rao-blackwell",
-                output_dir=str(tmp_path / f"run{i}"),
-                threads=threads,
-            )
-
-        out = []
-        for i, threads in enumerate((1, 3, 1)):
-            cfg = parse_config(doc(i, threads))
-            run(cfg)
-            out.append(open(tmp_path / f"run{i}" / "curves.csv", "rb").read())
-        assert out[0] == out[1] == out[2]
+        # replicas span two chunks of the forest pass (metrics.CYCLE_CHUNK = 512)
+        cases = [
+            ("tv-curve", "curves.csv", {"estimator": "rao-blackwell"}),
+            ("forest-stats", "cluster_stats.csv", {
+                "alphas": [0.3, 0.9], "grid": {"type": "explicit", "values": [5, 40]},
+            }),
+        ]
+        for kind, name, fields in cases:
+            out = []
+            for i, threads in enumerate((1, 3, 1)):
+                doc = base_config(
+                    tmp_path,
+                    kind=kind,
+                    group={"kind": "cyclic", "L": 5},
+                    mu={"type": "simple-cycle"},
+                    alphas=[0.5],
+                    grid={"type": "geometric", "n_max": 40},
+                    replicas=600,
+                    output_dir=str(tmp_path / kind / f"run{i}"),
+                    threads=threads,
+                )
+                run(parse_config(dict(doc, **fields)))
+                out.append(open(tmp_path / kind / f"run{i}" / name, "rb").read())
+            assert out[0] == out[1] == out[2], kind
 
     def test_seed_changes_outputs(self, tmp_path):
         def doc(i, seed):

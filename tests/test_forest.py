@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrw_lab import forest as F
+from srrw_lab import metrics as M
 from srrw_lab import special as sp
 from srrw_lab.errors import CapacityError, ParameterError
 from srrw_lab.streams import stream
@@ -135,7 +136,7 @@ class TestExpectedIsolated:
     def test_monte_carlo_mean_within_4_sigma(self):
         n, R = 1000, 20_000
         for a in (0.2, 0.5, 0.8):
-            counts = F.sample_cluster_size_counts(n, a, R, 101, k_max=1, chunk=5000)[0][:, 0]
+            counts = M.cluster_size_counts(a, [n], R, 101, k_max=1)[0][0, :, 0]
             mean = counts.mean()
             se = counts.std(ddof=1) / np.sqrt(R)
             assert abs(mean - F.expected_isolated_exact(n, a)) < 4 * se + 1e-9
@@ -165,7 +166,7 @@ class TestGrowthFactor:
         # P(I(n) <= (1-alpha) n / 8) is tiny at n = 500
         n, R = 500, 10_000
         for a in (0.2, 0.5, 0.8):
-            counts = F.sample_cluster_size_counts(n, a, R, 55, k_max=1, chunk=5000)[0][:, 0]
+            counts = M.cluster_size_counts(a, [n], R, 55, k_max=1)[0][0, :, 0]
             frac = float((counts <= (1 - a) * n / 8).mean())
             assert frac <= 0.01
 
@@ -174,22 +175,27 @@ class TestThetaDensities:
     def test_size_densities_match_theta(self):
         # smaller sibling of the acceptance run: n=20000, R=60
         n, R, a = 20_000, 60, 0.5
-        counts, odd = F.sample_cluster_size_counts(n, a, R, master_seed=31, k_max=5)
-        means = counts.mean(axis=0) / n
+        counts, odd = M.cluster_size_counts(a, [n], R, master_seed=31, k_max=5)
+        means = counts[0].mean(axis=0) / n
         for k in range(1, 6):
             assert abs(means[k - 1] - sp.theta_k(a, k)) < 0.01
-        assert abs(odd.mean() / n - sp.odd_cluster_density(a)) < 0.005
+        assert abs(odd[0].mean() / n - sp.odd_cluster_density(a)) < 0.005
 
     def test_batch_over_the_cap_raises_before_drawing(self, monkeypatch):
-        # 10 forests on 11 vertices draw 10 x 10 float64 uniforms: 800 bytes
-        monkeypatch.setattr(F, "BATCH_CAP", 800)
-        assert F.sample_cluster_size_counts(11, 0.5, 10, 3, k_max=2)[0].shape == (10, 2)
-        monkeypatch.setattr(F, "BATCH_CAP", 799)
-        monkeypatch.setattr(F, "stream", lambda *a: pytest.fail("the draw started"))
-        with pytest.raises(CapacityError):
-            F.sample_cluster_size_counts(11, 0.5, 10, 3, k_max=2)
-        # a chunk draws the uniforms of its own replicas only
-        F.check_batch(11, 10**6, chunk=9)
+        # 10 forests grown to n = 11 at modulus 12 hold their state and buffers
+        need = F.state_nbytes(10, 11, 12) + F.buffer_nbytes(10, 11, 12)
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
+        assert M.cluster_size_counts(0.5, [11], 10, 3, k_max=2)[0].shape == (1, 10, 2)
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
+        monkeypatch.setattr(M, "stream", lambda *a: pytest.fail("the draw started"))
+        with pytest.raises(CapacityError, match=f"hold {need} bytes"):
+            M.cluster_size_counts(0.5, [11], 10, 3, k_max=2)
+        # a chunk holds the forests of its own replicas only
+        chunk = M.CYCLE_CHUNK
+        monkeypatch.setattr(
+            M, "FOREST_BYTES_CAP", F.state_nbytes(chunk, 11, 12) + F.buffer_nbytes(chunk, 11, 12)
+        )
+        M.check_forest_pass(11, 12, 10**6, chunk, 1)
 
 
 def reference_evolve(alpha, grid, modulus, count, rng, collect):
@@ -558,6 +564,29 @@ class TestResumableEvolution:
             np.setbufsize(bufsize)
         assert 0 <= excess[0] < 64 << 10
         assert abs(excess[1] - excess[0]) < 1024
+
+    def test_a_pass_at_a_large_modulus_stays_under_its_bound(self):
+        # at modulus n + 1 the histogram and the successor table hold a cell
+        # per size; the pass's traced peak stays within state_nbytes plus
+        # buffer_nbytes, which count them, and the 64 KiB of the tests above.
+        # Building the successor table through int64 temporaries of `modulus`
+        # entries would add 312 KiB here
+        import tracemalloc
+
+        n, count = 20_000, 200
+        rng = stream(5, 0)  # created outside the trace: numpy.random's first import allocates
+        bufsize = np.setbufsize(16)  # numpy's cast buffers, as above
+        try:
+            tracemalloc.start()
+            try:
+                F.evolve_size_histograms(0.5, [n], n + 1, count, rng, lambda *a: None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(bufsize)
+        held = F.state_nbytes(count, n, n + 1) + F.buffer_nbytes(count, n, n + 1)
+        assert peak <= held + (64 << 10)
 
     @pytest.mark.parametrize("modulus", [2, 66])
     @pytest.mark.parametrize("start,stop", [(10, 110), (1000, 1100)])

@@ -535,6 +535,29 @@ SHARED_SCANS = [
 ]
 
 
+class TestClusterSizeCounts:
+    @pytest.mark.parametrize("grid", [[3, 7], [1, 2, 7, 40, 150]])
+    @pytest.mark.parametrize("k_max", [1, 10])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9])
+    def test_counts_are_those_of_the_forests_rebuilt_from_the_draws(self, alpha, k_max, grid):
+        # two chunks, the second short; chunk ci's forests are rebuilt from
+        # the uniforms of stream ci, taken time-major; sizes past max(grid)
+        # count 0
+        R, seed, n = M.CYCLE_CHUNK + 37, 12, grid[-1]
+        counts, odd = M.cluster_size_counts(alpha, grid, R, seed, k_max)
+        assert counts.shape == (len(grid), R, k_max) and odd.shape == (len(grid), R)
+        for ci, (start, stop) in enumerate(chunk_ranges(R, M.CYCLE_CHUNK)):
+            U = stream(seed, ci).random((n - 1, stop - start)).T
+            labels = F.batch_root_labels(*F.choices_from_uniforms(U, alpha, np.arange(2, n + 1)))
+            for gi, t in enumerate(grid):
+                for r in range(stop - start):
+                    sizes = np.bincount(labels[r, :t])
+                    live = sizes[sizes > 0]
+                    want = np.bincount(live, minlength=k_max + 1)[1 : k_max + 1]
+                    assert np.array_equal(counts[gi, start + r], want), (ci, r, t)
+                    assert odd[gi, start + r] == (live % 2).sum(), (ci, r, t)
+
+
 class TestSharedCurveScan:
     EPSILONS = (0.5, 0.25, 0.05)
 

@@ -40,6 +40,9 @@ DOCS = [
          epsilons=[0.25], replicas=256, estimator="rao-blackwell"),
     _doc("oracle-check", {"kind": "cyclic", "L": 3}, "lazy-cycle", n_max=3),
     _doc("profiles", {"kind": "cyclic", "L": 5}, "lazy-cycle"),
+    # its pass runs at modulus 41 through the traced evolve_size_histograms
+    _doc("forest-stats", {"kind": "cyclic", "L": 3}, "simple-cycle",
+         grid={"type": "explicit", "values": [5, 40]}, replicas=20),
 ]
 
 
