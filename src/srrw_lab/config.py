@@ -182,10 +182,10 @@ def build_mu(group: G.FiniteGroup, spec: dict) -> G.StepDistribution:
     raise SchemaError([f"mu.type: unknown type {mtype!r}"])
 
 
-def build_grid(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.grid.get("type") == "explicit":
-        return np.asarray(cfg.grid["values"], dtype=np.int64)
-    return metrics.geometric_grid(cfg.grid["n_max"], cfg.points_per_decade)
+def build_grid(grid: dict, points_per_decade: int) -> np.ndarray:
+    if grid.get("type") == "explicit":
+        return np.asarray(grid["values"], dtype=np.int64)
+    return metrics.geometric_grid(grid["n_max"], points_per_decade)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -277,11 +277,17 @@ def validate_config(doc: dict) -> list[str]:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if run == "endpoint" and last is not None and "replicas" in v:
             build("grid", check_step_table, group, v["replicas"], last)
+    if name == "forest-stats" and grid and {"replicas", "alphas", "points_per_decade"} <= set(v):
+        points = build_grid(grid, v["points_per_decade"]).size
+        try:
+            metrics.check_cluster_stats(points, v["replicas"], len(v["alphas"]))
+        except CapacityError as exc:
+            bad("replicas", str(exc))
     forest_pass = run in ("rao-blackwell", "hypercube-weight", "forest-mc")
     if forest_pass and {"replicas", "threads"} <= set(v):
         # the forest passes that always run: a curve's or forest-stats' to its last grid
         # point (forest-stats' at modulus last + 1, which no cluster reaches), a scan's
-        # first (with the checkpoint it keeps); _forest_chunks checks each doubling
+        # first (with the checkpoint it keeps); _forest_chunks checks each extension
         cycle, hypercube = run == "rao-blackwell", run == "hypercube-weight"
         passes = []
         if kind.sizes is None and last is not None and (group is not None or not cycle):

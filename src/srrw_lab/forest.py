@@ -19,6 +19,7 @@ resumed pass owns the state it is given and grows its root times in place.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -369,10 +370,12 @@ def evolve_size_histograms(
     on the generator the state holds, collecting only at grid times after
     ``state.t``; the state is updated in place.  Its root times grow in
     place (``ndarray.resize``, a realloc) unless they widen from int16 to
-    int32 at t = 2**15, and a state whose root times something else
+    int32 at t = 2**15 or a profile or trace hook is set (``sys.setprofile``,
+    ``sys.settrace``), and a state whose root times something else
     references, such as a view, is refused with ``ParameterError`` before
-    any draw.  Above modulus 2 the replica-major residues are copied into
-    their longer rows.
+    any draw; where they are copied, a view keeps the old root times.
+    Above modulus 2 the replica-major residues are copied into their longer
+    rows.
 
     A step gathers each replica's root time and root residue and bumps the
     residue; at modulus 2 the residue is the sign of the root's own
@@ -402,7 +405,9 @@ def evolve_size_histograms(
         )
     flip = modulus == 2  # the residue is the root slot's sign, else a lookup in `residue`
     slots, time_dtype = (horizon + 1) * count, _time_dtype(horizon)
-    if state.root_time.dtype != time_dtype:  # a new state, or int16 -> int32 at t = 2**15
+    # a new state, int16 -> int32 at t = 2**15, or a profile or trace hook, under
+    # which ndarray.resize's reference check counts one reference too many
+    if state.root_time.dtype != time_dtype or sys.getprofile() or sys.gettrace():
         state.root_time = _extended(state.root_time, (slots,), time_dtype)
     else:
         try:  # realloc in place: no copy of the old slots beside them

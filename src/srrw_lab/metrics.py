@@ -332,7 +332,7 @@ class _CycleTables:
         return sign * np.exp(logmag)
 
 
-STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between doublings
+STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between horizons
 FOREST_BYTES_CAP = 1 << 30  # bytes a forest pass may hold: its workers' and checkpoint's states
 CYCLE_CHUNK = 512  # replicas per chunk of the cycle estimator's forest pass
 HYPERCUBE_CHUNK = 2048  # of the hypercube estimator's
@@ -381,9 +381,9 @@ def check_forest_pass(
 class Checkpoint:
     """Every chunk's forest state where a resumable pass stopped.
 
-    A scan keeps one between doublings.  A pass given a checkpoint with
-    states continues those forests, collecting only at grid times after
-    theirs.  It leaves its own states behind if they fit in
+    A scan keeps one between the horizons it tries.  A pass given a
+    checkpoint with states continues those forests, collecting only at grid
+    times after theirs.  It leaves its own states behind if they fit in
     ``STATE_BUDGET``, and none otherwise, so that the next pass starts over
     from t = 2; the stream layout makes both ways give the same bytes.
     """
@@ -646,6 +646,26 @@ def hypercube_tv_curve(
 # ---------------------------------------------------------------------------
 
 
+CLUSTER_K_MAX = 10  # forest-stats reports N_1..N_k for k up to this, and the odd count
+CLUSTER_ROW_BYTES = 160  # a cluster_stats.csv row: a 7-item list (112 B), its slot and its ints
+
+
+def check_cluster_stats(points: int, replicas: int, alphas: int) -> None:
+    """Raise ``CapacityError`` if forest-stats' rows may take over ``FOREST_BYTES_CAP``.
+
+    The section holds CLUSTER_K_MAX + 1 rows per alpha, grid point and
+    replica until it writes them, beside one alpha's int64 counts and odd
+    counts from ``cluster_size_counts``.
+    """
+    cells = points * replicas * (CLUSTER_K_MAX + 1)
+    nbytes = cells * (alphas * CLUSTER_ROW_BYTES + 8)
+    if nbytes > FOREST_BYTES_CAP:
+        raise CapacityError(
+            f"forest-stats' {alphas * cells} rows of {alphas} alphas x {points} grid points"
+            f" x {replicas} replicas may hold {nbytes} bytes, over the cap of {FOREST_BYTES_CAP}"
+        )
+
+
 def cluster_size_counts(alpha, grid, replicas, master_seed, k_max, threads=1):
     """Per-replica cluster counts N_1..N_k_max and odd-cluster counts at each grid time.
 
@@ -679,11 +699,11 @@ class MixingRun:
     horizons_tried: list = field(default_factory=list)
 
 
-MAX_DOUBLINGS = 3  # horizon doublings a scan may make while its guard fires
+MAX_REACH = 8  # a scan's last horizon is at most MAX_REACH * horizon0
 
 
 def cycle_horizon0(L: int, alpha: float) -> int:
-    """The first horizon of a cycle scan; the retry loop doubles it while the guard fires."""
+    """The first horizon of a cycle scan; the retry loop extends it while the guard fires."""
     if alpha > 0.5:
         return max(128, int(1.5 * L ** (1.0 / alpha)))
     if alpha == 0.5:
@@ -698,31 +718,38 @@ def hypercube_horizon0(d: int, alpha: float) -> int:
 
 
 def _scan_with_retries(build_curve, epsilon, horizon0, points_per_decade, curves=None):
-    """Scan a curve at `epsilon`, doubling the horizon while the guard fires.
+    """Scan a curve at `epsilon`, extending the horizon while the guard fires.
 
-    A scan doubles at most ``MAX_DOUBLINGS`` times.  The first curve is ``build_curve(grid, checkpoint)`` on
-    ``geometric_grid(horizon0, points_per_decade)``.  A doubled curve is the
-    shorter curve followed by a curve on the points of the geometric grid to
-    2h that lie above h; that curve's pass continues the shorter pass's
-    forests from its checkpoint instead of regrowing them from t = 2.  Every
-    estimator reduces each grid point on its own, so the doubled curve is
-    the curve a single pass would give on the extended grid.
+    The first curve is ``build_curve(grid, checkpoint)`` on
+    ``geometric_grid(horizon0, points_per_decade)``.  An extended curve, to
+    h', is the shorter curve to h followed by a curve on the points of the
+    geometric grid to h' that lie above h; that curve's pass continues the
+    shorter pass's forests from its checkpoint.  Every estimator reduces
+    each grid point on its own, so the extended curve is the curve a single
+    pass would give on the extended grid.  While the checkpoint holds the
+    shorter pass's states, h' is ceil(5h / 4): a fired guard's crossing
+    usually lies a few grid steps on, and the pass evolves only the steps
+    from h.  Once the states are dropped (over ``STATE_BUDGET``) the pass
+    regrows the forests from t = 2, so h' is 2h.  Either way h' is at most
+    ``MAX_REACH * horizon0``, the last horizon a scan tries.
 
-    ``curves`` memoizes (curve, checkpoint) by horizon; the longest curve
-    keeps its checkpoint while a doubling from it is still possible.  A curve
-    depends only on the seed, the replicas and its grid, so scans at several
-    epsilons over one (alpha, size, seed) may share a memo and evolve each
-    horizon's forests once; scans over anything else must not.
+    ``curves`` memoizes (curve, checkpoint, next horizon) by horizon; the
+    longest curve keeps its checkpoint while an extension from it is still
+    possible.  A curve depends only on the seed, the replicas and its grid,
+    so scans at several epsilons over one (alpha, size, seed) may share a
+    memo and evolve each horizon's forests once; scans over anything else
+    must not.
     """
     curves = {} if curves is None else curves
-    horizon = int(horizon0)
+    horizon, reach = int(horizon0), MAX_REACH * int(horizon0)
     tried = []
     while True:
         if horizon not in curves:
             grid = geometric_grid(horizon, points_per_decade)
-            shorter, checkpoint = curves[tried[-1]] if tried else (None, Checkpoint())
+            shorter, checkpoint = None, Checkpoint()
             if tried:
-                curves[tried[-1]] = (shorter, None)
+                shorter, checkpoint, following = curves[tried[-1]]
+                curves[tried[-1]] = (shorter, None, following)
                 grid = grid[grid > tried[-1]]
             curve = build_curve(grid, checkpoint)
             if shorter is not None:
@@ -730,14 +757,14 @@ def _scan_with_retries(build_curve, epsilon, horizon0, points_per_decade, curves
                     k: np.concatenate([getattr(shorter, k), getattr(curve, k)])
                     for k in ("ns", "values", "stderrs")
                 })
-            doubling_possible = len(tried) < MAX_DOUBLINGS
-            curves[horizon] = (curve, checkpoint if doubling_possible else None)
-        curve = curves[horizon][0]
+            following = min(-(-5 * horizon // 4) if checkpoint.states else 2 * horizon, reach)
+            curves[horizon] = (curve, checkpoint if horizon < reach else None, following)
+        curve, _, following = curves[horizon]
         tried.append(horizon)
         est = mixing_time_scan(curve, epsilon)
-        if not est.guard_triggered or len(tried) > MAX_DOUBLINGS:
+        if not est.guard_triggered or horizon >= reach:
             return MixingRun(estimate=est, curve=curve, horizons_tried=tried)
-        horizon *= 2
+        horizon = following
 
 
 def cycle_mixing_time(

@@ -83,7 +83,7 @@ def _build_curve(cfg: ExperimentConfig, group, mu, alpha, grid, seed):
 
 def _curve_section(cfg: ExperimentConfig, group, mu, scan: bool):
     """``tv-curve`` (scan=False) and ``mixing-scan`` (scan=True)."""
-    grid = build_grid(cfg)
+    grid = build_grid(cfg.grid, cfg.points_per_decade)
     rows, scans = [], []
     guard = False
     for ai, alpha in enumerate(cfg.alphas):
@@ -155,7 +155,7 @@ def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
     guard = False
     for si, (alpha, size) in enumerate(itertools.product(cfg.alphas, cfg.sizes)):
         seed = cfg.seed + SECTION_SEED_STRIDE * si
-        # every epsilon of this section scans the same curves, and a doubling
+        # every epsilon of this section scans the same curves, and an extension
         # resumes the forests of the longest one
         curves: dict = {}
         for eps in cfg.epsilons:
@@ -189,8 +189,9 @@ def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
 
 
 def _forest_stats_section(cfg: ExperimentConfig, group, mu):
-    grid = build_grid(cfg)
-    k_max = 10
+    grid = build_grid(cfg.grid, cfg.points_per_decade)
+    k_max = metrics.CLUSTER_K_MAX
+    metrics.check_cluster_stats(grid.size, cfg.replicas, len(cfg.alphas))
     rows = []
     for ai, alpha in enumerate(cfg.alphas):
         seed = cfg.seed + SECTION_SEED_STRIDE * ai

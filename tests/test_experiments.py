@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from srrw_lab import cli, config, forest, metrics, runner, walk
 from srrw_lab.config import parse_config, validate_config
-from srrw_lab.errors import SchemaError
+from srrw_lab.errors import CapacityError, SchemaError
 from srrw_lab.presets import preset_config, preset_names
 from srrw_lab.runner import run
 
@@ -66,7 +67,7 @@ class TestValidation:
 
     def test_planned_cutoff_scans_validate(self, tmp_path):
         # the first pass of each scan fits the forest cap; at d = 1024, alpha = 0.9 it
-        # holds 782 MiB and keeps no checkpoint. A doubling past the cap is refused
+        # holds 782 MiB and keeps no checkpoint. An extension past the cap is refused
         # when it is reached.
         doc = preset_config("cutoff-desk")
         doc.update(sizes=[256, 512, 1024], alphas=[0.25, 0.5, 0.75, 0.9], replicas=4096)
@@ -229,6 +230,22 @@ class TestValidation:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert not os.path.exists(doc["output_dir"])
         assert validate_config(dict(doc, grid={"n_max": 10**5})) == []
+
+    def test_forest_stats_rows_capped_up_front(self, tmp_path):
+        # 10^7 replicas at one grid point are 1.1 * 10^8 rows of about 160 B: the
+        # pass itself, a 512-replica chunk at a time, fits its cap
+        doc = base_config(
+            tmp_path, kind="forest-stats", alphas=[0.5], replicas=10**7,
+            grid={"type": "explicit", "values": [5]},
+        )
+        problems = validate_config(doc)
+        assert [p.split(":")[0] for p in problems] == ["replicas"]
+        assert str(metrics.FOREST_BYTES_CAP) in problems[0]
+        assert validate_config(preset_config("forest-stats-desk")) == []
+        # the section checks too, before it starts the pass
+        cfg = replace(parse_config(dict(doc, replicas=100)), replicas=10**7)
+        with pytest.raises(CapacityError, match="rows"):
+            runner._forest_stats_section(cfg, None, None)
 
     @pytest.mark.parametrize(
         "kind, group, mu, estimator, field",
@@ -684,8 +701,6 @@ class TestCli:
         assert cli.main(["run", "--config", path]) == 4
 
     def test_capacity_exit_3(self, tmp_path, monkeypatch):
-        from srrw_lab.errors import CapacityError
-
         doc = base_config(tmp_path, output_dir=str(tmp_path / "cap"))
         path = self.write_config(tmp_path, doc)
 
@@ -872,3 +887,21 @@ class TestRunnerEstimatorPaths:
         assert "cutoff_constants" in result.summary["results"]
         header = open(tmp_path / "co" / "mixing_times.csv").readline().strip()
         assert "horizons_tried" not in header
+
+    @pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+    def test_resumed_scans_write_the_same_bytes_under_a_hook(self, tmp_path, hook):
+        # a guard that keeps firing extends the horizon, resuming the forests
+        doc = base_config(
+            tmp_path, kind="cutoff", group={"kind": "hypercube", "d": 8},
+            mu={"type": "lazy-hypercube"}, alphas=[0.5], sizes=[8], epsilons=[1e-6],
+            replicas=300, estimator="hypercube-weight",
+        )
+        result = run(parse_config(dict(doc, output_dir=str(tmp_path / "plain"))))
+        assert len(result.summary["results"]["mixing_times"][0]["horizons_tried"]) > 1
+        hook(lambda *args: None)
+        try:
+            run(parse_config(dict(doc, output_dir=str(tmp_path / "hooked"))))
+        finally:
+            hook(None)
+        plain, hooked = (tmp_path / out / "mixing_times.csv" for out in ("plain", "hooked"))
+        assert plain.read_bytes() == hooked.read_bytes()

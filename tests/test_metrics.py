@@ -571,7 +571,7 @@ class TestSharedCurveScan:
         shared = [
             mixing_time(*args, eps, 300, 11, horizon0, curves=curves) for eps in self.EPSILONS
         ]
-        assert any(len(run.horizons_tried) > 1 for run in solo)  # a guard doubled
+        assert any(len(run.horizons_tried) > 1 for run in solo)  # a guard extended
         for a, b in zip(solo, shared):
             assert a.estimate == b.estimate
             assert a.horizons_tried == b.horizons_tried
@@ -601,7 +601,7 @@ class TestSharedCurveScan:
 
 
 class TestResumedScans:
-    """A doubling resumes the shorter curve's forests; the bytes never depend on it."""
+    """An extension resumes the shorter curve's forests; a grid's bytes never depend on it."""
 
     EPSILONS = (0.5, 0.25, 0.05)
 
@@ -629,17 +629,22 @@ class TestResumedScans:
         longest = max(curves)
         assert longest > horizon0
         curve = curves[longest][0]
-        # the extended grid keeps every point of the shorter curves
-        for h in curves:
-            assert np.isin(curves[h][0].ns, curve.ns).all()
+        # the states fit, so each horizon is a quarter past the last; the extended
+        # grid is each shorter curve's grid followed by the geometric points to
+        # the next horizon that lie above it
+        chain = sorted(curves)
+        assert chain[1:] == [-(-5 * h // 4) for h in chain[:-1]]
+        want = []
+        for last, h in zip([0, *chain], chain):
             fine = M.geometric_grid(h, 40)
-            assert set(fine[fine > h // 2].tolist()) <= set(curve.ns.tolist())
+            want.extend(fine[fine > last].tolist())
+            assert np.array_equal(curves[h][0].ns, want)
         one_pass = getattr(M, estimator)(size, alpha, curve.ns, 300, 11, chunk=128)
         assert np.array_equal(one_pass.values, curve.values)
         assert np.array_equal(one_pass.stderrs, curve.stderrs)
 
     @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
-    def test_rebuilds_above_the_budget_give_the_same_bytes(
+    def test_rebuilds_above_the_budget_double_and_give_one_pass_bytes(
         self, monkeypatch, mixing_time, estimator, size, alpha, horizon0
     ):
         starts = []  # the time each evolve call starts from: 1 for a new forest
@@ -657,7 +662,21 @@ class TestResumedScans:
         rebuilt, _ = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
         assert starts and set(starts) == {1}
         for a, b in zip(resumed, rebuilt):
-            self._same(a, b)
+            if len(a.horizons_tried) == 1:  # no extension: the same first curve
+                self._same(a, b)
+            # a rebuilt ladder doubles; its curve is the doubled grid's, made of
+            # each shorter grid and the geometric points above it, in one pass
+            tried = b.horizons_tried
+            assert tried == [horizon0 << i for i in range(len(tried))]
+            want = []
+            for last, h in zip([0, *tried], tried):
+                fine = M.geometric_grid(h, 40)
+                want.extend(fine[fine > last].tolist())
+            for run in (a, b):
+                one_pass = getattr(M, estimator)(size, alpha, run.curve.ns, 300, 11, chunk=128)
+                assert np.array_equal(one_pass.values, run.curve.values)
+                assert np.array_equal(one_pass.stderrs, run.curve.stderrs)
+            assert np.array_equal(b.curve.ns, want)
 
     @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
     def test_threads_and_epsilon_order_do_not_change_the_bytes(
@@ -684,14 +703,58 @@ class TestResumedScans:
             for i, run in zip(order, runs):
                 self._same(base[i], run)
 
-    def test_checkpoint_is_kept_only_while_a_doubling_is_possible(self, monkeypatch):
-        monkeypatch.setattr(M, "MAX_DOUBLINGS", 2)
+    @pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+    @pytest.mark.parametrize("mixing_time, estimator, size, alpha, horizon0", SHARED_SCANS)
+    def test_a_profile_or_trace_hook_does_not_change_the_bytes(
+        self, hook, mixing_time, estimator, size, alpha, horizon0
+    ):
+        # under a hook ndarray.resize refuses any array, so a resumed pass copies
+        # its root times instead of growing them in place
+        base, _ = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
+        assert any(len(run.horizons_tried) > 1 for run in base)
+        hook(lambda *args: None)
+        try:
+            runs, _ = self._scans(mixing_time, size, alpha, horizon0, self.EPSILONS)
+        finally:
+            hook(None)
+        for a, b in zip(base, runs):
+            self._same(a, b)
+
+    def test_checkpoint_is_kept_only_while_an_extension_is_possible(self, monkeypatch):
+        monkeypatch.setattr(M, "MAX_REACH", 2)
         curves = {}
         M.hypercube_mixing_time(8, 0.5, 0.9, 300, 11, 16, curves=curves)
         assert list(curves) == [16] and curves[16][1].states
         run = M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16, curves=curves)
-        assert run.horizons_tried == [16, 32, 64]
-        assert all(checkpoint is None for _, checkpoint in curves.values())
+        assert run.horizons_tried == [16, 20, 25, 32]
+        assert all(checkpoint is None for _, checkpoint, _ in curves.values())
+
+    @pytest.mark.parametrize("budget, ladder", [
+        (None, [16, 20, 25, 32, 40, 50, 63, 79, 99, 124, 128]),  # a quarter on, clamped
+        (0, [16, 32, 64, 128]),  # every pass regrows its forests: doubling
+    ])
+    def test_a_firing_guard_ends_at_the_reach(self, monkeypatch, budget, ladder):
+        if budget is not None:
+            monkeypatch.setattr(M, "STATE_BUDGET", budget)
+        run = M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16)
+        assert run.horizons_tried == ladder and ladder[-1] == M.MAX_REACH * 16
+        assert run.estimate.guard_triggered and run.estimate.horizon == ladder[-1]
+
+    def test_the_cutoff_workload_extends_by_a_quarter(self):
+        # d = 64, alpha = 1/2, R = 4096: eps = 0.05 crosses just past horizon0 = 675,
+        # and its extended curve keeps the first curve's bytes at n <= 675
+        horizon0, curves = M.hypercube_horizon0(64, 0.5), {}
+        runs = [
+            M.hypercube_mixing_time(64, 0.5, eps, 4096, 11, horizon0, curves=curves)
+            for eps in (0.9, 0.25, 0.1, 0.05)
+        ]
+        assert horizon0 == 675
+        assert [run.horizons_tried for run in runs] == [[675]] * 3 + [[675, 844]]
+        assert not any(run.estimate.guard_triggered for run in runs)
+        first, last = runs[0].curve, runs[-1].curve
+        head = last.ns <= horizon0
+        for name in ("ns", "values", "stderrs"):
+            assert np.array_equal(getattr(last, name)[head], getattr(first, name)), name
 
     def test_a_resumed_pass_over_the_budget_drops_its_states(self, monkeypatch):
         # the states fit at h = 10 but not at h = 40: the pass still resumes and
@@ -708,18 +771,28 @@ class TestResumedScans:
             assert np.array_equal(curve.values, one_pass.values)
             assert np.array_equal(curve.stderrs, one_pass.stderrs)
 
-    def test_paper_scale_hypercube_states_are_kept_at_the_first_doubling(self):
-        # d = 1024, alpha = 1/2, R = 4096: at 2 bytes a slot the states at the
-        # first doubled horizon take 237 MB, under STATE_BUDGET, so the next
-        # doubling resumes them (at 3 bytes a slot they took 356 MB, over it)
-        horizon = 2 * M.hypercube_horizon0(1024, 0.5)
-        nbytes = M._states_nbytes(horizon, 2, 4096, M.HYPERCUBE_CHUNK)
-        assert horizon == 28_976 and nbytes == 2 * 2048 * (horizon + 1) * 2
-        assert nbytes <= M.STATE_BUDGET < nbytes * 3 // 2
+    def test_paper_scale_ladder_doubles_once_its_states_are_dropped(self):
+        # d = 1024, alpha = 1/2, R = 4096: at 2 bytes a slot the states fit
+        # STATE_BUDGET up to 28 298 (232 MB); at 35 373 the root times widen to
+        # int32 (580 MB) and are dropped, so from there each pass regrows its
+        # forests and the ladder doubles, up to the reach
+        horizon0 = M.hypercube_horizon0(1024, 0.5)
 
-    def test_a_doubling_over_the_cap_raises_before_it_evolves(self, monkeypatch):
+        def build(grid, checkpoint):
+            horizon = int(grid[-1])
+            fits = M._states_nbytes(horizon, 2, 4096, M.HYPERCUBE_CHUNK) <= M.STATE_BUDGET
+            checkpoint.states = [horizon] if fits else []
+            ones = np.ones(grid.size)
+            return M.DistanceCurve("", 0.5, "", 4096, 0, grid, ones, 0 * ones)  # guard fires
+
+        run = M._scan_with_retries(build, 0.25, horizon0, 40)
+        assert run.horizons_tried == [14_488, 18_110, 22_638, 28_298, 35_373, 70_746, 115_904]
+        assert run.horizons_tried[-1] == M.MAX_REACH * horizon0
+        assert M._states_nbytes(28_298, 2, 4096, M.HYPERCUBE_CHUNK) == 2 * 2048 * 28_299 * 2
+
+    def test_an_extension_over_the_cap_raises_before_it_evolves(self, monkeypatch):
         # 300 replicas in one chunk: the first pass to 16 fits the cap with the
-        # checkpoint it keeps, the doubling to 32 does not
+        # checkpoint it keeps, the extension to 20 does not
         need = 2 * F.state_nbytes(300, 16, 2) + F.buffer_nbytes(300, 16, 2)
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         horizons = []
@@ -730,7 +803,7 @@ class TestResumedScans:
             return original(alpha, grid, *args)
 
         monkeypatch.setattr(M, "evolve_size_histograms", spy)
-        with pytest.raises(CapacityError, match="n = 32 may hold"):
+        with pytest.raises(CapacityError, match="n = 20 may hold"):
             M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16)
         assert horizons == [16]
 
