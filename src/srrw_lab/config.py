@@ -284,27 +284,31 @@ def validate_config(doc: dict) -> list[str]:
         except CapacityError as exc:
             bad("replicas", str(exc))
     forest_pass = run in ("rao-blackwell", "hypercube-weight", "forest-mc")
-    if forest_pass and {"replicas", "threads"} <= set(v):
+    if forest_pass and {"replicas", "threads", "points_per_decade"} <= set(v):
         # the forest passes that always run: a curve's or forest-stats' to its last grid
         # point (forest-stats' at modulus last + 1, which no cluster reaches), a scan's
         # first (with the checkpoint it keeps); _forest_chunks checks each extension
         cycle, hypercube = run == "rao-blackwell", run == "hypercube-weight"
+        ppd, replicas = v["points_per_decade"], v["replicas"]
         passes = []
         if kind.sizes is None and last is not None and (group is not None or not cycle):
             modulus = group.order if cycle else 2 if hypercube else last + 1
-            passes = [("grid", modulus, last, None)]
+            passes = [("grid", modulus, last, build_grid(grid, ppd).size, None)]
         elif kind.sizes is not None and sizes_ok and "alphas" in v:
             first = metrics.cycle_horizon0 if cycle else metrics.hypercube_horizon0
-            passes = [
-                ("sizes", size if cycle else 2, first(size, alpha), metrics.Checkpoint())
-                for size in v["sizes"]
-                for alpha in v["alphas"]
-            ]
+            for size in v["sizes"]:
+                for alpha in v["alphas"]:
+                    horizon = first(size, alpha)
+                    points = metrics.geometric_grid(horizon, ppd).size
+                    passes.append(
+                        ("sizes", size if cycle else 2, horizon, points, metrics.Checkpoint())
+                    )
         chunk = metrics.HYPERCUBE_CHUNK if hypercube else metrics.CYCLE_CHUNK
-        for pathstr, modulus, horizon, checkpoint in passes:
+        for pathstr, modulus, horizon, points, checkpoint in passes:
+            tallies = metrics.forest_tallies(run, modulus, horizon, points, replicas, chunk)
             try:
                 metrics.check_forest_pass(
-                    horizon, modulus, v["replicas"], chunk, _threads(v["threads"]), checkpoint
+                    horizon, modulus, replicas, chunk, _threads(v["threads"]), checkpoint, tallies
                 )
             except CapacityError as exc:
                 bad(pathstr, str(exc))

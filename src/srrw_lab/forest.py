@@ -12,9 +12,11 @@ The streaming evolution, ``evolve_size_histograms``, keeps per vertex slot
 the time of its cluster root (time-major) and per root slot the cluster size
 mod a modulus (replica-major, see ``EvolveState``).  It records the residue
 each step reads and advances the size histogram from those records only at
-grid times and at the end of each RNG block.  A step allocates nothing, and
-a block is short enough for its buffers to stay in a per-core L2 cache.  A
-resumed pass owns the state it is given and grows its root times in place.
+grid times and at the end of each RNG block of 16 steps.  A block's parent
+slots are formed in its uniforms' own buffer, a step allocates nothing, and
+at 2048 replicas a block's buffers take about 0.3 MB, well inside a per-core
+L2 cache.  A resumed pass owns the state it is given and grows its root
+times in place.
 """
 
 from __future__ import annotations
@@ -189,14 +191,15 @@ def expected_isolated_exact(n: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 STREAM_LAYOUT = 2  # version of the draw rule and draw order; bumped when either changes
-RNG_BLOCK = 32  # steps drawn per RNG call in the evolution; sets memory only
+RNG_BLOCK = 16  # steps drawn per RNG call in the evolution; sets memory only
 
 
-def _parent_offsets(U: np.ndarray, alpha: float, j, xi: np.ndarray, v: np.ndarray) -> None:
-    """Fill ``xi`` and ``v = u - xi`` of ``choices_from_uniforms``, overwriting ``U``.
+def _parent_offsets(U: np.ndarray, alpha: float, j, xi: np.ndarray, count=1, own=None) -> None:
+    """Fill the ``xi`` of ``choices_from_uniforms`` and leave ``v``, or ``v * count + own``, in ``U``.
 
-    v = floor(min((U / alpha) * (j - 1), j - 1)): u - 1 for a retained
-    vertex and j - 1 for a fresh one.
+    v = floor(min((U / alpha) * (j - 1), j - 1)) is u - xi: u - 1 for a
+    retained vertex and j - 1 for a fresh one.  ``U`` keeps its float64,
+    which holds every integer below 2**53 exactly.
     """
     np.less(U, alpha, out=xi)
     if alpha > 0.0:
@@ -204,9 +207,12 @@ def _parent_offsets(U: np.ndarray, alpha: float, j, xi: np.ndarray, v: np.ndarra
             np.divide(U, alpha, out=U)
             np.multiply(U, j - 1, out=U)
         np.minimum(U, j - 1, out=U)
+        np.floor(U, out=U)
     else:
         U[...] = j - 1
-    v[...] = U  # truncates, which is floor here
+    if own is not None:
+        U *= count
+        U += own
 
 
 def choices_from_uniforms(U: np.ndarray, alpha: float, j) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +228,9 @@ def choices_from_uniforms(U: np.ndarray, alpha: float, j) -> tuple[np.ndarray, n
     fresh vertex gets u = j - 1, which no forest reads.  At alpha = 0 every
     vertex is fresh and nothing is divided.
     """
-    xi, u = np.empty(U.shape, dtype=bool), np.empty(U.shape, dtype=np.intp)
-    _parent_offsets(U, alpha, j, xi, u)
+    xi = np.empty(U.shape, dtype=bool)
+    _parent_offsets(U, alpha, j, xi)
+    u = U.astype(np.intp)
     u += xi
     return xi, u
 
@@ -263,23 +270,26 @@ def state_nbytes(count: int, horizon: int, modulus: int) -> int:
 def buffer_nbytes(count: int, horizon: int, modulus: int) -> int:
     """Bytes ``evolve_size_histograms`` holds besides the state: histogram and buffers.
 
-    Per replica: the histogram; two index vectors; the gathered root time;
-    an int16 tally for advancing the histogram; at modulus 2 the signed
-    root slot read, and otherwise an index cell for the successor lookup
-    and the replica's histogram row offset; and per step of an RNG block a
-    uniform, a retention bit, a parent slot, the parity or residue read and,
-    above modulus 2, the residue written.  Above modulus 2 the pass also
-    holds the successor table, one residue per residue.  It allocates
-    nothing else that grows with `count` or `modulus`.
+    Per replica: the histogram; the float offset of its slots; two index
+    vectors; the gathered root time; an int16 tally for advancing the
+    histogram; and per step of an RNG block a uniform, which becomes the
+    parent slot, a retention bit and the parity or residue read.  At
+    modulus 2 the index vectors are the replica and its root slot, and a
+    replica also holds the signed root slot read.  Above, they are the
+    replica's residue row and an index cell for the successor lookup; a
+    replica also holds its histogram row offset, and per step the parent
+    slot as intp and the residue written; the pass holds the successor
+    table, one residue per residue.  It allocates nothing else that grows
+    with `count` or `modulus`.
     """
     time = np.dtype(_time_dtype(horizon)).itemsize
     residue = np.dtype(_residue_dtype(modulus)).itemsize
-    per_step = 8 + 1 + 8 + residue
-    per_replica = 8 * modulus + 2 * 8 + time + 2
+    per_step = 8 + 1 + residue
+    per_replica = 8 * modulus + 8 + 2 * 8 + time + 2
     if modulus == 2:
         return count * (per_replica + time + RNG_BLOCK * per_step)
-    per_replica += 2 * 8
-    per_step += residue
+    per_replica += 8
+    per_step += 8 + residue
     return count * (per_replica + RNG_BLOCK * per_step) + modulus * residue
 
 
@@ -294,10 +304,11 @@ class EvolveState:
     ``residue[r, t']`` is, at a root's time t', the size of that root's
     cluster mod the modulus, so a root's residue sits at ``root_time + r *
     (horizon + 1)`` of the flat array.  ``histo`` is the histogram at time
-    t: a pass advances it at grid times and block ends only, so it is
-    current whenever ``collect`` sees it and when the pass returns.  ``rng``
-    is the generator, positioned after the uniforms of times 2..t.  A pass
-    that resumes the state owns it: nothing else may reference its root times.
+    t: a pass advances it at grid times and at the ends of its 16-step
+    blocks only, so it is current whenever ``collect`` sees it and when the
+    pass returns.  ``rng`` is the generator, positioned after the uniforms
+    of times 2..t.  A pass that resumes the state owns it: nothing else may
+    reference its root times.
     """
 
     t: int
@@ -385,9 +396,13 @@ def evolve_size_histograms(
     (``buffer_nbytes``) are allocated once per call, and a step fills them
     in place: its gathers write to buffers apart from their source arrays,
     in numpy's ``wrap`` mode, and take intp indices, so numpy neither
-    copies ``out`` nor casts the indices.  Blocks are ``RNG_BLOCK`` = 32
-    steps: at 2048 replicas one block's buffers take about 1.2 MB, which a
-    2 MB per-core L2 cache holds.
+    copies ``out`` nor casts the indices.  A block's parent slots are
+    formed in its uniforms' own float64 buffer (``_parent_offsets``); at
+    modulus 2 a step casts its row into one intp vector per replica, and
+    above, the block is cast once into an intp block whose spent rows then
+    hold ``_add_moves``' cells.  Blocks are ``RNG_BLOCK`` = 16 steps: at
+    2048 replicas and modulus 2 one block's buffers take about 0.3 MB, well
+    inside a per-core L2 cache.
     """
     alpha = _check_alpha(alpha)
     grid = np.asarray(grid, dtype=np.int64)
@@ -426,19 +441,21 @@ def evolve_size_histograms(
         histo[:, 1 % modulus] += 1
         if 1 in grid_pos:
             collect(grid_pos[1], 1, histo)
-    # block buffers: uniforms, retention bits, parent slots, residues read and,
-    # above modulus 2, written
+    # block buffers: uniforms, which become parent slots, retention bits, residues
+    # read and, above modulus 2, the parent slots as intp and the residues written
     shape = (min(RNG_BLOCK, horizon - state.t), count)
-    U, xi, parent = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.intp)
+    U, xi = np.empty(shape), np.empty(shape, dtype=bool)
     read = np.empty(shape, dtype=bool if flip else residue.dtype)
-    bumped = None if flip else np.empty(shape, dtype=residue.dtype)
-    own = np.arange(count, 2 * count, dtype=np.intp)  # replica r's slot one time on
+    own = np.arange(count, 2 * count, dtype=float)  # replica r's slot one time on
     root_t = np.empty(count, dtype=root_time.dtype)
     tally = np.empty(count, dtype=np.int16)
     if flip:
         rows = np.arange(count, dtype=np.intp)
+        root = np.empty(count, dtype=np.intp)
         held = np.empty(count, dtype=root_time.dtype)
     else:
+        parent = np.empty(shape, dtype=np.intp)
+        bumped = np.empty(shape, dtype=residue.dtype)
         row_start = np.arange(0, count * (horizon + 1), horizon + 1)  # replica r's residue row
         succ = np.arange(modulus, dtype=residue.dtype)  # s -> s + 1 mod the modulus
         succ[:-1] += 1
@@ -447,7 +464,8 @@ def evolve_size_histograms(
         offsets = np.arange(0, count * modulus, modulus)  # replica r's histogram row
 
     def advance(lo, hi):
-        # histo over the block's steps lo..hi-1; their spent parent rows hold the cells
+        # histo over the block's steps lo..hi-1; above modulus 2 their spent
+        # parent rows hold the cells
         if flip:
             _add_moves(histo, read[lo:hi], xi[lo:hi], tally)
         else:
@@ -457,29 +475,32 @@ def evolve_size_histograms(
     while t <= horizon:
         steps = min(RNG_BLOCK, horizon + 1 - t)
         times = np.arange(t, t + steps)[:, None]
-        U_b, xi_b, parent_b = U[:steps], xi[:steps], parent[:steps]
+        U_b, xi_b = U[:steps], xi[:steps]
         state.rng.random(out=U_b)
         # the times go in as float here and as root times below, so that no
         # broadcast casts per element.  A retained vertex reads its parent's
         # slot, (u * count + r); a fresh one, whose offset is t - 1, reads its
         # own, which holds its own time and residue 0: a root of size 0
-        _parent_offsets(U_b, alpha, times.astype(float), xi_b, parent_b)
-        parent_b *= count
-        parent_b += own
+        _parent_offsets(U_b, alpha, times.astype(float), xi_b, count, own)
+        if not flip:
+            parent_b = parent[:steps]
+            parent_b[...] = U_b
         block_rows = root_time[t * count : (t + steps) * count].reshape(steps, count)
         block_rows[:] = times.astype(root_time.dtype)
         done = 0  # the block's steps already in histo
         for i in range(steps):
             # the gathers write into buffers apart from their source, and
             # wrap (a no-op on these in-range indices) so that numpy fills
-            # `out` directly; the spent parent row becomes the root's slot
-            root = parent_b[i]
+            # `out` directly; the spent parent slot becomes the root's slot
+            if flip:
+                root[...] = U_b[i]
+            else:
+                root = parent_b[i]
             root_time.take(root, out=root_t, mode="wrap")
+            row = block_rows[i]
             if flip:
-                np.abs(root_t, out=root_t)
-            block_rows[i] = root_t
-            root[...] = root_t
-            if flip:
+                np.abs(root_t, out=row)
+                root[...] = row
                 root *= count
                 root += rows
                 root_time.take(root, out=held, mode="wrap")
@@ -487,6 +508,8 @@ def evolve_size_histograms(
                 np.negative(held, out=held)
                 root_time[root] = held
             else:
+                row[...] = root_t
+                root[...] = root_t
                 root += row_start
                 residue.take(root, out=read[i], mode="wrap")
                 cell[...] = read[i]  # take would cast narrower indices to a fresh intp copy

@@ -6,11 +6,11 @@ cluster-size counts) are views over one pass, ``_forest_chunks``: it grows
 the percolated forests in replica chunks, hands each grid time's
 cluster-size histogram to the estimator's ``terms``, stores the returned
 terms in per-grid arrays of the chunk and yields the chunks' arrays in
-chunk order.  ``_forest_sums`` adds them up in that order;
-``_forest_moments`` also merges the chunks' centred second moments
-pairwise, for the cycle curve.  The curves then reduce those sums to values
-and delta-method stderrs; ``cluster_size_counts`` keeps its terms per
-replica.
+chunk order.  For the cycle curve, ``_forest_moments`` adds up the chunks'
+sums in that order and merges their centred second moments pairwise; the
+curve reduces them to values and delta-method stderrs.  The hypercube curve
+and ``cluster_size_counts`` keep their terms per replica, one row per grid
+point, and reduce each grid point's row on its own.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
@@ -34,7 +34,7 @@ import numpy as np
 
 from .dist import write_csv
 from .errors import CapacityError, DomainError, ParameterError
-from .forest import buffer_nbytes, evolve_size_histograms, state_nbytes
+from .forest import _time_dtype, buffer_nbytes, evolve_size_histograms, state_nbytes
 from .groups import TABLE_CAP, FiniteGroup, StepDistribution, transition_matrix
 from .special import cutoff_constant
 from .streams import chunk_ranges, stream
@@ -336,6 +336,7 @@ STATE_BUDGET = 256 << 20  # bytes of forest state a scan may keep between horizo
 FOREST_BYTES_CAP = 1 << 30  # bytes a forest pass may hold: its workers' and checkpoint's states
 CYCLE_CHUNK = 512  # replicas per chunk of the cycle estimator's forest pass
 HYPERCUBE_CHUNK = 2048  # of the hypercube estimator's
+CLUSTER_K_MAX = 10  # forest-stats reports N_1..N_k for k up to this, and the odd count
 
 
 def _states_nbytes(horizon: int, modulus: int, replicas: int, chunk: int) -> int:
@@ -344,26 +345,54 @@ def _states_nbytes(horizon: int, modulus: int, replicas: int, chunk: int) -> int
     return sum(state_nbytes(stop - start, horizon, modulus) for start, stop in ranges)
 
 
+def forest_tallies(estimator, modulus, horizon, points, replicas, chunk, k_max=CLUSTER_K_MAX):
+    """Bytes of the per-grid arrays of an estimator's forest pass: a chunk's, and its merge's.
+
+    ``rao-blackwell``: per grid point a chunk's terms are three float64
+    K-vectors and the K x K sum of outer products (K = (modulus - 1) / 2);
+    the merge holds the running sum and mean, the centred second moment
+    and one K x K product buffer per grid point, and the estimator its
+    three L x K coefficient tables.  ``hypercube-weight``: one odd-cluster
+    count per replica and grid point, int16 below t = 2**15 and int32
+    above, for a chunk's replicas and for all of them.  ``forest-mc``: the
+    int64 counts N_1..N_k_max and the odd count per replica and grid point,
+    likewise.
+    """
+    if estimator == "rao-blackwell":
+        K = (modulus - 1) // 2
+        tables = 3 * modulus * K * 8
+        return points * 8 * (3 * K + K * K), points * 8 * (2 * K + 2 * K * K) + tables
+    if estimator == "hypercube-weight":
+        per_replica = np.dtype(_time_dtype(horizon)).itemsize  # a count is at most t
+    else:
+        per_replica = 8 * (k_max + 1)
+    return points * min(replicas, chunk) * per_replica, points * replicas * per_replica
+
+
 def check_forest_pass(
-    horizon: int, modulus: int, replicas: int, chunk: int, threads: int, checkpoint=None
+    horizon: int, modulus: int, replicas: int, chunk: int, threads: int, checkpoint=None,
+    tallies=(0, 0),
 ) -> None:
     """Raise ``CapacityError`` if a forest pass to `horizon` may hold over ``FOREST_BYTES_CAP``.
 
     Each of its workers grows one chunk of min(replicas, chunk) forests at a
-    time, holding their state (``state_nbytes`` at the horizon) and their
-    histogram and buffers (``buffer_nbytes``).  A pass given a `checkpoint`
-    also holds states outside its workers: those the checkpoint brought,
-    until their chunks start, and its own once done, if they fit in
-    ``STATE_BUDGET``.  A chunk's new state is larger than its old one, so
-    these never exceed the larger of the two sums.  A resumed chunk grows
-    its root times in place unless they widen to int32, so there its old
-    root times are counted twice, in the brought sum and inside its new
-    state; the bound stays conservative.
+    time, holding their state (``state_nbytes`` at the horizon), their
+    histogram and buffers (``buffer_nbytes``) and the per-grid arrays their
+    terms fill, ``tallies[0]`` (see ``forest_tallies``).  One more chunk's
+    arrays are held while the estimator merges them, and the merge holds
+    ``tallies[1]``.  A pass given a `checkpoint` also holds states outside
+    its workers: those the checkpoint brought, until their chunks start,
+    and its own once done, if they fit in ``STATE_BUDGET``.  A chunk's new
+    state is larger than its old one, so these never exceed the larger of
+    the two sums.  A resumed chunk grows its root times in place unless
+    they widen to int32, so there its old root times are counted twice, in
+    the brought sum and inside its new state; the bound stays conservative.
     """
     count = min(replicas, chunk)
     workers = min(threads or 1, -(-replicas // chunk))
+    per_chunk, merged = tallies
     per_worker = state_nbytes(count, horizon, modulus) + buffer_nbytes(count, horizon, modulus)
-    nbytes = workers * per_worker
+    nbytes = workers * (per_worker + per_chunk) + per_chunk + merged
     if checkpoint is not None:
         brought = sum(
             s.root_time.nbytes + s.residue.nbytes for s in checkpoint.states if s is not None
@@ -392,7 +421,8 @@ class Checkpoint:
 
 
 def _forest_chunks(
-    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
+    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None,
+    tallies=(0, 0),
 ):
     """Each replica chunk's per-grid ``terms(histo)``, in chunk order.
 
@@ -403,14 +433,16 @@ def _forest_chunks(
     ``chunk_ranges(replicas, chunk)``, one array per term, indexed by grid
     position first.  Chunks come in chunk-index order for every thread
     count.  A pass that resumes ``checkpoint`` needs a grid that starts
-    after the states' time.
+    after the states' time.  ``tallies`` are the bytes of the per-grid
+    arrays a chunk fills and the caller's merge holds (``forest_tallies``);
+    ``check_forest_pass`` counts them before any draw.
     """
     grid = np.asarray(grid, dtype=np.int64)
     ranges = chunk_ranges(replicas, chunk)
     states = (checkpoint and checkpoint.states) or [None] * len(ranges)
     if states[0] is not None and grid[0] <= states[0].t:
         raise ParameterError("a resumed pass collects only after its checkpoint's time")
-    check_forest_pass(int(grid[-1]), modulus, replicas, chunk, threads, checkpoint)
+    check_forest_pass(int(grid[-1]), modulus, replicas, chunk, threads, checkpoint, tallies)
     keep = checkpoint is not None and (
         _states_nbytes(int(grid[-1]), modulus, replicas, chunk) <= STATE_BUDGET
     )
@@ -445,27 +477,8 @@ def _forest_chunks(
         yield from pool.map(work, tasks)
 
 
-def _forest_sums(
-    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
-):
-    """Per-grid sums over all replicas of ``terms(histo)`` (see ``_forest_chunks``).
-
-    The chunks' sums are added in chunk-index order, so the totals are
-    bit-identical for every thread count, and each grid point's totals
-    are the same whatever grid, or resumed pass, it was collected in.
-    """
-    chunks = _forest_chunks(
-        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
-    )
-    totals = next(chunks)
-    for sums in chunks:
-        for acc, part in zip(totals, sums):
-            acc += part
-    return tuple(totals)
-
-
 def _forest_moments(
-    alpha, grid, modulus, replicas, master_seed, chunk, threads, rows, checkpoint=None
+    alpha, grid, modulus, replicas, master_seed, chunk, threads, rows, checkpoint, tallies
 ):
     """Per-grid sum and centred second moment of the replicas' ``rows(histo)``.
 
@@ -474,9 +487,10 @@ def _forest_moments(
     Each chunk sums its rows, and the outer products of its rows, around the
     chunk's first row, so equal rows give exactly 0; the chunks' means and
     centred second moments are merged in chunk order by the pairwise update
-    of Chan, Golub and LeVeque.  Returns (sum, M2) of shapes (grid, K) and
-    (grid, K, K); the sums are added in chunk order as in ``_forest_sums``,
-    and the merge is elementwise per grid point.
+    of Chan, Golub and LeVeque, in place, with one (grid, K, K) product
+    buffer.  Returns (sum, M2) of shapes (grid, K) and (grid, K, K); the
+    sums are added in chunk order, so the totals are bit-identical for every
+    thread count, and the merge is elementwise per grid point.
     """
 
     def terms(histo):
@@ -485,19 +499,25 @@ def _forest_moments(
         return x.sum(axis=0), x[0], dx.sum(axis=0), dx.T @ dx
 
     chunks = _forest_chunks(
-        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
+        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint, tallies
     )
     n = 0
     for (start, stop), (s, shift, ds, dd) in zip(chunk_ranges(replicas, chunk), chunks):
         m = stop - start
         mean_c = shift + ds / m
-        m2_c = dd - ds[:, :, None] * ds[:, None, :] / m
         if n == 0:
-            total, mean, m2 = s, mean_c, m2_c
+            outer = np.empty_like(dd)
+        np.multiply(ds[:, :, None], ds[:, None, :], out=outer)
+        outer /= m
+        dd -= outer  # the chunk's centred second moment
+        if n == 0:
+            total, mean, m2 = s, mean_c, dd
         else:
             total += s
             delta = mean_c - mean
-            m2 += m2_c + (n * m / (n + m)) * delta[:, :, None] * delta[:, None, :]
+            np.multiply((n * m / (n + m)) * delta[:, :, None], delta[:, None, :], out=outer)
+            outer += dd
+            m2 += outer
             mean += (m / (n + m)) * delta
         n += m
     return total, m2
@@ -521,9 +541,9 @@ def rao_blackwell_cycle_curve(
     """
     tables = _CycleTables(L)
     grid = np.asarray(grid, dtype=np.int64)
-
+    tallies = forest_tallies("rao-blackwell", L, int(grid[-1]), grid.size, replicas, chunk)
     total, m2 = _forest_moments(
-        alpha, grid, L, replicas, master_seed, chunk, threads, tables.phi, checkpoint
+        alpha, grid, L, replicas, master_seed, chunk, threads, tables.phi, checkpoint, tallies
     )
     phi_mean = total / replicas
     C = (2.0 / L) * tables.dft
@@ -603,30 +623,40 @@ def hypercube_tv_curve(
     on N_J(n) = m the endpoint is the lazy walk after m steps, and the law of
     the walk is invariant under coordinate permutations, so TV reduces to the
     Hamming-weight marginal.  The categories of ``_mixture_tv`` are the
-    observed odd-cluster counts m, with laws q_m; the weight-chain table
-    keeps the rows of the counts observed at some grid point, the largest at
-    most the horizon (reached at alpha = 0, where N_J(n) = n).  Works up to
-    d = 1024.
+    observed odd-cluster counts m, with laws q_m.  The pass keeps one row
+    per grid point of every replica's count (int16 below t = 2**15, int32
+    above), and a grid point's categories are the ``np.bincount`` of its
+    row.  The weight-chain table keeps the rows of the counts observed at
+    some grid point, the largest at most the horizon (reached at alpha = 0,
+    where N_J(n) = n).  Works up to d = 1024.
     """
     if d < 1 or d > 1024:
         raise ParameterError("hypercube estimator supports 1 <= d <= 1024")
     grid = np.asarray(grid, dtype=np.int64)
     horizon = int(grid[-1])
-    (counts,) = _forest_sums(
+    dtype = _time_dtype(horizon)  # an odd-cluster count is at most t, like a root time
+    chunks = _forest_chunks(
         alpha, grid, 2, replicas, master_seed, chunk, threads,
-        lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
-        checkpoint,
+        lambda histo: (histo[:, 1].astype(dtype),), checkpoint,
+        forest_tallies("hypercube-weight", 2, horizon, grid.size, replicas, chunk),
     )
-    observed = np.flatnonzero(counts.any(axis=0))
+    odd = np.empty((grid.size, replicas), dtype=dtype)
+    for (start, stop), (rows,) in zip(chunk_ranges(replicas, chunk), chunks):
+        odd[:, start:stop] = rows
+    seen = np.zeros(horizon + 1, dtype=bool)
+    for row in odd:
+        seen[row] = True
+    observed = np.flatnonzero(seen)
     qtable = hypercube_weight_chain_table(d, int(observed[-1]), observed)
     pi = hypercube_stationary_weights(d)
     values = np.empty(grid.size)
     stderrs = np.zeros(grid.size)
-    for i in range(grid.size):
+    for i, row in enumerate(odd):
         # the estimate averages the rows q_{N_J} of the weight-chain table over
         # the observed N_J only, whatever the horizon
-        nz = np.nonzero(counts[i])[0]
-        w = counts[i, nz] / replicas
+        counts = np.bincount(row)
+        nz = np.flatnonzero(counts)
+        w = counts[nz] / replicas
         q = qtable[np.searchsorted(observed, nz)]
         values[i], stderrs[i] = _mixture_tv(w, w @ q - pi, lambda grad: q @ grad, replicas)
     return DistanceCurve(
@@ -646,7 +676,6 @@ def hypercube_tv_curve(
 # ---------------------------------------------------------------------------
 
 
-CLUSTER_K_MAX = 10  # forest-stats reports N_1..N_k for k up to this, and the odd count
 CLUSTER_ROW_BYTES = 160  # a cluster_stats.csv row: a 7-item list (112 B), its slot and its ints
 
 
@@ -675,9 +704,11 @@ def cluster_size_counts(alpha, grid, replicas, master_seed, k_max, threads=1):
     chunk's per-replica rows go to its replicas' slots.
     """
     grid = np.asarray(grid, dtype=np.int64)
+    horizon = int(grid[-1])
     chunks = _forest_chunks(
-        alpha, grid, int(grid[-1]) + 1, replicas, master_seed, CYCLE_CHUNK, threads,
-        lambda histo: (histo[:, 1 : k_max + 1], histo[:, 1::2].sum(axis=1)),
+        alpha, grid, horizon + 1, replicas, master_seed, CYCLE_CHUNK, threads,
+        lambda histo: (histo[:, 1 : k_max + 1], histo[:, 1::2].sum(axis=1)), None,
+        forest_tallies("forest-mc", horizon + 1, horizon, grid.size, replicas, CYCLE_CHUNK, k_max),
     )
     counts = np.zeros((grid.size, replicas, k_max), dtype=np.int64)  # sizes past max(grid): 0
     odd = np.empty((grid.size, replicas), dtype=np.int64)

@@ -201,6 +201,24 @@ class TestValidation:
         assert not os.path.exists(doc["output_dir"])
         assert validate_config(dict(doc, replicas=10_000)) == []
 
+    def test_cycle_moments_capped_up_front(self, tmp_path):
+        # L = 4001, R = 1024 to n = 2000: the forests take 25 MB, but a chunk's
+        # 2000 x 2000 moments at 100 grid points would take 3.2 GB
+        doc = base_config(
+            tmp_path, kind="tv-curve", group={"kind": "cyclic", "L": 4001},
+            mu={"type": "simple-cycle"}, alphas=[0.9], estimator="rao-blackwell",
+            replicas=1024, grid={"n_max": 2000},
+        )
+        problems = validate_config(doc)
+        assert [p.split(":")[0] for p in problems] == ["grid"]
+        assert str(metrics.FOREST_BYTES_CAP) in problems[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert not os.path.exists(doc["output_dir"])
+        assert validate_config(dict(doc, group={"kind": "cyclic", "L": 401})) == []
+
     def test_endpoint_runs_on_groups_without_a_table(self, tmp_path):
         # S_7 has order 5040 > groups.TABLE_CAP; mul multiplies its index arrays
         doc = base_config(

@@ -182,8 +182,12 @@ class TestThetaDensities:
         assert abs(odd[0].mean() / n - sp.odd_cluster_density(a)) < 0.005
 
     def test_batch_over_the_cap_raises_before_drawing(self, monkeypatch):
-        # 10 forests grown to n = 11 at modulus 12 hold their state and buffers
-        need = F.state_nbytes(10, 11, 12) + F.buffer_nbytes(10, 11, 12)
+        # 10 forests grown to n = 11 at modulus 12 hold their state and buffers,
+        # and their counts N_1, N_2 and odd counts at one grid point: the
+        # chunk's, the same chunk's again while it is merged, and every replica's
+        tallies = M.forest_tallies("forest-mc", 12, 11, 1, 10, M.CYCLE_CHUNK, k_max=2)
+        assert tallies == (10 * 3 * 8, 10 * 3 * 8)
+        need = F.state_nbytes(10, 11, 12) + F.buffer_nbytes(10, 11, 12) + 3 * 10 * 3 * 8
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         assert M.cluster_size_counts(0.5, [11], 10, 3, k_max=2)[0].shape == (1, 10, 2)
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)

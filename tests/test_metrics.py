@@ -330,18 +330,43 @@ class TestRaoBlackwell:
             assert nbytes == F.state_nbytes(count, 30, 101)
 
     def test_forest_pass_over_the_cap_raises_before_evolving(self, monkeypatch):
-        # 50 replicas in chunks of 20 on 2 threads: 2 workers, each growing 20 forests to n = 30
-        need = 2 * (F.state_nbytes(20, 30, 101) + F.buffer_nbytes(20, 30, 101))
+        # 50 replicas in chunks of 20 on 2 threads: 2 workers, each growing 20
+        # forests to n = 30 and filling its chunk's sums and 50 x 50 moments at
+        # 3 grid points; one more chunk's are merged into the running moments
+        per_chunk, merged = M.forest_tallies("rao-blackwell", 101, 30, 3, 50, 20)
+        tables = 3 * 101 * 50 * 8
+        assert (per_chunk, merged) == (3 * 8 * (150 + 2500), 3 * 8 * (100 + 5000) + tables)
+        forests = F.state_nbytes(20, 30, 101) + F.buffer_nbytes(20, 30, 101)
+        need = 2 * (forests + per_chunk) + per_chunk + merged
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
         monkeypatch.setattr(M, "evolve_size_histograms", lambda *a: pytest.fail("evolve entered"))
         with pytest.raises(CapacityError, match=f"hold {need} bytes"):
-            next(M._forest_chunks(0.5, [1, 7, 30], 101, 50, 4, 20, 2, lambda h: (h.sum(0),)))
+            next(M._forest_chunks(
+                0.5, [1, 7, 30], 101, 50, 4, 20, 2, lambda h: (h.sum(0),), None,
+                (per_chunk, merged),
+            ))
         with pytest.raises(CapacityError):
             M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
         # one thread holds one chunk's forests at a time
         M.check_forest_pass(30, 101, 50, 20, 1)
+
+    def test_moments_of_a_wide_cycle_raise_before_any_draw(self, monkeypatch):
+        # L = 4001, R = 1024, n_max = 2000: each grid point's 2000 x 2000 moments
+        # are 32 MB per chunk, 3.2 GB per chunk over the 100 grid points,
+        # while the forests take 25 MB.  The pass is refused before it draws
+        grid = M.geometric_grid(2000, 40)
+        tallies = M.forest_tallies("rao-blackwell", 4001, 2000, grid.size, 1024, M.CYCLE_CHUNK)
+        assert grid.size == 100 and tallies[0] > 3.2e9
+        monkeypatch.setattr(M, "stream", lambda *a: pytest.fail("the draw started"))
+        terms = lambda histo: pytest.fail("a term was collected")  # noqa: E731
+        chunks = M._forest_chunks(0.9, grid, 4001, 1024, 3, M.CYCLE_CHUNK, 1, terms, None, tallies)
+        with pytest.raises(CapacityError, match="over the cap"):
+            next(chunks)
+        without = M._forest_chunks(0.9, grid, 4001, 1024, 3, M.CYCLE_CHUNK, 1, terms)
+        with pytest.raises(pytest.fail.Exception, match="the draw started"):
+            next(without)  # the forests alone fit
 
     def test_stderr_zero_when_every_replica_has_the_same_forest(self):
         # alpha = 0: every cluster is a singleton, so every replica has one phi
@@ -425,6 +450,34 @@ class TestWeightChain:
 
 
 class TestHypercubeEstimator:
+    def test_curve_holds_its_forests_and_per_replica_odd_counts(self):
+        # d = 64, R = 64 on an explicit grid of 140 points to n = 20 000: the
+        # traced peak stays within the forests' state and buffers, the odd
+        # counts (a chunk's in its worker, one more being merged, every
+        # replica's), at most one weight-chain row per grid point and
+        # replica, and 64 KiB.  A dense tally of (horizon + 2) int64 counts
+        # per grid point would take 22 MB here
+        import tracemalloc
+
+        d, R, n = 64, 64, 20_000
+        grid = M.geometric_grid(n, 40)
+        per_chunk, merged = M.forest_tallies("hypercube-weight", 2, n, grid.size, R, 2048)
+        assert grid.size == 140 and per_chunk == merged == 140 * 64 * 2
+        table = min(grid.size * R, n + 1) * (d + 1) * 8
+        held = F.state_nbytes(R, n, 2) + F.buffer_nbytes(R, n, 2) + 2 * per_chunk + merged
+        M.hypercube_tv_curve(d, 0.5, [1, 2], 8, 1)  # numpy.random's first import allocates
+        bufsize = np.setbufsize(16)  # numpy's cast buffers, as in the forest tests
+        try:
+            tracemalloc.start()
+            try:
+                M.hypercube_tv_curve(d, 0.5, grid, R, 7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(bufsize)
+        assert peak <= held + table + (64 << 10) < 8 << 20
+
     def test_n1_matches_single_lazy_step(self):
         d = 7
         v = M.hypercube_tv_curve(d, 0.3, [1], 500, 3, chunk=100).values[0]
@@ -458,10 +511,8 @@ class TestHypercubeEstimator:
         # cancel more than 6 digits (E[(q.grad)^2] / Var < 1e6)
         grid = M.geometric_grid(horizon, 20)
         curve = M.hypercube_tv_curve(d, alpha, grid, replicas, seed)
-        (counts,) = M._forest_sums(
-            alpha, grid, 2, replicas, seed, 2048, 1,
-            lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),),
-        )
+        dense = lambda histo: (np.bincount(histo[:, 1], minlength=horizon + 2),)  # noqa: E731
+        counts = sum(c for (c,) in M._forest_chunks(alpha, grid, 2, replicas, seed, 2048, 1, dense))
         qtable = M.hypercube_weight_chain_table(d, horizon + 1)
         pi = M.hypercube_stationary_weights(d)
         compared = 0
@@ -791,9 +842,13 @@ class TestResumedScans:
         assert M._states_nbytes(28_298, 2, 4096, M.HYPERCUBE_CHUNK) == 2 * 2048 * 28_299 * 2
 
     def test_an_extension_over_the_cap_raises_before_it_evolves(self, monkeypatch):
-        # 300 replicas in one chunk: the first pass to 16 fits the cap with the
-        # checkpoint it keeps, the extension to 20 does not
-        need = 2 * F.state_nbytes(300, 16, 2) + F.buffer_nbytes(300, 16, 2)
+        # 300 replicas in one chunk: the first pass to 1000 fits the cap with
+        # the checkpoint it keeps and the odd counts of its 88 grid points,
+        # the extension to 1250, with 4 grid points, does not
+        per_chunk, merged = M.forest_tallies("hypercube-weight", 2, 1000, 88, 300, 2048)
+        assert M.geometric_grid(1000, 40).size == 88 and per_chunk == merged == 88 * 300 * 2
+        tallies = 2 * per_chunk + merged
+        need = 2 * F.state_nbytes(300, 1000, 2) + F.buffer_nbytes(300, 1000, 2) + tallies
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         horizons = []
         original = M.evolve_size_histograms
@@ -803,19 +858,22 @@ class TestResumedScans:
             return original(alpha, grid, *args)
 
         monkeypatch.setattr(M, "evolve_size_histograms", spy)
-        with pytest.raises(CapacityError, match="n = 20 may hold"):
-            M.hypercube_mixing_time(8, 0.5, 1e-6, 300, 11, 16)
-        assert horizons == [16]
+        with pytest.raises(CapacityError, match="n = 1250 may hold"):
+            M.hypercube_mixing_time(64, 0.5, 1e-6, 300, 11, 1000)
+        assert horizons == [1000]
 
     def test_the_cap_counts_the_states_a_checkpoint_brings(self, monkeypatch):
-        # three chunks' states at t = 10; the pass to 40 keeps none of its own
+        # three chunks' states at t = 10; the pass to 40 keeps none of its own.
+        # Its odd counts at 2 grid points: a chunk's in its worker, one more
+        # being merged, and every replica's
         checkpoint = M.Checkpoint()
         M.hypercube_tv_curve(8, 0.5, [1, 5, 10], 50, 3, chunk=20, checkpoint=checkpoint)
         monkeypatch.setattr(M, "STATE_BUDGET", 0)
         brought = sum(F.state_nbytes(count, 10, 2) for count in (20, 20, 10))
-        need = F.state_nbytes(20, 40, 2) + F.buffer_nbytes(20, 40, 2) + brought
+        tallies = 2 * (2 * 20 * 2) + 2 * 50 * 2
+        need = F.state_nbytes(20, 40, 2) + F.buffer_nbytes(20, 40, 2) + brought + tallies
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
-        M.check_forest_pass(40, 2, 50, 20, 1, checkpoint)
+        M.check_forest_pass(40, 2, 50, 20, 1, checkpoint, (2 * 20 * 2, 2 * 50 * 2))
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
         with pytest.raises(CapacityError, match=f"hold {need} bytes"):
             M.hypercube_tv_curve(8, 0.5, [20, 40], 50, 3, chunk=20, checkpoint=checkpoint)
