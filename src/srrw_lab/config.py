@@ -13,7 +13,6 @@ document that validates can run.
 from __future__ import annotations
 
 import json
-import os
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -93,14 +92,6 @@ def _grid_ok(v) -> bool:
     return v.get("type", "geometric") == "geometric" and _count(v.get("n_max"))
 
 
-def _threads(v):
-    """``threads``, else $SRRW_LAB_THREADS (left a string unless all digits), else 1."""
-    if v is None:
-        env = os.environ.get("SRRW_LAB_THREADS", "").strip() or "1"
-        return int(env) if env.isdecimal() else env
-    return v
-
-
 def _floats(v) -> list:
     return [float(x) for x in v]
 
@@ -152,10 +143,7 @@ class ExperimentConfig:
     )
     output_dir: str = _field("srrw-out", lambda v: v and isinstance(v, str), "a nonempty string")
     threads: int = _field(
-        None,
-        lambda v: _count(_threads(v)),
-        "null or an integer >= 1; null takes $SRRW_LAB_THREADS (an integer >= 1) if set, else 1",
-        _threads,
+        None, lambda v: v is None or _count(v), "null (1) or an integer >= 1", lambda v: v or 1
     )
 
 
@@ -277,38 +265,26 @@ def validate_config(doc: dict) -> list[str]:
                 bad("mu", "hypercube-weight estimates the lazy walk; mu must be lazy-hypercube")
         if run == "endpoint" and last is not None and "replicas" in v:
             build("grid", check_step_table, group, v["replicas"], last)
-    if name == "forest-stats" and grid and {"replicas", "alphas", "points_per_decade"} <= set(v):
-        points = build_grid(grid, v["points_per_decade"]).size
-        try:
-            metrics.check_cluster_stats(points, v["replicas"], len(v["alphas"]))
-        except CapacityError as exc:
-            bad("replicas", str(exc))
     forest_pass = run in ("rao-blackwell", "hypercube-weight", "forest-mc")
     if forest_pass and {"replicas", "threads", "points_per_decade"} <= set(v):
         # the forest passes that always run: a curve's or forest-stats' to its last grid
-        # point (forest-stats' at modulus last + 1, which no cluster reaches), a scan's
-        # first (with the checkpoint it keeps); _forest_chunks checks each extension
-        cycle, hypercube = run == "rao-blackwell", run == "hypercube-weight"
-        ppd, replicas = v["points_per_decade"], v["replicas"]
+        # point, a scan's first (with the checkpoint it keeps); the estimators check the rest
         passes = []
+        cycle = run == "rao-blackwell"
         if kind.sizes is None and last is not None and (group is not None or not cycle):
-            modulus = group.order if cycle else 2 if hypercube else last + 1
-            passes = [("grid", modulus, last, build_grid(grid, ppd).size, None)]
+            points = build_grid(grid, v["points_per_decade"]).size
+            passes = [("grid", group.order if cycle else None, last, points, None)]
         elif kind.sizes is not None and sizes_ok and "alphas" in v:
             first = metrics.cycle_horizon0 if cycle else metrics.hypercube_horizon0
             for size in v["sizes"]:
                 for alpha in v["alphas"]:
                     horizon = first(size, alpha)
-                    points = metrics.geometric_grid(horizon, ppd).size
-                    passes.append(
-                        ("sizes", size if cycle else 2, horizon, points, metrics.Checkpoint())
-                    )
-        chunk = metrics.HYPERCUBE_CHUNK if hypercube else metrics.CYCLE_CHUNK
-        for pathstr, modulus, horizon, points, checkpoint in passes:
-            tallies = metrics.forest_tallies(run, modulus, horizon, points, replicas, chunk)
+                    points = metrics.geometric_grid(horizon, v["points_per_decade"]).size
+                    passes.append(("sizes", size, horizon, points, metrics.Checkpoint()))
+        for pathstr, size, horizon, points, checkpoint in passes:
             try:
-                metrics.check_forest_pass(
-                    horizon, modulus, replicas, chunk, _threads(v["threads"]), checkpoint, tallies
+                metrics.check_estimator_pass(
+                    run, size, horizon, points, v["replicas"], None, v["threads"], checkpoint
                 )
             except CapacityError as exc:
                 bad(pathstr, str(exc))

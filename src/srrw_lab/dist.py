@@ -20,14 +20,20 @@ def write_csv(path, fieldnames, rows) -> None:
 
     A row is a mapping keyed by field name or a sequence in field order.  The
     text goes to ``<path>.tmp``, which is then renamed over ``path``, so a
-    reader never sees a partial file.
+    reader never sees a partial file.  If producing or writing a row raises,
+    the temp file is removed and ``path`` is left as it was.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(fieldnames)
-        for row in rows:
-            w.writerow([row[f] for f in fieldnames] if isinstance(row, Mapping) else row)
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(fieldnames)
+            for row in rows:
+                w.writerow([row[f] for f in fieldnames] if isinstance(row, Mapping) else row)
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

@@ -10,7 +10,9 @@ chunk order.  For the cycle curve, ``_forest_moments`` adds up the chunks'
 sums in that order and merges their centred second moments pairwise; the
 curve reduces them to values and delta-method stderrs.  The hypercube curve
 and ``cluster_size_counts`` keep their terms per replica, one row per grid
-point, and reduce each grid point's row on its own.
+point, and reduce each grid point's row on its own.  Each estimator first
+checks its pass with ``check_estimator_pass``, as ``validate_config`` does,
+so a pass over the cap allocates nothing.
 
 The cycle estimator Rao-Blackwellizes over spins: conditionally on the
 cluster sizes of the forest, the walk's Fourier coefficient at frequency k
@@ -406,6 +408,24 @@ def check_forest_pass(
         )
 
 
+def check_estimator_pass(
+    estimator, size, horizon, points, replicas, chunk=None, threads=1, checkpoint=None,
+    k_max=CLUSTER_K_MAX,
+) -> int:
+    """Run ``check_forest_pass`` on the pass of `estimator` to `horizon`; return its modulus.
+
+    The modulus is the cycle's L (`size`) for ``rao-blackwell``, 2 for
+    ``hypercube-weight`` and horizon + 1, which no cluster reaches, for
+    ``forest-mc``; `chunk` defaults to the estimator's.  Each estimator
+    calls this before it allocates, and ``validate_config`` before a run.
+    """
+    modulus = {"rao-blackwell": size, "hypercube-weight": 2}.get(estimator, horizon + 1)
+    chunk = chunk or (HYPERCUBE_CHUNK if estimator == "hypercube-weight" else CYCLE_CHUNK)
+    tallies = forest_tallies(estimator, modulus, horizon, points, replicas, chunk, k_max)
+    check_forest_pass(horizon, modulus, replicas, chunk, threads, checkpoint, tallies)
+    return modulus
+
+
 @dataclass
 class Checkpoint:
     """Every chunk's forest state where a resumable pass stopped.
@@ -421,8 +441,7 @@ class Checkpoint:
 
 
 def _forest_chunks(
-    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None,
-    tallies=(0, 0),
+    alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint=None
 ):
     """Each replica chunk's per-grid ``terms(histo)``, in chunk order.
 
@@ -433,16 +452,14 @@ def _forest_chunks(
     ``chunk_ranges(replicas, chunk)``, one array per term, indexed by grid
     position first.  Chunks come in chunk-index order for every thread
     count.  A pass that resumes ``checkpoint`` needs a grid that starts
-    after the states' time.  ``tallies`` are the bytes of the per-grid
-    arrays a chunk fills and the caller's merge holds (``forest_tallies``);
-    ``check_forest_pass`` counts them before any draw.
+    after the states' time.  The estimator has checked the pass
+    (``check_estimator_pass``) before it calls this.
     """
     grid = np.asarray(grid, dtype=np.int64)
     ranges = chunk_ranges(replicas, chunk)
     states = (checkpoint and checkpoint.states) or [None] * len(ranges)
     if states[0] is not None and grid[0] <= states[0].t:
         raise ParameterError("a resumed pass collects only after its checkpoint's time")
-    check_forest_pass(int(grid[-1]), modulus, replicas, chunk, threads, checkpoint, tallies)
     keep = checkpoint is not None and (
         _states_nbytes(int(grid[-1]), modulus, replicas, chunk) <= STATE_BUDGET
     )
@@ -477,9 +494,7 @@ def _forest_chunks(
         yield from pool.map(work, tasks)
 
 
-def _forest_moments(
-    alpha, grid, modulus, replicas, master_seed, chunk, threads, rows, checkpoint, tallies
-):
+def _forest_moments(alpha, grid, modulus, replicas, master_seed, chunk, threads, rows, checkpoint):
     """Per-grid sum and centred second moment of the replicas' ``rows(histo)``.
 
     ``rows`` maps a chunk's cluster-size histogram to one row per replica,
@@ -499,7 +514,7 @@ def _forest_moments(
         return x.sum(axis=0), x[0], dx.sum(axis=0), dx.T @ dx
 
     chunks = _forest_chunks(
-        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint, tallies
+        alpha, grid, modulus, replicas, master_seed, chunk, threads, terms, checkpoint
     )
     n = 0
     for (start, stop), (s, shift, ds, dd) in zip(chunk_ranges(replicas, chunk), chunks):
@@ -539,11 +554,13 @@ def rao_blackwell_cycle_curve(
     only Monte Carlo noise is over forests.  Stderr by the delta method from
     the replica covariance of the conditional Fourier coefficients.
     """
-    tables = _CycleTables(L)
     grid = np.asarray(grid, dtype=np.int64)
-    tallies = forest_tallies("rao-blackwell", L, int(grid[-1]), grid.size, replicas, chunk)
+    check_estimator_pass(
+        "rao-blackwell", L, int(grid[-1]), grid.size, replicas, chunk, threads, checkpoint
+    )
+    tables = _CycleTables(L)
     total, m2 = _forest_moments(
-        alpha, grid, L, replicas, master_seed, chunk, threads, tables.phi, checkpoint, tallies
+        alpha, grid, L, replicas, master_seed, chunk, threads, tables.phi, checkpoint
     )
     phi_mean = total / replicas
     C = (2.0 / L) * tables.dft
@@ -634,11 +651,13 @@ def hypercube_tv_curve(
         raise ParameterError("hypercube estimator supports 1 <= d <= 1024")
     grid = np.asarray(grid, dtype=np.int64)
     horizon = int(grid[-1])
+    check_estimator_pass(
+        "hypercube-weight", d, horizon, grid.size, replicas, chunk, threads, checkpoint
+    )
     dtype = _time_dtype(horizon)  # an odd-cluster count is at most t, like a root time
     chunks = _forest_chunks(
         alpha, grid, 2, replicas, master_seed, chunk, threads,
         lambda histo: (histo[:, 1].astype(dtype),), checkpoint,
-        forest_tallies("hypercube-weight", 2, horizon, grid.size, replicas, chunk),
     )
     odd = np.empty((grid.size, replicas), dtype=dtype)
     for (start, stop), (rows,) in zip(chunk_ranges(replicas, chunk), chunks):
@@ -676,25 +695,6 @@ def hypercube_tv_curve(
 # ---------------------------------------------------------------------------
 
 
-CLUSTER_ROW_BYTES = 160  # a cluster_stats.csv row: a 7-item list (112 B), its slot and its ints
-
-
-def check_cluster_stats(points: int, replicas: int, alphas: int) -> None:
-    """Raise ``CapacityError`` if forest-stats' rows may take over ``FOREST_BYTES_CAP``.
-
-    The section holds CLUSTER_K_MAX + 1 rows per alpha, grid point and
-    replica until it writes them, beside one alpha's int64 counts and odd
-    counts from ``cluster_size_counts``.
-    """
-    cells = points * replicas * (CLUSTER_K_MAX + 1)
-    nbytes = cells * (alphas * CLUSTER_ROW_BYTES + 8)
-    if nbytes > FOREST_BYTES_CAP:
-        raise CapacityError(
-            f"forest-stats' {alphas * cells} rows of {alphas} alphas x {points} grid points"
-            f" x {replicas} replicas may hold {nbytes} bytes, over the cap of {FOREST_BYTES_CAP}"
-        )
-
-
 def cluster_size_counts(alpha, grid, replicas, master_seed, k_max, threads=1):
     """Per-replica cluster counts N_1..N_k_max and odd-cluster counts at each grid time.
 
@@ -704,11 +704,12 @@ def cluster_size_counts(alpha, grid, replicas, master_seed, k_max, threads=1):
     chunk's per-replica rows go to its replicas' slots.
     """
     grid = np.asarray(grid, dtype=np.int64)
-    horizon = int(grid[-1])
+    modulus = check_estimator_pass(
+        "forest-mc", None, int(grid[-1]), grid.size, replicas, CYCLE_CHUNK, threads, k_max=k_max
+    )
     chunks = _forest_chunks(
-        alpha, grid, horizon + 1, replicas, master_seed, CYCLE_CHUNK, threads,
-        lambda histo: (histo[:, 1 : k_max + 1], histo[:, 1::2].sum(axis=1)), None,
-        forest_tallies("forest-mc", horizon + 1, horizon, grid.size, replicas, CYCLE_CHUNK, k_max),
+        alpha, grid, modulus, replicas, master_seed, CYCLE_CHUNK, threads,
+        lambda histo: (histo[:, 1 : k_max + 1], histo[:, 1::2].sum(axis=1)),
     )
     counts = np.zeros((grid.size, replicas, k_max), dtype=np.int64)  # sizes past max(grid): 0
     odd = np.empty((grid.size, replicas), dtype=np.int64)

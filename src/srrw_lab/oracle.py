@@ -48,7 +48,7 @@ def _check_n(n: int) -> int:
     return n
 
 
-def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> None:
+def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> int:
     """Raise ``CapacityError`` if the spin integration at walk length n is too big.
 
     The oracle enumerates a spin in supp mu for each cluster of size >= 2.
@@ -61,13 +61,8 @@ def check_spin_cap(mu: StepDistribution, alpha: float, n: int) -> None:
     stacked copy, and a batch of law matrices with their gather index and
     result.  A batch holds at least the largest forest's three matrices,
     which the check counts, and grows to ``BATCH_BYTES`` only where the cap
-    leaves that much room (``_batch_bytes``).
+    leaves that much room.  Returns the bytes one batch may hold.
     """
-    _batch_bytes(mu, alpha, n)
-
-
-def _batch_bytes(mu: StepDistribution, alpha: float, n: int) -> int:
-    """The bytes one batch of forests may hold, once ``check_spin_cap``'s checks pass."""
     big = 0 if alpha == 0.0 or n < 2 else 1 if alpha == 1.0 else n // 2
     if (nsup := len(mu.support)) ** big > SPIN_CAP:
         raise CapacityError(
@@ -165,16 +160,16 @@ def exact_endpoint_distribution(
     integrated analytically through P_mu; only non-singleton cluster roots
     are enumerated, |support|^B combinations for a forest with B big
     clusters.  Forests with the same B share their combinations, so they
-    are stacked into batches of at most ``_batch_bytes`` and walked through
-    the n vertices together: a stacked ``V @ P`` for the forests whose
-    vertex j is a singleton, one gather for the others.  ``check_spin_cap``
-    bounds the spins, in count and in bytes, before any forest is enumerated.
+    are stacked into batches and walked through the n vertices together: a
+    stacked ``V @ P`` for the forests whose vertex j is a singleton, one
+    gather for the others.  ``check_spin_cap`` bounds the spins, in count
+    and in bytes, before any forest is enumerated, and sizes the batches.
     """
     if group.order > TABLE_CAP:
         raise CapacityError(f"oracle needs group order <= {TABLE_CAP}")
     n = _check_n(n)
     alpha = _check_alpha(alpha)
-    budget = _batch_bytes(mu, alpha, n)
+    budget = check_spin_cap(mu, alpha, n)
     P = transition_matrix(group, mu)
     sup_probs = np.array([p for _, p in mu.items])
     nsup = sup_probs.size

@@ -3,11 +3,13 @@
 Each config kind maps to a section in ``SECTIONS``: a function of the
 config, its group and its step distribution that returns the CSV artifacts
 to write, the ``results`` entries of ``summary.json`` and whether a horizon
-guard fired.  Artifacts are written atomically (temp file + rename) only
-after the section completes, so a failed or cancelled run leaves no partial
-artifacts.  All randomness descends from the config seed through fixed
-per-section offsets, and reductions happen in fixed chunk order, so outputs
-are byte-identical for any thread count.
+guard fired.  An artifact's rows may be produced while they are written:
+``forest-stats`` streams its rows, one alpha's counts at a time.  Each
+artifact is written atomically (temp file + rename, the temp file removed
+if producing or writing a row fails), so a failed or cancelled run leaves
+no partial artifacts.  All randomness descends from the config seed
+through fixed per-section offsets, and reductions happen in fixed chunk
+order, so outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -191,21 +193,24 @@ def _scaling_section(cfg: ExperimentConfig, group, mu, study: _ScalingStudy):
 def _forest_stats_section(cfg: ExperimentConfig, group, mu):
     grid = build_grid(cfg.grid, cfg.points_per_decade)
     k_max = metrics.CLUSTER_K_MAX
-    metrics.check_cluster_stats(grid.size, cfg.replicas, len(cfg.alphas))
-    rows = []
-    for ai, alpha in enumerate(cfg.alphas):
-        seed = cfg.seed + SECTION_SEED_STRIDE * ai
-        counts, odd = metrics.cluster_size_counts(
-            alpha, grid, cfg.replicas, seed, k_max, threads=cfg.threads
-        )
-        for ni, n in enumerate(grid):
-            head = [seed, _estimator(cfg), int(n), f"{alpha:.17g}"]
-            for r in range(cfg.replicas):
-                for k in range(1, k_max + 1):
-                    rows.append(head + [r, k, int(counts[ni, r, k - 1])])
-                rows.append(head + [r, "odd", int(odd[ni, r])])
+
+    def rows():
+        # one alpha's counts at a time, released before the next alpha's pass
+        for ai, alpha in enumerate(cfg.alphas):
+            seed = cfg.seed + SECTION_SEED_STRIDE * ai
+            counts, odd = metrics.cluster_size_counts(
+                alpha, grid, cfg.replicas, seed, k_max, threads=cfg.threads
+            )
+            for ni, n in enumerate(grid):
+                head = [seed, _estimator(cfg), int(n), f"{alpha:.17g}"]
+                for r in range(cfg.replicas):
+                    for k in range(1, k_max + 1):
+                        yield head + [r, k, int(counts[ni, r, k - 1])]
+                    yield head + [r, "odd", int(odd[ni, r])]
+            del counts, odd
+
     fields = ("seed", "estimator", "n", "alpha", "replica", "k", "count")
-    return [("cluster_stats.csv", fields, rows)], {}, False
+    return [("cluster_stats.csv", fields, rows())], {}, False
 
 
 def _profiles_section(cfg: ExperimentConfig, group, mu):

@@ -74,3 +74,19 @@ class TestWriteCsv:
         path.write_text("old contents that are longer than the new ones\n")
         D.write_csv(path, ["a"], [])
         assert path.read_bytes() == b"a\n"
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        def rows():
+            yield [1]
+            raise RuntimeError("row 2 failed")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="row 2 failed"):
+            D.write_csv(path, ["a"], rows())
+        assert list(tmp_path.iterdir()) == []
+        # an existing file is left as it was
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="row 2 failed"):
+            D.write_csv(path, ["a"], rows())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+        assert path.read_text() == "old\n"

@@ -249,21 +249,47 @@ class TestValidation:
         assert not os.path.exists(doc["output_dir"])
         assert validate_config(dict(doc, grid={"n_max": 10**5})) == []
 
-    def test_forest_stats_rows_capped_up_front(self, tmp_path):
-        # 10^7 replicas at one grid point are 1.1 * 10^8 rows of about 160 B: the
-        # pass itself, a 512-replica chunk at a time, fits its cap
+    def test_forest_stats_replicas_bounded_by_the_pass(self, tmp_path):
+        # 10^7 replicas at one grid point: the section streams its 1.1 * 10^8
+        # rows, and the pass holds every replica's 11 int64 counts, 880 MB
         doc = base_config(
             tmp_path, kind="forest-stats", alphas=[0.5], replicas=10**7,
             grid={"type": "explicit", "values": [5]},
         )
-        problems = validate_config(doc)
-        assert [p.split(":")[0] for p in problems] == ["replicas"]
-        assert str(metrics.FOREST_BYTES_CAP) in problems[0]
+        assert validate_config(doc) == []
         assert validate_config(preset_config("forest-stats-desk")) == []
-        # the section checks too, before it starts the pass
-        cfg = replace(parse_config(dict(doc, replicas=100)), replicas=10**7)
-        with pytest.raises(CapacityError, match="rows"):
-            runner._forest_stats_section(cfg, None, None)
+        # above that, the merged counts alone are over the cap
+        over = metrics.FOREST_BYTES_CAP // (8 * (metrics.CLUSTER_K_MAX + 1)) + 1
+        problems = validate_config(dict(doc, replicas=over))
+        assert [p.split(":")[0] for p in problems] == ["grid"]
+        assert str(metrics.FOREST_BYTES_CAP) in problems[0]
+        # the section's pass is checked before it draws
+        cfg = replace(parse_config(dict(doc, replicas=100)), replicas=over)
+        (_, _, rows), = runner._forest_stats_section(cfg, None, None)[0]
+        with pytest.raises(CapacityError, match="over the cap"):
+            next(rows)
+
+    def test_forest_stats_holds_no_rows(self, tmp_path):
+        # 3000 replicas at two grid points write 132 000 rows, which held as
+        # lists peaked at 8.7 MB; streamed, the section holds its counts and
+        # one chunk's forests and rows
+        import tracemalloc
+
+        doc = base_config(
+            tmp_path, kind="forest-stats", alphas=[0.5], replicas=3000,
+            grid={"type": "explicit", "values": [5, 10]},
+        )
+        run(parse_config(dict(doc, replicas=10)))  # first-use imports allocate
+        counts = metrics.forest_tallies("forest-mc", 11, 10, 2, 3000, metrics.CYCLE_CHUNK)[1]
+        tracemalloc.start()
+        try:
+            run(parse_config(doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counts + (1 << 20) < 2 << 20
+        with open(tmp_path / "out" / "cluster_stats.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 2 * 3000 * 11
 
     @pytest.mark.parametrize(
         "kind, group, mu, estimator, field",
@@ -327,28 +353,27 @@ class TestValidation:
         assert validate_config(doc) == []
 
     @pytest.mark.parametrize(
-        "kind, overrides, env, field",
+        "kind, overrides, field",
         [
             # these used to validate and then end in a traceback or a KeyError
-            ("tv-curve", {"points_per_decade": "x"}, None, "points_per_decade"),
-            ("tv-curve", {"n_max": "x"}, None, "n_max"),
-            ("tv-curve", {"sizes": 5}, None, "sizes"),
-            ("forest-stats", {"grid": DROP}, None, "grid"),
-            ("tv-curve", {"group": {"kind": "cyclic"}}, None, "group.L"),
-            ("tv-curve", {"points_per_decade": 0}, None, "points_per_decade"),
-            ("oracle-check", {"replicas": True}, None, "replicas"),
-            ("oracle-check", {"output_dir": 3}, None, "output_dir"),
+            ("tv-curve", {"points_per_decade": "x"}, "points_per_decade"),
+            ("tv-curve", {"n_max": "x"}, "n_max"),
+            ("tv-curve", {"sizes": 5}, "sizes"),
+            ("forest-stats", {"grid": DROP}, "grid"),
+            ("tv-curve", {"group": {"kind": "cyclic"}}, "group.L"),
+            ("tv-curve", {"points_per_decade": 0}, "points_per_decade"),
+            ("oracle-check", {"replicas": True}, "replicas"),
+            ("oracle-check", {"output_dir": 3}, "output_dir"),
             # the exact estimator's caps hold for curves as for oracle-check
-            ("tv-curve", {"grid": {"type": "geometric", "n_max": 12}}, None, "grid"),
-            ("tv-curve", {"group": {"kind": "symmetric", "m": 7}}, None, "group"),
+            ("tv-curve", {"grid": {"type": "geometric", "n_max": 12}}, "grid"),
+            ("tv-curve", {"group": {"kind": "symmetric", "m": 7}}, "group"),
             # a misspelt field used to run with the default
-            ("oracle-check", {"replica": 100}, None, "replica"),
-            ("oracle-check", {}, "abc", "threads"),
+            ("oracle-check", {"replica": 100}, "replica"),
+            ("oracle-check", {"threads": "abc"}, "threads"),
             # the oracle's spin enumeration: 24^4 spin combinations at n = 8
             (
                 "oracle-check",
                 {"group": {"kind": "symmetric", "m": 4}, "alphas": [0.5], "n_max": 8},
-                None,
                 "n_max",
             ),
             (
@@ -358,11 +383,10 @@ class TestValidation:
                     "alphas": [0.5],
                     "grid": {"type": "explicit", "values": [1, 8]},
                 },
-                None,
                 "grid",
             ),
             # a field this schema no longer has is reported, not ignored
-            ("mixing-scan", {"smoothing_bandwidth": 1.0}, None, "smoothing_bandwidth"),
+            ("mixing-scan", {"smoothing_bandwidth": 1.0}, "smoothing_bandwidth"),
             # the oracle's memory: 13^4 spins x 4096 floats per law matrix at n = 9
             (
                 "oracle-check",
@@ -372,7 +396,6 @@ class TestValidation:
                     "alphas": [0.5],
                     "n_max": 9,
                 },
-                None,
                 "n_max",
             ),
             # the forest pass's memory: fig1-cycle-desk to n = 10^8 would hold 256 GB
@@ -387,18 +410,15 @@ class TestValidation:
                     "replicas": 20000,
                     "estimator": "rao-blackwell",
                 },
-                None,
                 "grid",
             ),
         ],
     )
     def test_every_config_that_validates_can_run(
-        self, tmp_path, monkeypatch, kind, overrides, env, field
+        self, tmp_path, monkeypatch, kind, overrides, field
     ):
         doc = _small_config(tmp_path, kind, **overrides)
         doc = {k: v for k, v in doc.items() if v is not DROP}
-        if env is not None:
-            monkeypatch.setenv("SRRW_LAB_THREADS", env)
         assert [p.split(":")[0] for p in validate_config(doc)] == [field]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -773,10 +793,11 @@ class TestCli:
         assert shown["group"] == {"kind": "cyclic", "L": 101}
         assert cli.main(["presets", "show", "nope"]) == 2
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SRRW_LAB_THREADS", "2")
-        cfg = parse_config(base_config(tmp_path))
-        assert cfg.threads == 2
+    def test_threads_null_means_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SRRW_LAB_THREADS", "2")  # no longer read
+        assert parse_config(base_config(tmp_path)).threads == 1
+        assert parse_config(base_config(tmp_path, threads=None)).threads == 1
+        assert parse_config(base_config(tmp_path, threads=2)).threads == 2
 
 
 class TestExplicitMuConfigs:

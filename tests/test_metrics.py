@@ -340,14 +340,12 @@ class TestRaoBlackwell:
         need = 2 * (forests + per_chunk) + per_chunk + merged
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need)
         M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
+        assert M.check_estimator_pass("rao-blackwell", 101, 30, 3, 50, 20, 2) == 101
         monkeypatch.setattr(M, "FOREST_BYTES_CAP", need - 1)
         monkeypatch.setattr(M, "evolve_size_histograms", lambda *a: pytest.fail("evolve entered"))
         with pytest.raises(CapacityError, match=f"hold {need} bytes"):
-            next(M._forest_chunks(
-                0.5, [1, 7, 30], 101, 50, 4, 20, 2, lambda h: (h.sum(0),), None,
-                (per_chunk, merged),
-            ))
-        with pytest.raises(CapacityError):
+            M.check_estimator_pass("rao-blackwell", 101, 30, 3, 50, 20, 2)
+        with pytest.raises(CapacityError, match=f"hold {need} bytes"):
             M.rao_blackwell_cycle_curve(101, 0.5, [1, 7, 30], 50, 4, chunk=20, threads=2)
         # one thread holds one chunk's forests at a time
         M.check_forest_pass(30, 101, 50, 20, 1)
@@ -360,13 +358,25 @@ class TestRaoBlackwell:
         tallies = M.forest_tallies("rao-blackwell", 4001, 2000, grid.size, 1024, M.CYCLE_CHUNK)
         assert grid.size == 100 and tallies[0] > 3.2e9
         monkeypatch.setattr(M, "stream", lambda *a: pytest.fail("the draw started"))
-        terms = lambda histo: pytest.fail("a term was collected")  # noqa: E731
-        chunks = M._forest_chunks(0.9, grid, 4001, 1024, 3, M.CYCLE_CHUNK, 1, terms, None, tallies)
         with pytest.raises(CapacityError, match="over the cap"):
-            next(chunks)
-        without = M._forest_chunks(0.9, grid, 4001, 1024, 3, M.CYCLE_CHUNK, 1, terms)
-        with pytest.raises(pytest.fail.Exception, match="the draw started"):
-            next(without)  # the forests alone fit
+            M.rao_blackwell_cycle_curve(4001, 0.9, grid, 1024, 3)
+        M.check_forest_pass(2000, 4001, 1024, M.CYCLE_CHUNK, 1)  # the forests alone fit
+
+    def test_pass_over_the_cap_raises_before_the_tables_are_built(self, monkeypatch):
+        # L = 1001: the three L x K coefficient tables take 12 MB, and the
+        # cycle estimator checks its pass before it builds them
+        import tracemalloc
+
+        monkeypatch.setattr(M, "FOREST_BYTES_CAP", 0)
+        grid = M.geometric_grid(2000, 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="over the cap of 0"):
+                M.rao_blackwell_cycle_curve(1001, 0.5, grid, 1024, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_stderr_zero_when_every_replica_has_the_same_forest(self):
         # alpha = 0: every cluster is a singleton, so every replica has one phi

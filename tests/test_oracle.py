@@ -174,7 +174,7 @@ class TestEndpointLawBits:
         args = [(g, mu, a, n) for g, mu in cases for a in (0.3, 0.5, 0.9) for n in range(1, 8)]
         batched = [O.exact_endpoint_distribution(*a).probs.tobytes() for a in args]
         monkeypatch.setattr(O, "BATCH_BYTES", 1)
-        assert O._batch_bytes(cases[0][1], 0.5, 7) == 1
+        assert O.check_spin_cap(cases[0][1], 0.5, 7) == 1
         for a, law in zip(args, batched):
             assert O.exact_endpoint_distribution(*a).probs.tobytes() == law
 
@@ -212,7 +212,7 @@ class TestSpinCap:
         # Z_5, lazy cycle (3 steps), n = 4: transition matrix, 3^2 spins x 3, Bell(4) laws x 2
         mu = G.lazy_cycle_mu(G.make_group("cyclic", 5))
         monkeypatch.setattr(O, "SPIN_BYTES_CAP", 8 * 5 * (5 + 3 * 9 + 2 * 15))
-        assert O.check_spin_cap(mu, 0.5, 4) is None
+        assert O.check_spin_cap(mu, 0.5, 4) == 8 * 5 * 3 * 9  # a batch gets the room left
         monkeypatch.setattr(O, "SPIN_BYTES_CAP", 8 * 5 * (5 + 3 * 9 + 2 * 15) - 1)
         with pytest.raises(CapacityError):
             O.check_spin_cap(mu, 0.5, 4)
@@ -231,7 +231,7 @@ class TestSpinCap:
             O.check_spin_cap(mu, 1e-6, 8)
         # the bound is reached: at n = 7 a forest has three clusters of size >= 2
         monkeypatch.setattr(O, "SPIN_CAP", 24**3)
-        assert O.check_spin_cap(mu, 0.5, 7) is None
+        assert O.check_spin_cap(mu, 0.5, 7) == O.BATCH_BYTES
         monkeypatch.setattr(O, "SPIN_CAP", 24**3 - 1)
         with pytest.raises(CapacityError):
             O.exact_endpoint_distribution(s4, mu, 0.5, 7)
